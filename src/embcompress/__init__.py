@@ -27,9 +27,9 @@ from .linalg import (
     thin_svd,
 )
 from .measures import (
+    PreparedBase,
     QualityReport,
     RankDeficiencyWarning,
-    default_lambda,
     eigenspace_overlap,
     pip_loss,
     projected_reconstruction_error,
@@ -41,8 +41,10 @@ from .rng import CounterRng
 from .selection import (
     MeasureSpec,
     PerformanceTable,
+    Ranking,
     evaluate_measures,
     max_regret,
+    rank_candidates,
     select_best,
     selection_error_rate,
     spearman_rho,
@@ -60,6 +62,7 @@ from .theory import (
     gen_scaled_matrix,
     gen_uniform_matrix,
     lipschitz_gap_bound,
+    overlap_bound_experiment,
     scaling_experiment,
     simulate_lipschitz_gap,
     simulate_regression_gap,

@@ -18,23 +18,21 @@ from . import __version__
 from . import storage
 from .compress import compress_kmeans, compress_pca, compress_uniform, decompress
 from .linalg import LinalgError
-from .measures import MEASURE_NAMES, eigenspace_overlap, quality_report
-from .selection import DEFAULT_ORIENTATIONS, MeasureSpec, evaluate_measures
+from .measures import MEASURE_NAMES, PreparedBase
+from .selection import MeasureSpec, evaluate_measures, rank_candidates
 from .storage import StorageError, Vocabulary
 from .theory import (
     GdConfig,
     LabelModel,
     clipping_curve,
-    conditioning_scalar,
-    davis_kahan_sample_bound,
     gen_student_t_matrix,
     gen_uniform_matrix,
+    overlap_bound_experiment,
     scaling_experiment,
     simulate_lipschitz_gap,
     simulate_regression_gap,
     stochastic_quantize_full_range,
     table4_perturbation,
-    uniform_overlap_bound,
 )
 
 EXIT_OK = 0
@@ -134,10 +132,6 @@ def _default_threads(value: int) -> int:
     return os.cpu_count() or 1
 
 
-def _load_base(path, fmt):
-    return storage.read_text_embedding(path, fmt=fmt)
-
-
 def _candidate_id(path) -> str:
     return Path(path).stem
 
@@ -148,7 +142,7 @@ def _cmd_compress(args) -> int:
         raise UsageError("compress --method pca requires --dim")
     if args.method in ("uniform", "kmeans") and args.bits is None:
         raise UsageError(f"compress --method {args.method} requires --bits")
-    X, vocab = _load_base(args.input, args.format)
+    X, vocab = storage.read_text_embedding(args.input, fmt=args.format)
     rounding = "deterministic" if args.rounding == "det" else "stochastic"
     if args.method == "pca":
         C = compress_pca(X, args.dim, keep_v=args.keep_v)
@@ -180,14 +174,14 @@ def _cmd_measure(args) -> int:
     stems = [_candidate_id(p) for p in args.compressed]
     if len(set(stems)) != len(stems):
         raise UsageError("candidate files must have distinct stems (they become ids)")
-    X, _ = _load_base(args.base, args.format)
+    X, _ = storage.read_text_embedding(args.base, fmt=args.format)
+    base = PreparedBase(X)
     lam = None if args.lam == "auto" else float(args.lam)
     reports = {}
     inputs = {"base": args.base}
     for path in args.compressed:
         C, _vocab = storage.read_compressed(path)
-        Xt = decompress(C)
-        rep = quality_report(X, Xt, lam)
+        rep = base.report(decompress(C), lam)
         cid = _candidate_id(path)
         reports[cid] = {m: getattr(rep, m) for m in wanted}
         reports[cid].update(
@@ -204,24 +198,16 @@ def _cmd_measure(args) -> int:
 
 
 def _cmd_select(args) -> int:
-    X, _ = _load_base(args.base, args.format)
-    spec = MeasureSpec(args.criterion, DEFAULT_ORIENTATIONS[args.criterion])
-    scored = []
-    for path in args.candidates:
-        C, _vocab = storage.read_compressed(path)
-        rep = quality_report(X, decompress(C))
-        val = rep.value(spec.name)
-        if val is None:
-            print(f"{_candidate_id(path)}: excluded ({spec.name} not applicable)")
-            continue
-        scored.append((_candidate_id(path), val))
-    if not scored:
-        raise ValueError(f"no candidate could be scored with {spec.name!r}")
-    reverse = spec.orientation == "higher_better"
-    ranking = sorted(scored, key=lambda item: item[1], reverse=reverse)
-    for pos, (cid, val) in enumerate(ranking, start=1):
-        print(f"{pos}. {cid} {spec.name}={val:.6g}")
-    print(f"winner: {ranking[0][0]}")
+    X, _ = storage.read_text_embedding(args.base, fmt=args.format)
+    ids = [_candidate_id(path) for path in args.candidates]
+    candidates = (storage.read_compressed(path)[0] for path in args.candidates)
+    ranking = rank_candidates(X, candidates, MeasureSpec.default(args.criterion))
+    for idx, _shape in ranking.excluded:
+        print(f"{ids[idx]}: excluded ({ranking.measure} not applicable)")
+    winner = ranking.winner()
+    for pos, (idx, val) in enumerate(ranking.scored, start=1):
+        print(f"{pos}. {ids[idx]} {ranking.measure}={val:.6g}")
+    print(f"winner: {ids[winner]}")
     return EXIT_OK
 
 
@@ -286,22 +272,24 @@ def _label_model(cfg: dict) -> LabelModel:
     return LabelModel(covariance=cov_matrix, noise_ratio=float(cfg.get("c", 0.0)))
 
 
-def _simulate_theorem1(cfg: dict) -> dict:
-    n, d = int(cfg["n"]), int(cfg["d"])
+def _theorem_pair(cfg: dict):
+    """(X, Xt, seed): a uniform matrix and its compressed variant."""
     seed = int(cfg.get("seed", 0))
-    X = gen_uniform_matrix(n, d, seed)
+    X = gen_uniform_matrix(int(cfg["n"]), int(cfg["d"]), seed)
     Xt = _make_compressed_variant(X, cfg.get("compression", {"method": "uniform", "bits": 4}), seed + 1)
+    return X, Xt, seed
+
+
+def _simulate_theorem1(cfg: dict) -> tuple[dict, None]:
+    X, Xt, seed = _theorem_pair(cfg)
     result = simulate_regression_gap(
         X, Xt, _label_model(cfg), int(cfg.get("trials", 10_000)), seed + 2
     )
-    return {"experiment": "regression_gap", "result": result}
+    return {"experiment": "regression_gap", "result": result}, None
 
 
-def _simulate_theorem2(cfg: dict) -> dict:
-    n, d = int(cfg["n"]), int(cfg["d"])
-    seed = int(cfg.get("seed", 0))
-    X = gen_uniform_matrix(n, d, seed)
-    Xt = _make_compressed_variant(X, cfg.get("compression", {"method": "uniform", "bits": 4}), seed + 1)
+def _simulate_theorem2(cfg: dict) -> tuple[dict, None]:
+    X, Xt, seed = _theorem_pair(cfg)
     gd_cfg = cfg.get("gd", {})
     gd = GdConfig(
         step=gd_cfg.get("step"),
@@ -312,43 +300,20 @@ def _simulate_theorem2(cfg: dict) -> dict:
         X, Xt, _label_model(cfg), int(cfg.get("trials", 1000)), seed + 2,
         gd=gd, L=float(cfg.get("L", 1.0)),
     )
-    return {"experiment": "lipschitz_gap", "result": result}
+    return {"experiment": "lipschitz_gap", "result": result}, None
 
 
-def _simulate_theorem3(cfg: dict) -> dict:
+def _simulate_theorem3(cfg: dict) -> tuple[dict, None]:
     n, d = int(cfg["n"]), int(cfg["d"])
     bits = int(cfg["bits"])
-    seeds = cfg.get("seeds", list(range(20)))
-    base_seed = int(cfg.get("seed", 0))
-    X = gen_uniform_matrix(n, d, base_seed)
-    a = float(cfg["a"]) if "a" in cfg else min(conditioning_scalar(X), 1.0)
-    bound = uniform_overlap_bound(bits, a)
-    per_seed = []
-    for s in seeds:
-        Xt = stochastic_quantize_full_range(X, bits, int(s))
-        per_seed.append(
-            {
-                "seed": int(s),
-                "one_minus_overlap": 1.0 - eigenspace_overlap(X, Xt),
-                "davis_kahan_bound": davis_kahan_sample_bound(X, Xt),
-            }
-        )
-    mean_gap = float(np.mean([row["one_minus_overlap"] for row in per_seed]))
-    return {
-        "experiment": "quantization_overlap_bound",
-        "n": n,
-        "d": d,
-        "bits": bits,
-        "a": a,
-        "bound": bound,
-        "bound_capped": min(bound, 1.0),
-        "vacuous": bound > 1.0,
-        "mean_one_minus_overlap": mean_gap,
-        "per_seed": per_seed,
-    }
+    X = gen_uniform_matrix(n, d, int(cfg.get("seed", 0)))
+    a = float(cfg["a"]) if "a" in cfg else None
+    result = overlap_bound_experiment(X, bits, cfg.get("seeds", list(range(20))), a)
+    body = {"experiment": "quantization_overlap_bound", "n": n, "d": d, "bits": bits}
+    return {**body, **result}, None
 
 
-def _simulate_table4(cfg: dict) -> dict:
+def _simulate_table4(cfg: dict) -> tuple[dict, None]:
     out = table4_perturbation(
         cfg["spectrum"], int(cfg["n"]), int(cfg.get("seed", 0))
     )
@@ -356,7 +321,7 @@ def _simulate_table4(cfg: dict) -> dict:
         "experiment": "top_singular_value_perturbation",
         "measured": out["measured"],
         "predicted": out["predicted"],
-    }
+    }, None
 
 
 def _simulate_scaling(cfg: dict) -> tuple[dict, list[dict]]:
@@ -386,25 +351,23 @@ def _simulate_clipping(cfg: dict) -> tuple[dict, list[dict]]:
     return {"experiment": "clipping_curve", "rows": rows}, rows
 
 
+_SIMULATIONS = {
+    "theorem1": _simulate_theorem1,
+    "theorem2": _simulate_theorem2,
+    "theorem3": _simulate_theorem3,
+    "table4": _simulate_table4,
+    "scaling": _simulate_scaling,
+    "clipping-curve": _simulate_clipping,
+}
+
+
 def _cmd_simulate(args) -> int:
     cfg_path = Path(args.config)
     try:
         cfg = json.loads(cfg_path.read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise StorageError(f"{cfg_path}: cannot read config: {exc}") from exc
-    csv_rows = None
-    if args.kind == "theorem1":
-        body = _simulate_theorem1(cfg)
-    elif args.kind == "theorem2":
-        body = _simulate_theorem2(cfg)
-    elif args.kind == "theorem3":
-        body = _simulate_theorem3(cfg)
-    elif args.kind == "table4":
-        body = _simulate_table4(cfg)
-    elif args.kind == "scaling":
-        body, csv_rows = _simulate_scaling(cfg)
-    else:
-        body, csv_rows = _simulate_clipping(cfg)
+    body, csv_rows = _SIMULATIONS[args.kind](cfg)
     storage.write_report(body, args.out, inputs={"config": args.config})
     if args.csv:
         if csv_rows is None:

@@ -50,12 +50,6 @@ class QuantizationGrid:
     def spacing(self) -> float:
         return 2.0 * self.clip / (self.num_levels - 1)
 
-    @property
-    def levels(self) -> np.ndarray:
-        """All grid levels; materializes 2**bits values, so only sensible for
-        small bit widths."""
-        return np.linspace(-self.clip, self.clip, self.num_levels)
-
     def values_for(self, codes) -> np.ndarray:
         """Map level indices to grid values without materializing the grid."""
         return -self.clip + np.asarray(codes, dtype=np.float64) * self.spacing

@@ -8,6 +8,7 @@ produce bit-identical values.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,15 +83,25 @@ class ThinSVD:
 
 
 def thin_svd(M) -> ThinSVD:
-    """Thin SVD of a dense matrix, raising :class:`LinalgError` on
-    non-convergence."""
+    """Thin SVD of a dense matrix.
+
+    numpy's divide-and-conquer driver (gesdd) runs first; when it does not
+    converge, scipy's QR-iteration driver (gesvd), slower but more robust,
+    runs instead.  Raises :class:`LinalgError` only when both fail.
+    """
     M = as_matrix(M)
     try:
         U, s, Vt = np.linalg.svd(M, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise LinalgError(
-            f"SVD failed to converge for {M.shape[0]}x{M.shape[1]} matrix: {exc}"
-        ) from exc
+    except np.linalg.LinAlgError as gesdd_exc:
+        try:
+            U, s, Vt = scipy.linalg.svd(
+                M, full_matrices=False, check_finite=False, lapack_driver="gesvd"
+            )
+        except np.linalg.LinAlgError as exc:
+            raise LinalgError(
+                f"SVD failed to converge for {M.shape[0]}x{M.shape[1]} matrix with "
+                f"gesdd ({gesdd_exc}) and gesvd ({exc})"
+            ) from exc
     return ThinSVD(U=U, s=s, V=Vt.T)
 
 
@@ -125,29 +136,12 @@ def joint_orthonormal_basis(U, W) -> np.ndarray:
     return f.U[:, :m]
 
 
-def _cholesky_lower(B: np.ndarray) -> np.ndarray:
-    """Column Cholesky that names the first non-positive pivot on failure."""
-    m = B.shape[0]
-    L = np.zeros_like(B)
-    for j in range(m):
-        d = B[j, j] - det_sum(L[j, :j] * L[j, :j])
-        if d <= 0.0:
-            raise LinalgError(
-                f"matrix is not positive definite: pivot {j} is {d:.6e}"
-            )
-        L[j, j] = np.sqrt(d)
-        if j + 1 < m:
-            L[j + 1 :, j] = (B[j + 1 :, j] - L[j + 1 :, :j] @ L[j, :j]) / L[j, j]
-    return L
-
-
 def sym_generalized_eigs(A, B) -> np.ndarray:
     """Eigenvalues of the symmetric-definite pencil ``A v = mu B v``,
     ascending.
 
-    Solved as the ordinary symmetric eigenproblem of ``L^-1 A L^-T`` where
-    ``B = L L^T``.  ``B`` must be positive definite; a failed pivot is named
-    in the error.
+    ``A`` must be symmetric and ``B`` positive definite; when the Cholesky
+    factorization of ``B`` fails, the error names the failed pivot (0-based).
     """
     A = as_matrix(A, "A")
     B = as_matrix(B, "B")
@@ -156,11 +150,16 @@ def sym_generalized_eigs(A, B) -> np.ndarray:
     scale = max(1.0, float(np.max(np.abs(A))))
     if float(np.max(np.abs(A - A.T))) > 1e-10 * scale:
         raise ValueError("A is not symmetric within 1e-10")
-    L = _cholesky_lower(B)
-    Y = scipy.linalg.solve_triangular(L, A, lower=True)
-    C = scipy.linalg.solve_triangular(L, Y.T, lower=True).T
-    C = 0.5 * (C + C.T)
-    return np.linalg.eigvalsh(C)
+    try:
+        return scipy.linalg.eigh(A, B, eigvals_only=True, check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        # scipy reports the failed Cholesky step as a 1-based leading minor
+        order = re.search(r"leading minor of order (\d+)", str(exc))
+        if order is None:
+            raise LinalgError(f"generalized eigenproblem failed: {exc}") from exc
+        raise LinalgError(
+            f"matrix is not positive definite: pivot {int(order.group(1)) - 1}"
+        ) from exc
 
 
 def least_squares_solve(M, y) -> np.ndarray:

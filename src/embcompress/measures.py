@@ -73,9 +73,13 @@ MEASURE_NAMES = (
 )
 
 
-def _check_rows(X: np.ndarray, Xt: np.ndarray) -> None:
+def _pair(X, Xt):
+    """X and Xt as validated matrices with equal row counts."""
+    X = as_matrix(X, "X")
+    Xt = as_matrix(Xt, "Xt")
     if X.shape[0] != Xt.shape[0]:
         raise ValueError(f"row count mismatch: {X.shape[0]} vs {Xt.shape[0]}")
+    return X, Xt
 
 
 def _retained_basis(f: ThinSVD, name: str) -> np.ndarray:
@@ -103,12 +107,7 @@ def eigenspace_overlap(X, Xt) -> float:
     back to their retained singular vectors with a warning; the declared
     column counts still normalize.
     """
-    X = as_matrix(X, "X")
-    Xt = as_matrix(Xt, "Xt")
-    _check_rows(X, Xt)
-    U = _retained_basis(thin_svd(X), "X")
-    Ut = _retained_basis(thin_svd(Xt), "Xt")
-    return float(_overlap_from_bases(U, Ut, X.shape[1], Xt.shape[1]))
+    return PreparedBase(X).overlap(Xt)
 
 
 def pip_loss(X, Xt) -> float:
@@ -118,9 +117,7 @@ def pip_loss(X, Xt) -> float:
     materialized: ||XX^T||_F^2 = ||X^T X||_F^2 and the cross term is
     ||X^T Xt||_F^2.
     """
-    X = as_matrix(X, "X")
-    Xt = as_matrix(Xt, "Xt")
-    _check_rows(X, Xt)
+    X, Xt = _pair(X, Xt)
     sq = sq_fro_norm(X.T @ X) + sq_fro_norm(Xt.T @ Xt) - 2.0 * sq_fro_norm(X.T @ Xt)
     return math.sqrt(max(sq, 0.0))
 
@@ -139,9 +136,7 @@ def reconstruction_error(X, Xt) -> float:
 def projected_reconstruction_error(X, Xt) -> float:
     """min over linear maps P of ||Xt P - X||_F^2, via the closed form
     ||X||_F^2 - ||Ut^T X||_F^2.  Requires Xt with full column rank."""
-    X = as_matrix(X, "X")
-    Xt = as_matrix(Xt, "Xt")
-    _check_rows(X, Xt)
+    X, Xt = _pair(X, Xt)
     ft = thin_svd(Xt)
     rank = ft.rank()
     if rank < Xt.shape[1]:
@@ -155,17 +150,6 @@ def _projected_err_from_basis(X: np.ndarray, Ut: np.ndarray) -> float:
     return sq_fro_norm(X) - sq_fro_norm(Ut.T @ X)
 
 
-def default_lambda(X) -> float:
-    """Smallest nonzero eigenvalue of the Gram matrix X X^T: the square of
-    the smallest singular value above the numerical-rank threshold."""
-    X = as_matrix(X, "X")
-    f = thin_svd(X)
-    rank = f.rank()
-    if rank == 0:
-        raise ValueError("zero matrix has no nonzero Gram eigenvalue")
-    return float(f.s[rank - 1] ** 2)
-
-
 def spectral_deltas(X, Xt, lam: float):
     """Tightest (delta1, delta2) with
     (1-delta1)(XX^T+lam I) <= Xt Xt^T + lam I <= (1+delta2)(XX^T+lam I)
@@ -177,14 +161,8 @@ def spectral_deltas(X, Xt, lam: float):
     lam*I, contributing the generalized eigenvalue 1.  delta_max is +inf when
     delta1 >= 1.
     """
-    X = as_matrix(X, "X")
-    Xt = as_matrix(Xt, "Xt")
-    _check_rows(X, Xt)
-    if not (np.isfinite(lam) and lam > 0):
-        raise ValueError(f"lambda must be positive, got {lam}")
-    U = _retained_basis(thin_svd(X), "X")
-    Ut = _retained_basis(thin_svd(Xt), "Xt")
-    return _deltas_from_bases(X, Xt, U, Ut, lam)
+    rep = PreparedBase(X).report(Xt, lam)
+    return rep.delta1, rep.delta2, rep.delta, rep.delta_max
 
 
 def _deltas_from_bases(X, Xt, U, Ut, lam: float):
@@ -204,10 +182,7 @@ def _deltas_from_bases(X, Xt, U, Ut, lam: float):
     delta1 = 1.0 - mu_min
     delta2 = mu_max - 1.0
     delta = max(delta1, delta2)
-    if delta1 >= 1.0:
-        delta_max = math.inf
-    else:
-        delta_max = max(1.0 / (1.0 - delta1), delta2)
+    delta_max = math.inf if delta1 >= 1.0 else max(1.0 / (1.0 - delta1), delta2)
     return delta1, delta2, delta, delta_max
 
 
@@ -218,38 +193,66 @@ def quality_report(X, Xt, lam: float | None = None) -> QualityReport:
     Rank-deficient inputs use their retained singular vectors (with a
     warning); the recorded ranks make that auditable.
     """
-    X = as_matrix(X, "X")
-    Xt = as_matrix(Xt, "Xt")
-    _check_rows(X, Xt)
-    fx = thin_svd(X)
-    ft = thin_svd(Xt)
-    rank_x = fx.rank()
-    rank_xt = ft.rank()
-    U = _retained_basis(fx, "X")
-    Ut = _retained_basis(ft, "Xt")
-    n, d = X.shape
-    k = Xt.shape[1]
-    if lam is None:
-        if rank_x == 0:
-            raise ValueError("zero matrix has no nonzero Gram eigenvalue")
-        lam = float(fx.s[rank_x - 1] ** 2)
-    if not (np.isfinite(lam) and lam > 0):
-        raise ValueError(f"lambda must be positive, got {lam}")
-    delta1, delta2, delta, delta_max = _deltas_from_bases(X, Xt, U, Ut, lam)
-    recon = reconstruction_error(X, Xt) if X.shape == Xt.shape else None
-    return QualityReport(
-        eigenspace_overlap=float(_overlap_from_bases(U, Ut, d, k)),
-        pip_loss=pip_loss(X, Xt),
-        reconstruction_error=recon,
-        projected_reconstruction_error=max(_projected_err_from_basis(X, Ut), 0.0),
-        delta1=delta1,
-        delta2=delta2,
-        delta=delta,
-        delta_max=delta_max,
-        lambda_used=float(lam),
-        rank_x=rank_x,
-        rank_xt=rank_xt,
-        n=n,
-        d=d,
-        k=k,
-    )
+    return PreparedBase(X).report(Xt, lam)
+
+
+class PreparedBase:
+    """A base matrix X factored once, to score any number of candidates.
+
+    Holds the thin SVD of X, its numerical rank and its retained left
+    singular basis.  Each candidate Xt then costs one SVD of Xt, plus one
+    joint-basis SVD when the spectral deltas are wanted.
+    """
+
+    def __init__(self, X):
+        self.X = as_matrix(X, "X")
+        self.svd = thin_svd(self.X)
+        self.rank = self.svd.rank()
+        self.U = _retained_basis(self.svd, "X")
+
+    def _candidate(self, Xt):
+        """Xt validated against X, with its rank and retained basis."""
+        _, Xt = _pair(self.X, Xt)
+        ft = thin_svd(Xt)
+        return Xt, ft.rank(), _retained_basis(ft, "Xt")
+
+    def resolve_lambda(self, lam: float | None = None) -> float:
+        """``lam`` checked positive; None picks X's smallest nonzero Gram eigenvalue."""
+        if lam is None:
+            if self.rank == 0:
+                raise ValueError("zero matrix has no nonzero Gram eigenvalue")
+            lam = self.svd.s[self.rank - 1] ** 2
+        if not (np.isfinite(lam) and lam > 0):
+            raise ValueError(f"lambda must be positive, got {lam}")
+        return float(lam)
+
+    def overlap(self, Xt) -> float:
+        """Eigenspace overlap of X and Xt; see :func:`eigenspace_overlap`."""
+        Xt, _, Ut = self._candidate(Xt)
+        return float(_overlap_from_bases(self.U, Ut, self.X.shape[1], Xt.shape[1]))
+
+    def report(self, Xt, lam: float | None = None) -> QualityReport:
+        """Every measure for (X, Xt); see :func:`quality_report`."""
+        X = self.X
+        Xt, rank_xt, Ut = self._candidate(Xt)
+        n, d = X.shape
+        k = Xt.shape[1]
+        lam = self.resolve_lambda(lam)
+        delta1, delta2, delta, delta_max = _deltas_from_bases(X, Xt, self.U, Ut, lam)
+        recon = reconstruction_error(X, Xt) if X.shape == Xt.shape else None
+        return QualityReport(
+            eigenspace_overlap=float(_overlap_from_bases(self.U, Ut, d, k)),
+            pip_loss=pip_loss(X, Xt),
+            reconstruction_error=recon,
+            projected_reconstruction_error=max(_projected_err_from_basis(X, Ut), 0.0),
+            delta1=delta1,
+            delta2=delta2,
+            delta=delta,
+            delta_max=delta_max,
+            lambda_used=lam,
+            rank_x=self.rank,
+            rank_xt=rank_xt,
+            n=n,
+            d=d,
+            k=k,
+        )

@@ -15,7 +15,7 @@ import numpy as np
 
 from .compress import CompressedEmbedding, decompress
 from .linalg import as_matrix, det_sum
-from .measures import MEASURE_NAMES, quality_report
+from .measures import MEASURE_NAMES, PreparedBase
 
 HIGHER_BETTER = "higher_better"
 LOWER_BETTER = "lower_better"
@@ -48,10 +48,6 @@ class MeasureSpec:
     @classmethod
     def default(cls, name: str) -> "MeasureSpec":
         return cls(name, DEFAULT_ORIENTATIONS[name])
-
-    def prefers(self, a: float, b: float) -> int:
-        """-1 if a is strictly preferred, 1 if b is, 0 on a tie."""
-        return _prefer(a, b, self.orientation)
 
 
 def _prefer(a: float, b: float, orientation: str) -> int:
@@ -97,35 +93,62 @@ class PerformanceTable:
         return {cid: sums[cid] / counts[cid] for cid in sums}
 
 
+@dataclass(frozen=True)
+class Ranking:
+    """Candidates ordered by one measure: ``scored`` holds (index, value)
+    best first, ties in index order; ``excluded`` holds (index, shape) of
+    the candidates the measure cannot score."""
+
+    measure: str
+    scored: tuple
+    excluded: tuple
+
+    def winner(self) -> int:
+        """Index of the best candidate."""
+        if not self.scored:
+            raise ValueError(f"no candidate could be scored with {self.measure!r}")
+        return self.scored[0][0]
+
+
+def rank_candidates(base, candidates, measure: MeasureSpec, lam: float | None = None) -> Ranking:
+    """Order an iterable of dense or :class:`CompressedEmbedding` candidates
+    by one measure against the base matrix.  The base is factored once and
+    only the measure asked for is computed: ranking by overlap costs one SVD
+    per candidate."""
+    prepared = PreparedBase(base)
+    lam = prepared.resolve_lambda(lam)
+    scored, excluded = [], []
+    for idx, cand in enumerate(candidates):
+        Xt = decompress(cand) if isinstance(cand, CompressedEmbedding) else as_matrix(cand)
+        if measure.name == "eigenspace_overlap":
+            val = prepared.overlap(Xt)
+        else:
+            val = prepared.report(Xt, lam).value(measure.name)
+        if val is None:
+            excluded.append((idx, Xt.shape))
+        else:
+            scored.append((idx, val))
+        del Xt  # freed before the next candidate is decompressed
+    # a stable sort, also when reversed, keeps tied candidates in index order
+    scored.sort(key=lambda item: item[1], reverse=measure.orientation == HIGHER_BETTER)
+    return Ranking(measure.name, tuple(scored), tuple(excluded))
+
+
 def select_best(base, candidates, measure: MeasureSpec, lam: float | None = None) -> int:
     """Index of the candidate the measure prefers against the base matrix.
 
     Candidates the measure cannot score (reconstruction error with mismatched
     widths) are excluded with a warning; ties go to the lowest index.
     """
-    base = as_matrix(base, "base")
-    candidates = list(candidates)
-    if not candidates:
-        raise ValueError("need at least one candidate")
-    best_idx = None
-    best_val = None
-    for idx, cand in enumerate(candidates):
-        Xt = decompress(cand) if isinstance(cand, CompressedEmbedding) else as_matrix(cand)
-        report = quality_report(base, Xt, lam)
-        val = report.value(measure.name)
-        if val is None:
-            warnings.warn(
-                f"candidate {idx} excluded: measure {measure.name!r} is not "
-                f"applicable to shape {Xt.shape}",
-                UserWarning,
-                stacklevel=2,
-            )
-            continue
-        if best_idx is None or measure.prefers(val, best_val) < 0:
-            best_idx, best_val = idx, val
-    if best_idx is None:
-        raise ValueError(f"no candidate could be scored with {measure.name!r}")
-    return best_idx
+    ranking = rank_candidates(base, candidates, measure, lam)
+    for idx, shape in ranking.excluded:
+        warnings.warn(
+            f"candidate {idx} excluded: measure {measure.name!r} is not "
+            f"applicable to shape {shape}",
+            UserWarning,
+            stacklevel=2,
+        )
+    return ranking.winner()
 
 
 def _pairs(count: int):

@@ -20,6 +20,7 @@ import scipy.stats
 from .compress import QuantizationGrid, _det_codes, _stoch_codes
 from .linalg import (
     LinalgError,
+    ThinSVD,
     as_matrix,
     as_vector,
     det_sum,
@@ -27,7 +28,7 @@ from .linalg import (
     sq_fro_norm,
     thin_svd,
 )
-from .measures import eigenspace_overlap, pip_loss, quality_report
+from .measures import PreparedBase, eigenspace_overlap, pip_loss, quality_report
 from .rng import CounterRng
 
 
@@ -105,8 +106,9 @@ class ExperimentResult:
             raise ValueError("trials must be >= 1")
 
 
-def _require_full_rank(X: np.ndarray, name: str):
-    f = thin_svd(X)
+def _require_full_rank(X: np.ndarray, name: str, f: ThinSVD | None = None) -> ThinSVD:
+    """The thin SVD of X (``f`` if already taken), checked for full rank."""
+    f = thin_svd(X) if f is None else f
     rank = f.rank()
     if rank < X.shape[1]:
         raise LinalgError(
@@ -139,21 +141,30 @@ def exact_expected_gap(X, Xt, model: LabelModel) -> float:
     a general covariance replaces the cross term with ||Ut^T U S||_F^2 for
     S the PSD square root.
     """
+    return _exact_gap(*_full_rank_pair(X, Xt, model), model)
+
+
+def _full_rank_pair(X, Xt, model: LabelModel):
+    """(X, Xt, fx, ft): both designs validated, with equal row counts, full
+    column rank and a label model sized to X."""
     X = as_matrix(X, "X")
     Xt = as_matrix(Xt, "Xt")
     if X.shape[0] != Xt.shape[0]:
         raise ValueError(f"row count mismatch: {X.shape[0]} vs {Xt.shape[0]}")
     fx = _require_full_rank(X, "X")
     ft = _require_full_rank(Xt, "Xt")
+    model.check_dim(X.shape[1])
+    return X, Xt, fx, ft
+
+
+def _exact_gap(X, Xt, fx: ThinSVD, ft: ThinSVD, model: LabelModel) -> float:
     n, d = X.shape
     k = Xt.shape[1]
-    model.check_dim(d)
-    sigma2 = model.sigma2(n, d)
     M = ft.U.T @ fx.U
     S = model.sqrt_factor(d)
     if S is not None:
         M = M @ S
-    return (model.trace(d) - sq_fro_norm(M)) / n - (d - k) * sigma2 / n
+    return (model.trace(d) - sq_fro_norm(M)) / n - (d - k) * model.sigma2(n, d) / n
 
 
 def expected_gap_upper_bound(X, Xt, model: LabelModel) -> float:
@@ -205,9 +216,11 @@ def uniform_overlap_bound(bits: int, a: float) -> float:
 def conditioning_scalar(X) -> float:
     """The scalar a with s_min(X) = a * sqrt(n/d)."""
     X = as_matrix(X, "X")
-    f = thin_svd(X)
-    n, d = X.shape
-    return float(f.s[-1] / math.sqrt(n / d))
+    return _conditioning(X, thin_svd(X))
+
+
+def _conditioning(X: np.ndarray, f: ThinSVD) -> float:
+    return float(f.s[-1] / math.sqrt(X.shape[0] / X.shape[1]))
 
 
 def davis_kahan_sample_bound(X, Xt) -> float:
@@ -218,11 +231,12 @@ def davis_kahan_sample_bound(X, Xt) -> float:
     Xt = as_matrix(Xt, "Xt")
     if X.shape != Xt.shape:
         raise ValueError(f"shape mismatch: {X.shape} vs {Xt.shape}")
-    fx = _require_full_rank(X, "X")
-    d = X.shape[1]
-    smin = float(fx.s[-1])
-    gram_gap = pip_loss(X, Xt)
-    return gram_gap**2 / (d * smin**4)
+    return _davis_kahan(X, Xt, _require_full_rank(X, "X"))
+
+
+def _davis_kahan(X: np.ndarray, Xt: np.ndarray, fx: ThinSVD) -> float:
+    """:func:`davis_kahan_sample_bound` given the full-rank SVD of X."""
+    return pip_loss(X, Xt) ** 2 / (X.shape[1] * float(fx.s[-1]) ** 4)
 
 
 # ---------------------------------------------------------------------------
@@ -289,42 +303,48 @@ def simulate_regression_gap(
     needed.  Trials are keyed by (seed, trial) counters, so the estimate does
     not depend on scheduling.
     """
-    if trials < 2:
-        raise ValueError(f"trials must be >= 2, got {trials}")
-    X = as_matrix(X, "X")
-    Xt = as_matrix(Xt, "Xt")
-    fx = _require_full_rank(X, "X")
-    ft = _require_full_rank(Xt, "Xt")
+    rng = CounterRng(seed)
+    X, Xt, fx, ft = _full_rank_pair(X, Xt, model)
     n, d = X.shape
     k = Xt.shape[1]
-    model.check_dim(d)
-    sigma2 = model.sigma2(n, d)
-
-    Z = CounterRng(seed).substream(0).normal_block(trials, d)
-    S = model.sqrt_factor(d)
-    if S is not None:
-        Z = Z @ S  # S symmetric, so rows become S g
-    Ybar = fx.U @ Z.T  # (n, trials)
+    Ybar = _true_labels(fx, model, trials, rng)
     proj_x = fx.U.T @ Ybar
     proj_t = ft.U.T @ Ybar
     gaps = (
         np.sum(proj_x * proj_x, axis=0)
         - np.sum(proj_t * proj_t, axis=0)
-        + (k - d) * sigma2
+        + (k - d) * model.sigma2(n, d)
     ) / n
-    estimate = float(np.mean(gaps))
-    std_error = float(np.std(gaps, ddof=1) / math.sqrt(trials))
+    return _experiment_result(
+        gaps, _exact_gap(X, Xt, fx, ft, model), "exact_identity", X, Xt, model, seed
+    )
+
+
+def _true_labels(fx: ThinSVD, model: LabelModel, trials: int, rng: CounterRng) -> np.ndarray:
+    """(n, trials) block of true labels U z, one coefficient draw z per trial."""
+    if trials < 2:
+        raise ValueError(f"trials must be >= 2, got {trials}")
+    Z = rng.substream(0).normal_block(trials, fx.U.shape[1])
+    S = model.sqrt_factor(fx.U.shape[1])
+    if S is not None:
+        Z = Z @ S  # S symmetric, so rows become S g
+    return fx.U @ Z.T
+
+
+def _experiment_result(gaps, theory_value: float, theory_kind: str, X, Xt, model: LabelModel,
+                       seed: int, **config) -> ExperimentResult:
     return ExperimentResult(
-        estimate=estimate,
-        std_error=std_error,
-        theory_value=exact_expected_gap(X, Xt, model),
-        theory_kind="exact_identity",
-        trials=trials,
+        estimate=float(np.mean(gaps)),
+        std_error=float(np.std(gaps, ddof=1) / math.sqrt(gaps.size)),
+        theory_value=theory_value,
+        theory_kind=theory_kind,
+        trials=gaps.size,
         config={
-            "n": n,
-            "d": d,
-            "k": k,
+            "n": X.shape[0],
+            "d": X.shape[1],
+            "k": Xt.shape[1],
             "noise_ratio": model.noise_ratio,
+            **config,
             "covariance": "identity" if model.covariance is None else "explicit",
             "seed": seed,
         },
@@ -438,48 +458,20 @@ def simulate_lipschitz_gap(
     Each trial draws (z, noise), fits logistic models on both designs against
     the noisy logits, and scores the mean test loss against the true logits.
     """
-    if trials < 2:
-        raise ValueError(f"trials must be >= 2, got {trials}")
-    X = as_matrix(X, "X")
-    Xt = as_matrix(Xt, "Xt")
-    fx = _require_full_rank(X, "X")
-    _require_full_rank(Xt, "Xt")
-    n, d = X.shape
-    k = Xt.shape[1]
-    model.check_dim(d)
-    gd = gd or GdConfig()
-    sigma = math.sqrt(model.sigma2(n, d))
-
     rng = CounterRng(seed)
-    Z = rng.substream(0).normal_block(trials, d)
-    S = model.sqrt_factor(d)
-    if S is not None:
-        Z = Z @ S
-    Ybar = fx.U @ Z.T  # (n, trials)
-    Y = Ybar + sigma * rng.substream(1).normal_block(trials, n).T
+    X, Xt, fx, _ = _full_rank_pair(X, Xt, model)
+    n, d = X.shape
+    gd = gd or GdConfig()
+    Ybar = _true_labels(fx, model, trials, rng)
+    Y = Ybar + math.sqrt(model.sigma2(n, d)) * rng.substream(1).normal_block(trials, n).T
 
     W = _fit_logistic_gd(X, Y, gd)
     Wt = _fit_logistic_gd(Xt, Y, gd)
     test_x = mean_logistic_loss(X @ W, Ybar, axis=0)
     test_t = mean_logistic_loss(Xt @ Wt, Ybar, axis=0)
-    gaps = test_t - test_x
-    estimate = float(np.mean(gaps))
-    std_error = float(np.std(gaps, ddof=1) / math.sqrt(trials))
-    return ExperimentResult(
-        estimate=estimate,
-        std_error=std_error,
-        theory_value=lipschitz_gap_bound(X, Xt, L, model),
-        theory_kind="upper_bound",
-        trials=trials,
-        config={
-            "n": n,
-            "d": d,
-            "k": k,
-            "noise_ratio": model.noise_ratio,
-            "L": L,
-            "covariance": "identity" if model.covariance is None else "explicit",
-            "seed": seed,
-        },
+    return _experiment_result(
+        test_t - test_x, lipschitz_gap_bound(X, Xt, L, model), "upper_bound",
+        X, Xt, model, seed, L=L,
     )
 
 
@@ -487,7 +479,10 @@ def simulate_lipschitz_gap(
 # sweep experiments
 
 
-SCALING_AXES = ("bits", "scalar", "vocab", "dim")
+# the config key each sweep axis varies, and its type
+_SCALING_KEYS = {"bits": ("bits", int), "scalar": ("decay_min", float),
+                 "vocab": ("n", int), "dim": ("d", int)}
+SCALING_AXES = tuple(_SCALING_KEYS)
 
 
 def scaling_experiment(axis: str, levels, base_config: dict, seeds) -> list[dict]:
@@ -513,33 +508,49 @@ def scaling_experiment(axis: str, levels, base_config: dict, seeds) -> list[dict
     rows = []
     for level in levels:
         for seed in seeds:
-            cfg = dict(base)
-            if axis == "bits":
-                cfg["bits"] = int(level)
-            elif axis == "scalar":
-                cfg["decay_min"] = float(level)
-            elif axis == "vocab":
-                cfg["n"] = int(level)
-            else:
-                cfg["d"] = int(level)
+            key, cast = _SCALING_KEYS[axis]
+            cfg = {**base, key: cast(level)}
             n, d, bits = cfg["n"], cfg["d"], cfg["bits"]
             if cfg["decay_min"] < 1.0:
                 X = gen_scaled_matrix(n, d, cfg["decay_min"], seed)
             else:
                 X = gen_uniform_matrix(n, d, seed)
             Xt = stochastic_quantize_full_range(X, bits, CounterRng(seed).substream(1).seed)
-            a = min(conditioning_scalar(X), 1.0)
+            prepared = PreparedBase(X)
+            a = min(_conditioning(X, prepared.svd), 1.0)
             bound = uniform_overlap_bound(bits, a) if a > 0 else math.inf
             rows.append(
                 {
                     "axis": axis,
                     "level": level,
                     "seed": seed,
-                    "one_minus_overlap": 1.0 - eigenspace_overlap(X, Xt),
+                    "one_minus_overlap": 1.0 - prepared.overlap(Xt),
                     "bound": bound,
                 }
             )
     return rows
+
+
+def overlap_bound_experiment(X, bits: int, seeds, a: float | None = None) -> dict:
+    """Quantization overlap bound check on one bounded, full-rank matrix.
+
+    Per seed: 1 - overlap of a stochastic full-range quantization of X, next
+    to the per-sample Davis-Kahan bound.  The overlap bound uses ``a``, or
+    the measured conditioning scalar capped at 1.  X is factored once.
+    """
+    X = as_matrix(X, "X")
+    prepared = PreparedBase(X)
+    fx = _require_full_rank(X, "X", prepared.svd)
+    a = min(_conditioning(X, fx), 1.0) if a is None else a
+    bound = uniform_overlap_bound(bits, a)
+    per_seed = []
+    for s in seeds:
+        Xt = stochastic_quantize_full_range(X, bits, int(s))
+        per_seed.append({"seed": int(s), "one_minus_overlap": 1.0 - prepared.overlap(Xt),
+                         "davis_kahan_bound": _davis_kahan(X, Xt, fx)})
+    mean_gap = float(np.mean([row["one_minus_overlap"] for row in per_seed]))
+    return {"a": a, "bound": bound, "bound_capped": min(bound, 1.0), "vacuous": bound > 1.0,
+            "mean_one_minus_overlap": mean_gap, "per_seed": per_seed}
 
 
 def clipping_curve(X, bits: int, rounding: str, r_grid, seed: int = 0) -> list[dict]:
@@ -555,6 +566,7 @@ def clipping_curve(X, bits: int, rounding: str, r_grid, seed: int = 0) -> list[d
         raise ValueError("r_grid must lie in (0, max|X|]")
     if rounding not in ("deterministic", "stochastic"):
         raise ValueError(f"unknown rounding {rounding!r}")
+    prepared = PreparedBase(X)
     rng = CounterRng(seed)
     rows = []
     for i, r in enumerate(r_grid):
@@ -568,7 +580,7 @@ def clipping_curve(X, bits: int, rounding: str, r_grid, seed: int = 0) -> list[d
         rows.append(
             {
                 "r": float(r),
-                "overlap": eigenspace_overlap(X, Xt),
+                "overlap": prepared.overlap(Xt),
                 "recon_error": math.sqrt(sq_fro_norm(Xt - X)),
             }
         )

@@ -300,3 +300,67 @@ def test_clipping_curve_cli(tmp_path):
     rows = read_report(out)["body"]["rows"]
     assert len(rows) == 5
     assert all(math.isfinite(r["overlap"]) for r in rows)
+
+
+# `select` stdout on the candidates of `select_candidates`, recorded from the
+# implementation that scored every candidate with a full quality report
+SELECT_GOLDEN = {
+    "reconstruction_error": (
+        "small: excluded (reconstruction_error not applicable)\n"
+        "1. mid reconstruction_error=23.2662\n"
+        "2. rough reconstruction_error=40.9701\n"
+        "3. twin reconstruction_error=40.9701\n"
+        "winner: mid\n"
+    ),
+    "eigenspace_overlap": (
+        "1. mid eigenspace_overlap=0.89035\n"
+        "2. rough eigenspace_overlap=0.665772\n"
+        "3. twin eigenspace_overlap=0.665772\n"
+        "4. small eigenspace_overlap=0.25\n"
+        "winner: mid\n"
+    ),
+}
+
+
+@pytest.fixture()
+def select_candidates(base_embedding, tmp_path):
+    """rough (1 bit), small (PCA to 6 columns), twin (a byte copy of rough,
+    so it ties with it) and mid (2 bits), in that order."""
+    base, _ = base_embedding
+    paths = {name: tmp_path / f"{name}.eqc" for name in ("rough", "small", "twin", "mid")}
+    assert run(["compress", "--method", "uniform", "--bits", "1",
+                str(base), str(paths["rough"])]) == 0
+    paths["twin"].write_bytes(paths["rough"].read_bytes())
+    assert run(["compress", "--method", "pca", "--dim", "6",
+                str(base), str(paths["small"])]) == 0
+    assert run(["compress", "--method", "uniform", "--bits", "2",
+                str(base), str(paths["mid"])]) == 0
+    return [str(p) for p in paths.values()]
+
+
+@pytest.mark.parametrize("criterion", sorted(SELECT_GOLDEN))
+def test_select_stdout_golden(base_embedding, select_candidates, criterion, capsys):
+    base, _ = base_embedding
+    capsys.readouterr()
+    assert run(["select", "--criterion", criterion, str(base), *select_candidates]) == 0
+    assert capsys.readouterr().out == SELECT_GOLDEN[criterion]
+
+
+def test_select_best_agrees_with_cli_winner(base_embedding, select_candidates, capsys):
+    import warnings
+    from pathlib import Path
+
+    from embcompress.measures import MEASURE_NAMES
+    from embcompress.selection import MeasureSpec, select_best
+
+    base, X = base_embedding
+    containers = [read_compressed(p)[0] for p in select_candidates]
+    names = [Path(p).stem for p in select_candidates]
+    for criterion in MEASURE_NAMES:
+        capsys.readouterr()
+        assert run(["select", "--criterion", criterion, str(base), *select_candidates]) == 0
+        cli_winner = capsys.readouterr().out.strip().splitlines()[-1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            idx = select_best(X, containers, MeasureSpec.default(criterion))
+        assert cli_winner == f"winner: {names[idx]}", criterion

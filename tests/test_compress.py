@@ -49,13 +49,15 @@ def kmeans_loss(values, centroids, assign):
 class TestGrid:
     def test_levels_and_spacing(self):
         g = QuantizationGrid(2, 1.0)
-        np.testing.assert_allclose(g.levels, [-1.0, -1 / 3, 1 / 3, 1.0])
+        np.testing.assert_allclose(
+            g.values_for(np.arange(g.num_levels)), [-1.0, -1 / 3, 1 / 3, 1.0]
+        )
         assert g.spacing == pytest.approx(2 / 3)
         assert g.num_levels == 4
 
     def test_levels_symmetric_and_equispaced(self):
         g = QuantizationGrid(5, 2.5)
-        lv = g.levels
+        lv = g.values_for(np.arange(g.num_levels))
         np.testing.assert_allclose(lv, -lv[::-1], atol=1e-15)
         np.testing.assert_allclose(np.diff(lv), g.spacing, atol=1e-15)
         assert lv[0] == -2.5 and lv[-1] == 2.5

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from embcompress import linalg
 from embcompress.linalg import (
     LinalgError,
     det_sum,
@@ -60,6 +61,28 @@ class TestThinSVD:
         for _ in range(5):
             D = np.where(RNG.random(4) < 0.5, -1.0, 1.0)
             assert fro_norm((U * D).T @ W) == pytest.approx(base, abs=1e-12)
+
+
+def _no_convergence(*args, **kwargs):
+    raise np.linalg.LinAlgError("SVD did not converge")
+
+
+class TestThinSVDFallback:
+    def test_gesvd_runs_when_gesdd_fails(self, monkeypatch):
+        M = RNG.normal(size=(40, 7))
+        want = np.linalg.svd(M, compute_uv=False)
+        monkeypatch.setattr(linalg.np.linalg, "svd", _no_convergence)
+        f = thin_svd(M)
+        _assert_orthonormal(f.U)
+        _assert_orthonormal(f.V)
+        np.testing.assert_allclose(f.s, want, rtol=1e-12)
+        assert fro_norm((f.U * f.s) @ f.V.T - M) <= 1e-12 * fro_norm(M)
+
+    def test_both_drivers_failing_raises(self, monkeypatch):
+        monkeypatch.setattr(linalg.np.linalg, "svd", _no_convergence)
+        monkeypatch.setattr(linalg.scipy.linalg, "svd", _no_convergence)
+        with pytest.raises(LinalgError, match="gesdd.*gesvd"):
+            thin_svd(RNG.normal(size=(6, 3)))
 
 
 class TestNumericalRank:
@@ -125,6 +148,10 @@ class TestGeneralizedEigs:
         B = np.diag([1.0, -2.0, 3.0])
         with pytest.raises(LinalgError, match="pivot 1"):
             sym_generalized_eigs(np.eye(3), B)
+
+    def test_failed_pivot_is_zero_based(self):
+        with pytest.raises(LinalgError, match="pivot 0"):
+            sym_generalized_eigs(np.eye(2), np.diag([-1.0, 1.0]))
 
     def test_asymmetric_a_rejected(self):
         A = np.array([[1.0, 1e-3], [0.0, 1.0]])

@@ -3,8 +3,8 @@ import pytest
 
 from embcompress.linalg import LinalgError, least_squares_solve, thin_svd
 from embcompress.measures import (
+    PreparedBase,
     RankDeficiencyWarning,
-    default_lambda,
     eigenspace_overlap,
     pip_loss,
     projected_reconstruction_error,
@@ -152,6 +152,11 @@ class TestProjectedReconstructionError:
             projected_reconstruction_error(X, Xt)
 
 
+def default_lambda(X):
+    """The lambda quality_report uses when none is given."""
+    return quality_report(X, X).lambda_used
+
+
 class TestDefaultLambda:
     def test_scaled_orthonormal_columns(self):
         base = thin_svd(RNG.normal(size=(12, 3))).U
@@ -167,7 +172,7 @@ class TestDefaultLambda:
         assert default_lambda(X) == pytest.approx(oracle, abs=1e-8)
 
     def test_zero_matrix_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="zero matrix"):
             default_lambda(np.zeros((3, 3)))
 
 
@@ -258,3 +263,66 @@ class TestQualityReport:
         assert np.isfinite(rep.pip_loss)
         assert np.isfinite(rep.delta_max)
         assert rep.projected_reconstruction_error >= 0.0
+
+
+_EPS = float(np.finfo(np.float64).eps)
+
+
+def svd_basis(M):
+    """Left singular vectors above the documented rank threshold, by plain
+    np.linalg.svd."""
+    U, s, _ = np.linalg.svd(M, full_matrices=False)
+    return U[:, s > s[0] * max(M.shape) * _EPS]
+
+
+def _oracle_pairs():
+    from embcompress.compress import compress_pca, compress_uniform, decompress
+    from embcompress.theory import gen_scaled_matrix, stochastic_quantize_full_range
+
+    rng = np.random.default_rng(2718)
+    X = rng.normal(size=(60, 8))
+    yield "quantized", X, decompress(compress_uniform(X, 2)), 0.5
+    # rank 3 in 8 columns, as a PCA --keep-v candidate decompresses
+    yield "pca-keep-v", X, decompress(compress_pca(X, 3, keep_v=True)), 0.5
+    yield "pca-narrow", X, decompress(compress_pca(X, 3)), 0.5
+    # column scales from 1 down to 1e-6: condition number about 1e6
+    S = gen_scaled_matrix(150, 6, 1e-6, seed=3)
+    yield "scaled", S, stochastic_quantize_full_range(S, 4, seed=4), 1e-3
+
+
+@pytest.mark.filterwarnings("ignore::embcompress.measures.RankDeficiencyWarning")
+@pytest.mark.parametrize("case", list(_oracle_pairs()), ids=lambda c: c[0])
+class TestPreparedBaseOracles:
+    """The single scoring path against plain numpy on dense matrices."""
+
+    def test_overlap_matches_svd_oracle(self, case):
+        _, X, Xt, _ = case
+        G = svd_basis(X).T @ svd_basis(Xt)
+        oracle = float(np.sum(G * G)) / max(X.shape[1], Xt.shape[1])
+        assert abs(PreparedBase(X).overlap(Xt) - oracle) <= 1e-10
+
+    def test_report_matches_dense_oracles(self, case):
+        _, X, Xt, lam = case
+        rep = PreparedBase(X).report(Xt, lam)
+        assert rep.pip_loss == pytest.approx(dense_pip(X, Xt), rel=1e-9, abs=1e-7)
+        P = np.linalg.lstsq(Xt, X, rcond=None)[0]
+        proj = float(np.sum((Xt @ P - X) ** 2))
+        assert rep.projected_reconstruction_error == pytest.approx(
+            proj, abs=1e-9 * float(np.sum(X * X))
+        )
+        mus = dense_pencil_eigs(X, Xt, lam)
+        assert abs(rep.delta1 - (1.0 - float(mus[0]))) <= 1e-7
+        assert abs(rep.delta2 - (float(mus[-1]) - 1.0)) <= 1e-7
+        assert (rep.rank_x, rep.rank_xt) == (
+            svd_basis(X).shape[1], svd_basis(Xt).shape[1]
+        )
+
+    def test_wrappers_share_the_path(self, case):
+        _, X, Xt, lam = case
+        prepared = PreparedBase(X)
+        rep = prepared.report(Xt, lam)
+        assert quality_report(X, Xt, lam) == rep
+        assert eigenspace_overlap(X, Xt) == rep.eigenspace_overlap
+        assert spectral_deltas(X, Xt, lam) == (rep.delta1, rep.delta2, rep.delta, rep.delta_max)
+        assert quality_report(X, Xt).lambda_used == prepared.resolve_lambda()
+        assert prepared.overlap(Xt) == rep.eigenspace_overlap
