@@ -12,7 +12,6 @@ import re
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 
 class LinalgError(RuntimeError):
@@ -93,6 +92,8 @@ def thin_svd(M) -> ThinSVD:
     try:
         U, s, Vt = np.linalg.svd(M, full_matrices=False)
     except np.linalg.LinAlgError as gesdd_exc:
+        import scipy.linalg
+
         try:
             U, s, Vt = scipy.linalg.svd(
                 M, full_matrices=False, check_finite=False, lapack_driver="gesvd"
@@ -150,6 +151,8 @@ def sym_generalized_eigs(A, B) -> np.ndarray:
     scale = max(1.0, float(np.max(np.abs(A))))
     if float(np.max(np.abs(A - A.T))) > 1e-10 * scale:
         raise ValueError("A is not symmetric within 1e-10")
+    import scipy.linalg
+
     try:
         return scipy.linalg.eigh(A, B, eigvals_only=True, check_finite=False)
     except np.linalg.LinAlgError as exc:

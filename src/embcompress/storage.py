@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
 import math
 import struct
@@ -87,6 +88,11 @@ def _parse_header(line: str):
     return n, d
 
 
+# Rows parsed (and written) per block: bounds the text held at once, and
+# limits a per-line reparse to one block.
+TEXT_BLOCK_ROWS = 1024
+
+
 def read_text_embedding(path, fmt: str = "auto"):
     """Read a text embedding: one token plus d space-separated reals per
     line, with an optional leading "n d" header.
@@ -94,33 +100,109 @@ def read_text_embedding(path, fmt: str = "auto"):
     ``fmt`` is "auto" (header detected when the first line is exactly two
     positive integers), "glove" (never a header), or "fasttext" (header
     required).  Returns ``(matrix, Vocabulary)``.
+
+    Rows are parsed in blocks of :data:`TEXT_BLOCK_ROWS`, so memory stays
+    near the size of the matrix; a block that fails a check is reparsed line
+    by line, so every :class:`FormatError` names its line.
     """
     if fmt not in ("auto", "glove", "fasttext"):
         raise ValueError(f"unknown format {fmt!r}")
     path = Path(path)
-    with path.open("r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    while lines and not lines[-1].strip():
-        lines.pop()
-    if not lines:
-        raise FormatError(f"{path}: empty embedding file")
-
-    start = 0
+    tokens = []
+    blocks = []
+    seen = set()
+    dim = None
     declared = None
-    if fmt in ("auto", "fasttext"):
-        declared = _parse_header(lines[0])
-        if declared is not None:
-            start = 1
-        elif fmt == "fasttext":
-            raise FormatError(f"{path}:1: expected a 'n d' header line")
+    with path.open("r", encoding="utf-8") as fh:
+        lines = _content_lines(fh)
+        first = next(lines, None)
+        if first is None:
+            raise FormatError(f"{path}: empty embedding file")
+        if fmt in ("auto", "fasttext"):
+            declared = _parse_header(first[1])
+            if declared is None and fmt == "fasttext":
+                raise FormatError(f"{path}:1: expected a 'n d' header line")
+        if declared is None:
+            lines = itertools.chain([first], lines)
+        for block in iter(lambda: list(itertools.islice(lines, TEXT_BLOCK_ROWS)), []):
+            names, values = _parse_block(path, block, dim, seen)
+            tokens.extend(names)
+            blocks.append(values)
+            dim = values.shape[1]
+    if declared is not None and (len(tokens), dim) != declared:
+        held = f"{len(tokens)}x{dim}" if tokens else "0 rows"
+        raise FormatError(
+            f"{path}: header declares {declared[0]}x{declared[1]} but the file holds {held}"
+        )
+    return np.concatenate(blocks), Vocabulary(tuple(tokens))
 
+
+def _content_lines(fh):
+    """``(lineno, line)`` for the lines of ``fh``, split as ``str.splitlines``
+    splits, without trailing blank lines.  Of a run of blank lines followed by
+    content only the first is yielded; it fails to parse as a row."""
+    blank = None
+    lineno = 0
+    for raw in fh:
+        for line in raw.splitlines():
+            lineno += 1
+            if not line.strip():
+                if blank is None:
+                    blank = (lineno, line)
+                continue
+            if blank is not None:
+                yield blank
+                blank = None
+            yield lineno, line
+
+
+def _parse_block(path, block, dim, seen):
+    """Parse the numbered lines of one block into ``(tokens, matrix)``;
+    ``seen`` holds the tokens of earlier blocks and gains this block's.
+
+    numpy parses the values in C.  When that fails, or the result breaks a
+    row rule, the block is reparsed by :func:`_parse_lines`, which either
+    raises the error of the first bad line or accepts what numpy would not
+    (runs of spaces, ``1_000``).
+    """
+    split = [line.partition(" ") for _, line in block]
+    names = [tok for tok, _, _ in split]
+    rests = [rest for _, _, rest in split]
+    values = None
+    # numpy skips empty lines and strips \x1f around a field; float() does
+    # neither, so such blocks take the per-line path
+    if "" not in rests and not any("\x1f" in rest for rest in rests):
+        try:
+            values = np.loadtxt(rests, delimiter=" ", comments=None, ndmin=2)
+        except ValueError:
+            pass
+    if (
+        values is None
+        or values.shape[0] != len(block)
+        or (dim is not None and values.shape[1] != dim)
+        or not np.isfinite(values).all()
+        or "" in names
+        or len(set(names)) != len(names)
+        or not seen.isdisjoint(names)
+    ):
+        names, rows = _parse_lines(path, block, dim, seen)
+        values = np.asarray(rows, dtype=np.float64)
+    else:
+        seen.update(names)
+    return names, values
+
+
+def _parse_lines(path, numbered_lines, dim, seen):
+    """The per-line parser: ``float()`` on each space-separated field.
+
+    Raises :class:`FormatError` naming the first bad line; otherwise returns
+    ``(tokens, rows)``.  ``dim`` is the row width of earlier lines, if any;
+    ``seen`` holds their tokens and gains those of these lines.
+    """
     tokens = []
     rows = []
-    dim = None
-    seen = set()
-    for lineno, line in enumerate(lines[start:], start=start + 1):
-        parts = line.rstrip("\n").split(" ")
-        parts = [p for p in parts if p != ""]
+    for lineno, line in numbered_lines:
+        parts = [p for p in line.split(" ") if p != ""]
         if len(parts) < 2:
             raise FormatError(f"{path}:{lineno}: expected a token and at least one value")
         token = parts[0]
@@ -144,14 +226,7 @@ def read_text_embedding(path, fmt: str = "auto"):
             )
         tokens.append(token)
         rows.append(values)
-    if declared is not None:
-        n_decl, d_decl = declared
-        if len(rows) != n_decl or dim != d_decl:
-            raise FormatError(
-                f"{path}: header declares {n_decl}x{d_decl} but the file holds "
-                f"{len(rows)}x{dim}"
-            )
-    return np.asarray(rows, dtype=np.float64), Vocabulary(tuple(tokens))
+    return tokens, rows
 
 
 def write_text_embedding(X, vocab: Vocabulary, path) -> None:
@@ -162,10 +237,15 @@ def write_text_embedding(X, vocab: Vocabulary, path) -> None:
         raise ValueError(
             f"matrix shape {X.shape} does not match the {len(vocab)}-token vocabulary"
         )
+    row_format = "%s" + " %.17g" * X.shape[1] + "\n"
     path = Path(path)
     with path.open("w", encoding="utf-8") as fh:
-        for token, row in zip(vocab.tokens, X):
-            fh.write(token + " " + " ".join(f"{v:.17g}" for v in row) + "\n")
+        for start in range(0, X.shape[0], TEXT_BLOCK_ROWS):
+            stop = start + TEXT_BLOCK_ROWS
+            fh.write("".join(
+                row_format % (token, *row)
+                for token, row in zip(vocab.tokens[start:stop], X[start:stop].tolist())
+            ))
 
 
 # ---------------------------------------------------------------------------

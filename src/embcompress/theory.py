@@ -14,8 +14,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.special
-import scipy.stats
 
 from .compress import QuantizationGrid, _det_codes, _stoch_codes
 from .linalg import (
@@ -268,8 +266,10 @@ def gen_student_t_matrix(n: int, d: int, df: float, scale: float, seed: int) -> 
         raise ValueError("n and d must be >= 1")
     if df <= 0 or scale <= 0:
         raise ValueError("df and scale must be positive")
+    import scipy.special
+
     u = CounterRng(seed).uniform_block(n, d)
-    return scale * scipy.stats.t.ppf(u, df)
+    return scale * scipy.special.stdtrit(df, u)
 
 
 def stochastic_quantize_full_range(X, bits: int, seed: int) -> np.ndarray:
@@ -366,6 +366,8 @@ class GdConfig:
 
 
 def _sigmoid(z):
+    import scipy.special
+
     return scipy.special.expit(z)
 
 

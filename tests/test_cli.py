@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import embcompress
 from embcompress.cli import run
 from embcompress.storage import (
     Vocabulary,
@@ -364,3 +369,16 @@ def test_select_best_agrees_with_cli_winner(base_embedding, select_candidates, c
             warnings.simplefilter("ignore")
             idx = select_best(X, containers, MeasureSpec.default(criterion))
         assert cli_winner == f"winner: {names[idx]}", criterion
+
+
+def test_import_loads_no_scipy():
+    # scipy is imported by the few functions that use it, so a CLI process
+    # that never reaches them does not pay for it
+    env = dict(os.environ, PYTHONPATH=str(Path(embcompress.__file__).resolve().parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, embcompress, embcompress.cli; "
+         "print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "[]"

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from embcompress import linalg
 from embcompress.linalg import (
@@ -80,7 +81,8 @@ class TestThinSVDFallback:
 
     def test_both_drivers_failing_raises(self, monkeypatch):
         monkeypatch.setattr(linalg.np.linalg, "svd", _no_convergence)
-        monkeypatch.setattr(linalg.scipy.linalg, "svd", _no_convergence)
+        # embcompress.linalg imports scipy.linalg only when gesdd fails
+        monkeypatch.setattr(scipy.linalg, "svd", _no_convergence)
         with pytest.raises(LinalgError, match="gesdd.*gesvd"):
             thin_svd(RNG.normal(size=(6, 3)))
 

@@ -1,9 +1,13 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from embcompress import storage
 from embcompress.compress import (
     compress_kmeans,
     compress_pca,
@@ -111,6 +115,190 @@ class TestTextFormat:
         X2, _ = read_text_embedding(p)
         np.testing.assert_array_equal(X2, X)
 
+    def test_header_only_file(self, tmp_path):
+        p = tmp_path / "emb.txt"
+        for body in ("5 3\n", "5 3\n\n \n"):
+            p.write_text(body)
+            with pytest.raises(FormatError, match=r"declares 5x3 but the file holds 0 rows$"):
+                read_text_embedding(p)
+
+
+def _per_line_reference(path, fmt="auto"):
+    """The reader as it was before block parsing: the whole file split into
+    lines, trailing blank lines dropped, and float() on every field."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    while lines and not lines[-1].strip():
+        lines.pop()
+    if not lines:
+        raise FormatError(f"{path}: empty embedding file")
+    start, declared = 0, None
+    if fmt in ("auto", "fasttext"):
+        declared = storage._parse_header(lines[0])
+        if declared is not None:
+            start = 1
+        elif fmt == "fasttext":
+            raise FormatError(f"{path}:1: expected a 'n d' header line")
+    tokens, rows, dim = [], [], None
+    for lineno, line in enumerate(lines[start:], start=start + 1):
+        parts = [p for p in line.split(" ") if p != ""]
+        if len(parts) < 2:
+            raise FormatError(f"{path}:{lineno}: expected a token and at least one value")
+        if parts[0] in tokens:
+            raise FormatError(f"{path}:{lineno}: duplicate token {parts[0]!r}")
+        values = []
+        for p in parts[1:]:
+            try:
+                v = float(p)
+            except ValueError:
+                raise FormatError(f"{path}:{lineno}: non-numeric field {p!r}") from None
+            if not math.isfinite(v):
+                raise FormatError(f"{path}:{lineno}: non-finite value {p!r}")
+            values.append(v)
+        if dim is None:
+            dim = len(values)
+        elif len(values) != dim:
+            raise FormatError(f"{path}:{lineno}: row has {len(values)} values, expected {dim}")
+        tokens.append(parts[0])
+        rows.append(values)
+    if declared is not None and (len(rows), dim) != declared:
+        held = f"{len(rows)}x{dim}" if rows else "0 rows"
+        raise FormatError(
+            f"{path}: header declares {declared[0]}x{declared[1]} but the file holds {held}"
+        )
+    return np.asarray(rows, dtype=np.float64), Vocabulary(tuple(tokens))
+
+
+def _outcome(read, path, fmt):
+    try:
+        X, v = read(path, fmt)
+    except FormatError as exc:
+        return "error", str(exc)
+    return "ok", X.shape, X.tobytes(), v
+
+
+def _assert_matches_reference(path, fmt="auto"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy must not warn about a block
+        got = _outcome(read_text_embedding, path, fmt)
+    assert got == _outcome(_per_line_reference, path, fmt)
+    return got
+
+
+_ROWS = ["a 1 2 3", "b -0.5 0.25 0", "c 1e-300 7 8", "d 4 5 6", "e 0.1 0.2 0.3", "f 9 9 9"]
+
+
+class TestBlockReaderOracle:
+    """The block reader against the per-line reference, with blocks of two
+    or three rows so that failures land in later blocks."""
+
+    @pytest.fixture(autouse=True, params=[2, 3])
+    def small_blocks(self, request, monkeypatch):
+        monkeypatch.setattr(storage, "TEXT_BLOCK_ROWS", request.param)
+
+    @pytest.mark.parametrize(
+        "body,fmt,expect",
+        [
+            ("\n".join(_ROWS) + "\n", "auto", "ok"),
+            ("6 3\n" + "\n".join(_ROWS), "fasttext", "ok"),
+            # runs of spaces, leading and trailing spaces, a tab inside a token
+            ("a 1  2 3\nb\t2 4 5 6 \n  c 7 8   9\nd 1 2 3", "auto", "ok"),
+            ("a 1_000 2\nb 3 4\nc 5 1_0.5", "auto", "ok"),
+            ("a 1 2\nb 3 4\nc 5 nan\nd 1 2", "auto", ":3: non-finite value 'nan'"),
+            ("a 1 2\nb 3 4\nc inf 5", "auto", ":3: non-finite value 'inf'"),
+            ("a 1 2\nb 3 4\nc 5 6\nd -inf 2", "auto", ":4: non-finite value '-inf'"),
+            ("a 1 2\nb 3 4\nc 0x1p3 5", "auto", ":3: non-numeric field '0x1p3'"),
+            ("a 1 2\nb 3 4\nc 5 6\nd 1e400 2", "auto", ":4: non-finite value '1e400'"),
+            ("a 1 2\nb 3 \x1f4\nc 5 6", "auto", ":2: non-numeric field '\\x1f4'"),
+            ("\n".join(_ROWS[:4]) + "\ne 1 2\nf 1 2 3", "auto", ":5: row has 2 values, expected 3"),
+            ("\n".join(_ROWS[:4]) + "\ne 1 2 3 4", "auto", ":5: row has 4 values, expected 3"),
+            ("\n".join(_ROWS[:4]) + "\ne", "auto", ":5: expected a token and at least one value"),
+            ("\n".join(_ROWS[:4]) + "\nb 1 2 3", "auto", ":5: duplicate token 'b'"),
+            ("\n".join(_ROWS[:4]) + "\na 1 2 3\na 4 5 6", "auto", ":5: duplicate token 'a'"),
+            ("\n".join(_ROWS) + "\n\n  \n\t\n\n", "auto", "ok"),
+            ("\n".join(_ROWS[:3]) + "\n\n\t\n" + "\n".join(_ROWS[3:]), "auto", ":4: expected a token"),
+            ("\n\n" + "\n".join(_ROWS), "auto", ":1: expected a token"),
+            ("\n\n" + "\n".join(_ROWS), "fasttext", ":1: expected a 'n d' header line"),
+            ("7 3\n" + "\n".join(_ROWS), "auto", "header declares 7x3 but the file holds 6x3"),
+            ("6 4\n" + "\n".join(_ROWS), "auto", "header declares 6x4 but the file holds 6x3"),
+            ("\n".join(_ROWS), "fasttext", ":1: expected a 'n d' header line"),
+            ("6 3\r\n" + "\r\n".join(_ROWS) + "\r\n", "auto", "ok"),
+            ("6 3\n" + "\n".join(_ROWS), "glove", ":2: row has 3 values, expected 1"),
+            ("  \n\t\n", "auto", "empty embedding file"),
+        ],
+    )
+    def test_hand_written(self, tmp_path, body, fmt, expect):
+        p = tmp_path / "emb.txt"
+        p.write_bytes(body.encode("utf-8"))
+        got = _assert_matches_reference(p, fmt)
+        if expect == "ok":
+            assert got[0] == "ok"
+        else:
+            assert got[0] == "error" and expect in got[1]
+
+    def test_accepted_oddities_parse_like_float(self, tmp_path):
+        p = tmp_path / "emb.txt"
+        p.write_text("x\ty 1_000  -2\nz 3 4\n")
+        X, v = read_text_embedding(p)
+        np.testing.assert_array_equal(X, [[1000.0, -2.0], [3.0, 4.0]])
+        assert v.tokens == ("x\ty", "z")
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        lines=st.lists(
+            st.one_of(
+                st.tuples(
+                    st.text(alphabet="ab\t\x1fé%", min_size=0, max_size=3),
+                    st.lists(
+                        st.sampled_from(["1", "-0.5", "2.5e-3", "1_000", "nan", "inf", "-inf",
+                                         "0x1p3", "1e400", "x", "\x1f7", "+.5", ""]),
+                        min_size=0, max_size=4,
+                    ),
+                    st.sampled_from([" ", "  "]),
+                ).map(lambda t: t[0] + t[2] + t[2].join(t[1])),
+                st.sampled_from(["", " ", "\t", "3 2", "2 1", "+2 1"]),
+            ),
+            max_size=9,
+        ),
+        newline=st.sampled_from(["\n", "\r\n", "\x0c"]),
+        fmt=st.sampled_from(["auto", "glove", "fasttext"]),
+    )
+    def test_random_files(self, tmp_path, lines, newline, fmt):
+        p = tmp_path / "emb.txt"
+        p.write_bytes(newline.join(lines).encode("utf-8"))
+        _assert_matches_reference(p, fmt)
+
+
+def _golden_embedding():
+    """2055 x 5 matrix: exact binary fractions over 200 binary orders of
+    magnitude, extreme values in rows 0 and 1500, and non-ASCII tokens."""
+    n, d = 2 * 1024 + 7, 5
+    i = np.arange(n, dtype=np.int64)[:, None]
+    j = np.arange(d, dtype=np.int64)[None, :]
+    mant = ((i * 7919 + j * 104729) % 2003 - 1001) / 997.0
+    X = np.ldexp(mant, ((i * 31 + j * 17) % 200 - 100).astype(np.int32))
+    X[0] = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 0.1]
+    X[1500] = [0.1, -5e-324, 0.0, 1.0, -1.0]
+    tokens = [("naïve", "日本", "straße", "ok")[k % 4] + str(k) for k in range(n)]
+    return X, Vocabulary(tuple(tokens))
+
+
+class TestTextWriterGolden:
+    # sha256 of the file written by the per-value formatting loop that the
+    # block writer replaced
+    DIGEST = "6c54d70d1223f1d5fcdc9efe6ff5eaee58648225306580e6dcb139a747ccf8b9"
+
+    @pytest.mark.parametrize("block_rows", [None, 3])
+    def test_bytes_and_round_trip(self, tmp_path, monkeypatch, block_rows):
+        if block_rows is not None:
+            monkeypatch.setattr(storage, "TEXT_BLOCK_ROWS", block_rows)
+        X, v = _golden_embedding()
+        p = tmp_path / "emb.txt"
+        write_text_embedding(X, v, p)
+        assert file_digest(p) == self.DIGEST
+        X2, v2 = read_text_embedding(p)
+        assert X2.tobytes() == X.tobytes()
+        assert v2 == v
 
 class TestBinaryFormat:
     @pytest.mark.parametrize("method", ["uniform", "kmeans", "pca", "pca_v"])

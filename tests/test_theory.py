@@ -6,6 +6,7 @@ import pytest
 from embcompress.compress import compress_pca, decompress
 from embcompress.linalg import LinalgError, least_squares_solve, sq_fro_norm, thin_svd
 from embcompress.measures import eigenspace_overlap
+from embcompress.rng import CounterRng
 from embcompress.theory import (
     GdConfig,
     LabelModel,
@@ -241,6 +242,14 @@ class TestGenerators:
         X = gen_student_t_matrix(2000, 10, df=3.0, scale=1.0, seed=0)
         np.testing.assert_array_equal(X, gen_student_t_matrix(2000, 10, 3.0, 1.0, 0))
         assert np.max(np.abs(X)) > 6.0  # tails reach far beyond the bulk
+
+    @pytest.mark.parametrize("df", [2.5, 5.0, 30.0])
+    def test_student_t_matches_scipy_stats_ppf(self, df):
+        import scipy.stats
+
+        u = CounterRng(4).uniform_block(300, 7)
+        want = 1.7 * scipy.stats.t.ppf(u, df)
+        assert gen_student_t_matrix(300, 7, df, 1.7, seed=4).tobytes() == want.tobytes()
 
 
 class TestFitLinearModel:
