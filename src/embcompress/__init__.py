@@ -7,15 +7,13 @@ __version__ = "0.1.0"
 from .compress import (
     CompressedEmbedding,
     QuantizationGrid,
-    clip,
     compress_kmeans,
     compress_pca,
     compress_uniform,
     decompress,
     find_clip_threshold,
     kmeans_1d,
-    quantize_det,
-    quantize_stoch,
+    quantize_codes,
 )
 from .linalg import (
     LinalgError,

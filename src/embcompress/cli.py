@@ -161,7 +161,7 @@ def _cmd_compress(args) -> int:
     storage.write_compressed(C, vocab, args.output)
     print(
         f"{args.output}: method={C.method} n={C.n} d={C.d_orig} "
-        f"compression_rate={C.compression_rate:.4f}"
+        f"compression_rate={storage.compression_rate(C):.4f}"
     )
     return EXIT_OK
 

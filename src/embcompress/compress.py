@@ -55,64 +55,36 @@ class QuantizationGrid:
         return -self.clip + np.asarray(codes, dtype=np.float64) * self.spacing
 
 
-def clip(X, r: float) -> np.ndarray:
-    """Elementwise clamp to [-r, r]."""
-    if not (np.isfinite(r) and r > 0):
-        raise ValueError(f"clip threshold must be positive, got {r}")
-    return np.clip(np.asarray(X, dtype=np.float64), -r, r)
-
-
-def _check_in_range(x: np.ndarray, grid: QuantizationGrid) -> None:
-    if x.size and float(np.max(np.abs(x))) > grid.clip:
-        raise ValueError(
-            f"values exceed the clip threshold {grid.clip!r}; clip before quantizing"
-        )
-
-
-def _det_codes(x: np.ndarray, grid: QuantizationGrid) -> np.ndarray:
-    t = (np.asarray(x, dtype=np.float64) + grid.clip) / grid.spacing
-    codes = np.floor(t + 0.5)  # midpoint ties round toward +inf
-    codes = np.clip(codes, 0, grid.num_levels - 1)
-    return codes.astype(np.uint32)
-
-
-def quantize_det(x, grid: QuantizationGrid):
-    """Round to the nearest grid level; exact midpoints go toward +inf."""
-    arr = np.asarray(x, dtype=np.float64)
-    _check_in_range(arr, grid)
-    out = grid.values_for(_det_codes(arr, grid))
-    return out if arr.ndim else float(out)
-
-
-def _stoch_codes(
-    x: np.ndarray, grid: QuantizationGrid, rng: CounterRng, row0: int = 0
+def quantize_codes(
+    X, grid: QuantizationGrid, rounding: str = ROUNDING_DETERMINISTIC,
+    rng: CounterRng | None = None, row0: int = 0,
 ) -> np.ndarray:
-    t = (x + grid.clip) / grid.spacing
+    """Clip the 2-D array X to [-grid.clip, grid.clip] and round each entry
+    to a grid level index (uint32).
+
+    Deterministic rounding takes the nearest level, with exact midpoints
+    going toward +inf.  Stochastic rounding is unbiased: the upper bracketing
+    level wins with probability (x - lower)/spacing, decided by the coin
+    ``rng.uniform_block(...)[i, j]`` of row counter ``row0 + i``, so rows
+    [i0:i1] quantized with ``row0=i0`` equal the same rows of the
+    whole-matrix call.
+    """
+    if rounding not in ROUNDINGS:
+        raise ValueError(f"unknown rounding {rounding!r}")
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2:
+        raise ValueError(f"X must be a 2-D array, got shape {X.shape}")
+    t = (np.clip(X, -grid.clip, grid.clip) + grid.clip) / grid.spacing
+    if rounding == ROUNDING_DETERMINISTIC:
+        codes = np.floor(t + 0.5)  # midpoint ties round toward +inf
+        return np.clip(codes, 0, grid.num_levels - 1).astype(np.uint32)
+    if rng is None:
+        raise ValueError("stochastic rounding needs an rng")
     np.clip(t, 0.0, grid.num_levels - 1.0, out=t)
     low = np.floor(t)
-    frac = t - low
-    u = rng.uniform_block(x.shape[0], x.shape[1], row0=row0)
-    codes = low.astype(np.uint32) + (u < frac)
-    np.clip(codes, 0, grid.num_levels - 1, out=codes)
-    return codes.astype(np.uint32)
-
-
-def quantize_stoch(x, grid: QuantizationGrid, rng: CounterRng, row, col):
-    """Unbiased stochastic rounding to a bracketing grid level.
-
-    The lower level wins with probability (upper - x)/spacing, the upper with
-    probability (x - lower)/spacing; the coin is a pure function of
-    (rng.seed, row, col).
-    """
-    arr = np.asarray(x, dtype=np.float64)
-    _check_in_range(arr, grid)
-    t = np.clip((arr + grid.clip) / grid.spacing, 0.0, grid.num_levels - 1.0)
-    low = np.floor(t)
-    frac = t - low
-    u = rng.uniform(row, col)
-    codes = np.minimum(low + (u < frac), grid.num_levels - 1)
-    out = grid.values_for(codes)
-    return out if arr.ndim else float(out)
+    u = rng.uniform_block(X.shape[0], X.shape[1], row0=row0)
+    codes = low.astype(np.uint32) + (u < t - low)
+    return np.clip(codes, 0, grid.num_levels - 1, out=codes)
 
 
 def quantization_objective(X, bits: int):
@@ -124,7 +96,7 @@ def quantization_objective(X, bits: int):
         if r <= 0.0:
             return fro_norm(X)
         grid = QuantizationGrid(bits, float(r))
-        q = grid.values_for(_det_codes(np.clip(X, -r, r), grid))
+        q = grid.values_for(quantize_codes(X, grid))
         return fro_norm(q - X)
 
     return objective
@@ -242,28 +214,6 @@ class CompressedEmbedding:
                     f"basis_v shape {self.basis_v.shape} != expected ({self.d_orig}, {self.k})"
                 )
 
-    @property
-    def payload_bits(self) -> int:
-        """Size in bits of the serialized payload, from the version field
-        through the codes/codebook/factor block.  The vocabulary and the
-        trailing checksum are excluded, so the rate accounts for the
-        embedding data only."""
-        fixed = 2 + 1 + 1 + 8 + 8 + 4  # version, method, rounding, seed, n, d_orig
-        if self.method == METHOD_UNIFORM:
-            body = 1 + 8 + self.codes.size
-        elif self.method == METHOD_KMEANS:
-            body = 1 + 8 * (1 << self.bits) + self.codes.size
-        else:
-            body = 4 + 8 * self.n * self.k + 1
-            if self.basis_v is not None:
-                body += 8 * self.d_orig * self.k
-        return 8 * (fixed + body)
-
-    @property
-    def compression_rate(self) -> float:
-        """Original 32-bit-per-entry footprint over the payload size."""
-        return 32.0 * self.n * self.d_orig / self.payload_bits
-
 
 def _row_chunks(n: int, threads: int):
     threads = max(1, min(int(threads), n))
@@ -291,17 +241,12 @@ def compress_uniform(
     X = as_matrix(X)
     if rounding not in ROUNDINGS:
         raise ValueError(f"unknown rounding {rounding!r}")
-    r = find_clip_threshold(X, bits, tol=tol, method=clip_search)
-    grid = QuantizationGrid(bits, r)
+    grid = QuantizationGrid(bits, find_clip_threshold(X, bits, tol=tol, method=clip_search))
     rng = CounterRng(seed)
 
     def encode(span):
         i0, i1 = span
-        block = np.clip(X[i0:i1], -r, r)
-        if rounding == ROUNDING_DETERMINISTIC:
-            codes = _det_codes(block, grid)
-        else:
-            codes = _stoch_codes(block, grid, rng, row0=i0)
+        codes = quantize_codes(X[i0:i1], grid, rounding, rng, row0=i0)
         return bitpack.pack_codes(codes, bits)
 
     chunks = _row_chunks(X.shape[0], threads)

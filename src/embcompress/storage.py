@@ -113,8 +113,8 @@ def read_text_embedding(path, fmt: str = "auto"):
     seen = set()
     dim = None
     declared = None
-    with path.open("r", encoding="utf-8") as fh:
-        lines = _content_lines(fh)
+    with path.open("rb") as fh:
+        lines = _content_lines(path, fh)
         first = next(lines, None)
         if first is None:
             raise FormatError(f"{path}: empty embedding file")
@@ -137,14 +137,24 @@ def read_text_embedding(path, fmt: str = "auto"):
     return np.concatenate(blocks), Vocabulary(tuple(tokens))
 
 
-def _content_lines(fh):
-    """``(lineno, line)`` for the lines of ``fh``, split as ``str.splitlines``
-    splits, without trailing blank lines.  Of a run of blank lines followed by
-    content only the first is yielded; it fails to parse as a row."""
+def _content_lines(path, fh):
+    """``(lineno, line)`` for the lines of the binary file ``fh``, decoded as
+    UTF-8 and split as ``str.splitlines`` splits, without trailing blank
+    lines.  Of a run of blank lines followed by content only the first is
+    yielded; it fails to parse as a row."""
     blank = None
     lineno = 0
     for raw in fh:
-        for line in raw.splitlines():
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            # the bad byte's line: the lines its valid prefix starts, counting
+            # the one it is on
+            bad = lineno + len((raw[: exc.start].decode("utf-8") + "x").splitlines())
+            raise FormatError(
+                f"{path}:{bad}: not valid UTF-8 at byte {raw[exc.start]:#04x} ({exc.reason})"
+            ) from None
+        for line in text.splitlines():
             lineno += 1
             if not line.strip():
                 if blank is None:
@@ -257,9 +267,10 @@ _METHOD_CODES = {METHOD_UNIFORM: 0, METHOD_KMEANS: 1, METHOD_PCA: 2}
 _METHOD_NAMES = {v: k for k, v in _METHOD_CODES.items()}
 
 
-def _serialize_compressed(C: CompressedEmbedding, vocab: Vocabulary | None) -> bytes:
-    out = bytearray(MAGIC)
-    out += struct.pack(
+def _payload(C: CompressedEmbedding) -> bytes:
+    """The embedding data section of the container: the version field
+    through the codes, codebook or factor block."""
+    out = bytearray(struct.pack(
         "<HBBQQI",
         FORMAT_VERSION,
         _METHOD_CODES[C.method],
@@ -267,7 +278,7 @@ def _serialize_compressed(C: CompressedEmbedding, vocab: Vocabulary | None) -> b
         C.seed,
         C.n,
         C.d_orig,
-    )
+    ))
     if C.method == METHOD_UNIFORM:
         out += struct.pack("<Bd", C.bits, C.grid.clip)
         out += C.codes.tobytes()
@@ -281,6 +292,19 @@ def _serialize_compressed(C: CompressedEmbedding, vocab: Vocabulary | None) -> b
         out += struct.pack("<B", 1 if C.basis_v is not None else 0)
         if C.basis_v is not None:
             out += C.basis_v.astype("<f8").tobytes()
+    return bytes(out)
+
+
+def compression_rate(C: CompressedEmbedding) -> float:
+    """Original 32-bit-per-entry footprint over the size of the container's
+    embedding data section; the magic, the vocabulary and the trailing
+    checksum are excluded."""
+    return 32.0 * C.n * C.d_orig / (8 * len(_payload(C)))
+
+
+def _serialize_compressed(C: CompressedEmbedding, vocab: Vocabulary | None) -> bytes:
+    out = bytearray(MAGIC)
+    out += _payload(C)
     tokens = vocab.tokens if vocab is not None else ()
     out += struct.pack("<I", len(tokens))
     for tok in tokens:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .compress import QuantizationGrid, _det_codes, _stoch_codes
+from .compress import ROUNDING_STOCHASTIC, QuantizationGrid, quantize_codes
 from .linalg import (
     LinalgError,
     ThinSVD,
@@ -188,9 +188,13 @@ def lipschitz_gap_bound(X, Xt, L: float, model: LabelModel) -> float:
         raise ValueError(f"L must be positive, got {L}")
     X = as_matrix(X, "X")
     Xt = as_matrix(Xt, "Xt")
-    n, d = X.shape
-    model.check_dim(d)
-    score = eigenspace_overlap(X, Xt)
+    model.check_dim(X.shape[1])
+    return _lipschitz_bound(X.shape, eigenspace_overlap(X, Xt), L, model)
+
+
+def _lipschitz_bound(shape, score: float, L: float, model: LabelModel) -> float:
+    """:func:`lipschitz_gap_bound` for an n x d design X at overlap ``score``."""
+    n, d = shape
     tr = model.trace(d)
     inner = max(tr - d * model.lambda_min(d) * score, 0.0)
     return (L / math.sqrt(n)) * (math.sqrt(inner) + 2.0 * model.noise_ratio * math.sqrt(tr))
@@ -284,8 +288,7 @@ def stochastic_quantize_full_range(X, bits: int, seed: int) -> np.ndarray:
     if float(np.max(np.abs(X))) > r:
         raise ValueError("entries exceed 1/sqrt(d); this quantizer is for bounded matrices")
     grid = QuantizationGrid(bits, r)
-    codes = _stoch_codes(X, grid, CounterRng(seed), row0=0)
-    return grid.values_for(codes)
+    return grid.values_for(quantize_codes(X, grid, ROUNDING_STOCHASTIC, CounterRng(seed)))
 
 
 # ---------------------------------------------------------------------------
@@ -460,8 +463,10 @@ def simulate_lipschitz_gap(
     Each trial draws (z, noise), fits logistic models on both designs against
     the noisy logits, and scores the mean test loss against the true logits.
     """
+    if not L > 0:
+        raise ValueError(f"L must be positive, got {L}")
     rng = CounterRng(seed)
-    X, Xt, fx, _ = _full_rank_pair(X, Xt, model)
+    X, Xt, fx, ft = _full_rank_pair(X, Xt, model)
     n, d = X.shape
     gd = gd or GdConfig()
     Ybar = _true_labels(fx, model, trials, rng)
@@ -471,8 +476,11 @@ def simulate_lipschitz_gap(
     Wt = _fit_logistic_gd(Xt, Y, gd)
     test_x = mean_logistic_loss(X @ W, Ybar, axis=0)
     test_t = mean_logistic_loss(Xt @ Wt, Ybar, axis=0)
+    # both designs have full column rank, so their whole U factors are the
+    # retained bases eigenspace_overlap would take from two more SVDs
+    score = sq_fro_norm(fx.U.T @ ft.U) / max(d, Xt.shape[1])
     return _experiment_result(
-        test_t - test_x, lipschitz_gap_bound(X, Xt, L, model), "upper_bound",
+        test_t - test_x, _lipschitz_bound(X.shape, score, L, model), "upper_bound",
         X, Xt, model, seed, L=L,
     )
 
@@ -566,19 +574,12 @@ def clipping_curve(X, bits: int, rounding: str, r_grid, seed: int = 0) -> list[d
     xmax = float(np.max(np.abs(X)))
     if r_grid.size == 0 or np.any(r_grid <= 0) or np.any(r_grid > xmax):
         raise ValueError("r_grid must lie in (0, max|X|]")
-    if rounding not in ("deterministic", "stochastic"):
-        raise ValueError(f"unknown rounding {rounding!r}")
     prepared = PreparedBase(X)
     rng = CounterRng(seed)
     rows = []
     for i, r in enumerate(r_grid):
         grid = QuantizationGrid(bits, float(r))
-        clipped = np.clip(X, -r, r)
-        if rounding == "deterministic":
-            codes = _det_codes(clipped, grid)
-        else:
-            codes = _stoch_codes(clipped, grid, rng.substream(i), row0=0)
-        Xt = grid.values_for(codes)
+        Xt = grid.values_for(quantize_codes(X, grid, rounding, rng.substream(i)))
         rows.append(
             {
                 "r": float(r),

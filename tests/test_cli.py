@@ -12,6 +12,7 @@ import embcompress
 from embcompress.cli import run
 from embcompress.storage import (
     Vocabulary,
+    compression_rate,
     read_compressed,
     read_report,
     read_text_embedding,
@@ -65,6 +66,14 @@ def test_missing_file_is_data_error(tmp_path):
                 str(tmp_path / "nope.txt"), str(tmp_path / "out.eqc")]) == 2
 
 
+def test_invalid_utf8_is_data_error(tmp_path, capsys):
+    path = tmp_path / "base.txt"
+    path.write_bytes(b"a 1 2\nb 3 \xff4\n")
+    assert run(["compress", "--method", "uniform", "--bits", "1",
+                str(path), str(tmp_path / "out.eqc")]) == 2
+    assert f"{path}:2: not valid UTF-8" in capsys.readouterr().err
+
+
 def test_numerical_failure_exit_code(tmp_path, capsys):
     # rank-1 matrix cannot support a rank-3 truncation
     u = np.arange(1.0, 7.0)[:, None]
@@ -83,9 +92,10 @@ def test_compress_one_bit_rate_and_roundtrip(base_embedding, tmp_path, capsys):
     assert run(["compress", "--method", "uniform", "--bits", "1",
                 str(base), str(out)]) == 0
     printed = capsys.readouterr().out
-    rate = float(printed.split("compression_rate=")[1])
-    assert 30.0 <= rate <= 32.0
+    rate = printed.split("compression_rate=")[1].strip()
     C, vocab = read_compressed(out)
+    assert rate == f"{compression_rate(C):.4f}"
+    assert 30.0 <= compression_rate(C) <= 32.0
     assert C.method == "uniform" and C.n == 200 and vocab is not None
 
     txt = tmp_path / "rec.txt"

@@ -1,4 +1,7 @@
+import hashlib
 import itertools
+import json
+import struct
 
 import numpy as np
 import pytest
@@ -6,7 +9,6 @@ import pytest
 from embcompress.compress import (
     CompressedEmbedding,
     QuantizationGrid,
-    clip,
     compress_kmeans,
     compress_pca,
     compress_uniform,
@@ -14,12 +16,17 @@ from embcompress.compress import (
     find_clip_threshold,
     kmeans_1d,
     quantization_objective,
-    quantize_det,
-    quantize_stoch,
+    quantize_codes,
 )
 from embcompress.linalg import LinalgError, fro_norm, thin_svd
 from embcompress.rng import CounterRng
-from embcompress.theory import gen_student_t_matrix
+from embcompress.storage import compression_rate
+from embcompress.theory import (
+    clipping_curve,
+    gen_student_t_matrix,
+    gen_uniform_matrix,
+    stochastic_quantize_full_range,
+)
 
 RNG = np.random.default_rng(99)
 
@@ -71,30 +78,27 @@ class TestGrid:
             QuantizationGrid(4, 0.0)
 
 
-class TestClip:
-    def test_values(self):
-        assert clip(np.array([[0.5]]), 1.0)[0, 0] == 0.5
-        assert clip(np.array([[-3.0]]), 1.0)[0, 0] == -1.0
-        assert clip(np.array([[1.0000001]]), 1.0)[0, 0] == 1.0
-
-    def test_requires_positive_threshold(self):
-        with pytest.raises(ValueError):
-            clip(np.zeros((1, 1)), 0.0)
+def quantize(x, grid, rounding="deterministic", rng=None):
+    """Grid values of the 1 x N row x, with coin counters (0, j)."""
+    row = np.atleast_2d(np.asarray(x, dtype=float))
+    return grid.values_for(quantize_codes(row, grid, rounding, rng))[0]
 
 
 class TestDeterministicRounding:
     def test_one_bit(self):
-        assert quantize_det(0.3, QuantizationGrid(1, 1.0)) == 1.0
+        assert quantize([0.3], QuantizationGrid(1, 1.0))[0] == 1.0
 
     def test_two_bit_nearest(self):
-        assert quantize_det(0.5, QuantizationGrid(2, 1.0)) == pytest.approx(1 / 3)
+        assert quantize([0.5], QuantizationGrid(2, 1.0))[0] == pytest.approx(1 / 3)
 
     def test_midpoint_rounds_up(self):
-        assert quantize_det(2 / 3, QuantizationGrid(2, 1.0)) == 1.0
+        assert quantize([2 / 3], QuantizationGrid(2, 1.0))[0] == 1.0
 
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError, match="clip"):
-            quantize_det(1.5, QuantizationGrid(2, 1.0))
+    def test_clips_to_the_threshold(self):
+        g = QuantizationGrid(2, 1.0)
+        codes = quantize_codes(np.array([[1.5, -3.0, 1.0000001, -1.0]]), g)
+        np.testing.assert_array_equal(codes, [[3, 0, 3, 0]])
+        assert codes.dtype == np.uint32
 
     def test_error_at_most_half_spacing(self):
         rng = np.random.default_rng(1)
@@ -103,24 +107,20 @@ class TestDeterministicRounding:
             r = 0.8 * float(np.max(np.abs(X)))
             g = QuantizationGrid(bits, r)
             xc = np.clip(X, -r, r)
-            q = quantize_det(xc, g)
+            q = g.values_for(quantize_codes(X, g))
             assert np.max(np.abs(q - xc)) <= g.spacing / 2
 
 
 class TestStochasticRounding:
     def test_grid_point_is_fixed(self):
         g = QuantizationGrid(2, 1.0)
-        rng = CounterRng(3)
-        cols = np.arange(500)
-        out = quantize_stoch(np.full(500, 1 / 3), g, rng, 0, cols)
+        out = quantize(np.full(500, 1 / 3), g, "stochastic", CounterRng(3))
         np.testing.assert_allclose(out, 1 / 3, atol=1e-15)
 
     def test_bracket_probabilities(self):
         # x = 0.5 sits a quarter of the way from 1/3 to 1
         g = QuantizationGrid(2, 1.0)
-        rng = CounterRng(11)
-        cols = np.arange(200_000)
-        out = quantize_stoch(np.full(cols.size, 0.5), g, rng, 0, cols)
+        out = quantize(np.full(200_000, 0.5), g, "stochastic", CounterRng(11))
         p_hi = np.mean(out == 1.0)
         assert p_hi == pytest.approx(0.25, abs=0.005)
         assert np.all((out == 1.0) | (np.abs(out - 1 / 3) < 1e-15))
@@ -128,19 +128,98 @@ class TestStochasticRounding:
     def test_moment_check_one_bit(self):
         # mean of 10^6 +-1 draws at x=0 should be within 3 * sigma / 10^3
         g = QuantizationGrid(1, 1.0)
-        rng = CounterRng(17)
-        cols = np.arange(1_000_000)
-        out = quantize_stoch(np.zeros(cols.size), g, rng, 0, cols)
+        out = quantize(np.zeros(1_000_000), g, "stochastic", CounterRng(17))
         assert abs(out.mean()) <= 3.0e-3
 
     def test_variance_popoviciu_bound(self):
         g = QuantizationGrid(3, 2.0)
-        rng = CounterRng(23)
-        x = 0.37
-        cols = np.arange(200_000)
-        out = quantize_stoch(np.full(cols.size, x), g, rng, 0, cols)
+        out = quantize(np.full(200_000, 0.37), g, "stochastic", CounterRng(23))
         assert out.var() <= g.spacing**2 / 4 + 1e-3
         assert g.spacing**2 / 4 <= g.clip**2 / (2**g.bits - 1) ** 2 + 1e-15
+
+    def test_coin_is_keyed_by_row_and_column(self):
+        g = QuantizationGrid(2, 1.0)
+        rng = CounterRng(5)
+        x = np.full((1, 4000), 0.5)
+        u = rng.uniform(7, np.arange(4000))
+        expected = np.where(u < 0.25, 3, 2)
+        np.testing.assert_array_equal(
+            quantize_codes(x, g, "stochastic", rng, row0=7)[0], expected
+        )
+
+    def test_requires_an_rng(self):
+        with pytest.raises(ValueError, match="rng"):
+            quantize_codes(np.zeros((1, 1)), QuantizationGrid(1, 1.0), "stochastic")
+
+
+class TestQuantizeCodes:
+    @pytest.mark.parametrize("rounding", ["deterministic", "stochastic"])
+    def test_row_blocks_match_whole_matrix(self, rounding):
+        X = RNG.normal(size=(37, 11)) * 2.0
+        g = QuantizationGrid(3, 1.5)
+        rng = CounterRng(21)
+        whole = quantize_codes(X, g, rounding, rng)
+        for i0, i1 in ((0, 1), (5, 18), (18, 37), (36, 37)):
+            np.testing.assert_array_equal(
+                quantize_codes(X[i0:i1], g, rounding, rng, row0=i0), whole[i0:i1]
+            )
+
+    def test_unknown_rounding_rejected(self):
+        with pytest.raises(ValueError, match="unknown rounding"):
+            quantize_codes(np.zeros((2, 2)), QuantizationGrid(1, 1.0), "nearest")
+
+    def test_requires_a_matrix(self):
+        with pytest.raises(ValueError, match="2-D"):
+            quantize_codes(np.zeros(3), QuantizationGrid(1, 1.0))
+
+
+class TestQuantizerGolden:
+    """sha256 of quantizer outputs, captured before the quantizer paths were
+    merged into :func:`quantize_codes`; every value must stay bit-identical.
+
+    ``clipping_curve`` rows are hashed without their overlap: it comes from
+    LAPACK, whose last digits depend on the BLAS build, while ``r`` and the
+    reconstruction error are fixed by the quantized matrix."""
+
+    UNIFORM = {
+        (1, "deterministic"): "8fcc2c616b6f5cd0ea4685d979388c732de069967c748e234ac05c6aaf5a0ccb",
+        (1, "stochastic"): "b2f181709b449faa83e850133e0ecb98ed9aead5901ed493cfc98dde03bf3766",
+        (3, "deterministic"): "94e583aa87ea0da948b3c10a7866b9ada476ef5f09d21e1937138c0aa152eb0d",
+        (3, "stochastic"): "33eb1eb3e465a99b229445edcf26f1de21977260e288dd33a952303e472df546",
+        (8, "deterministic"): "e45988a1cfa899cbf9f821ed2ac165a0f43d86077e92fa8e92b6911be4110811",
+        (8, "stochastic"): "e9c70ac080e3c35fc610e1a1ef6231c05e5a8204434d84d2630dd772a30d0403",
+    }
+    CLIPPING = {
+        "deterministic": "1221feff3d8ff90bd664f32ff9a696386bc55495b73b74908a12cd13eeeedaa0",
+        "stochastic": "2861d801ceb9299469080a004e74230b0bb3eb241da70b0749e3227a5f2138c6",
+    }
+    FULL_RANGE = {
+        1: "4aa5e0490211b232bc306a3976f4f0141f5c5d9dc6d9eea3db0714771a6d8e24",
+        3: "310ae9b855a13e243a6fec6fb59618c7cea35c3c087a5ee47a3be073cacd3279",
+    }
+
+    @pytest.fixture(scope="class")
+    def X(self):
+        return gen_student_t_matrix(2000, 60, 5, 1, seed=4)
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("bits,rounding", sorted(UNIFORM))
+    def test_compress_uniform(self, X, bits, rounding, threads):
+        C = compress_uniform(X, bits, rounding=rounding, seed=11, threads=threads)
+        blob = C.codes.tobytes() + struct.pack("<Bd", C.grid.bits, C.grid.clip)
+        assert hashlib.sha256(blob).hexdigest() == self.UNIFORM[bits, rounding]
+
+    @pytest.mark.parametrize("rounding", sorted(CLIPPING))
+    def test_clipping_curve(self, X, rounding):
+        r_grid = np.linspace(0.5, float(np.max(np.abs(X))), 6)
+        rows = clipping_curve(X, 2, rounding, r_grid, seed=3)
+        blob = json.dumps([[row["r"], row["recon_error"]] for row in rows]).encode()
+        assert hashlib.sha256(blob).hexdigest() == self.CLIPPING[rounding]
+
+    @pytest.mark.parametrize("bits", sorted(FULL_RANGE))
+    def test_stochastic_quantize_full_range(self, bits):
+        Xt = stochastic_quantize_full_range(gen_uniform_matrix(500, 20, seed=4), bits, 9)
+        assert hashlib.sha256(Xt.tobytes()).hexdigest() == self.FULL_RANGE[bits]
 
 
 class TestClipThreshold:
@@ -250,7 +329,7 @@ class TestUniformCompression:
     def test_compression_rate_near_32x_at_one_bit(self):
         X = RNG.normal(size=(1000, 96))
         C = compress_uniform(X, 1)
-        assert 30.0 <= C.compression_rate <= 32.0
+        assert 30.0 <= compression_rate(C) <= 32.0
 
 
 class TestKmeans1D:

@@ -75,3 +75,10 @@ def test_overlap_bound_experiment_factors_base_once(calls):
     X = theory.gen_uniform_matrix(200, 5, seed=0)
     theory.overlap_bound_experiment(X, 4, range(6))
     assert calls == {"svd": 6 + 1, "joint": 0}
+
+
+def test_theorem2_factors_each_design_once(calls):
+    X = theory.gen_uniform_matrix(120, 4, seed=0)
+    Xt = compress_pca(X, 2).reduced
+    theory.simulate_lipschitz_gap(X, Xt, theory.LabelModel(noise_ratio=0.1), 4, seed=1)
+    assert calls == {"svd": 2, "joint": 0}

@@ -122,6 +122,29 @@ class TestTextFormat:
             with pytest.raises(FormatError, match=r"declares 5x3 but the file holds 0 rows$"):
                 read_text_embedding(p)
 
+    @pytest.mark.parametrize("bad_line", [2, 5001])
+    def test_invalid_utf8_names_file_and_line(self, tmp_path, bad_line):
+        # line 5001 lies past the first 8 KB of the file and the first block
+        p = tmp_path / "emb.txt"
+        write_text_embedding(RNG.normal(size=(5002, 3)), vocab(5002), p)
+        lines = p.read_bytes().split(b"\n")
+        lines[bad_line - 1] = lines[bad_line - 1].replace(b" ", b" \xff", 1)
+        p.write_bytes(b"\n".join(lines))
+        with pytest.raises(FormatError) as info:
+            read_text_embedding(p)
+        assert str(info.value).startswith(f"{p}:{bad_line}: not valid UTF-8 at byte 0xff")
+
+    @pytest.mark.parametrize("body,line", [
+        (b"a 1 2\rb 3 4\rc 5 \xff6\n", 3),
+        (b"a 1 2\r\n\xe2\x82b 3 4\n", 2),
+        (b"a 1 2\x1cb 3 4\nc 5 6\n\n\xc3", 5),
+    ])
+    def test_invalid_utf8_line_counts_every_line_break(self, tmp_path, body, line):
+        p = tmp_path / "emb.txt"
+        p.write_bytes(body)
+        with pytest.raises(FormatError, match=f"emb.txt:{line}: not valid UTF-8"):
+            read_text_embedding(p)
+
 
 def _per_line_reference(path, fmt="auto"):
     """The reader as it was before block parsing: the whole file split into
@@ -371,12 +394,20 @@ class TestBinaryFormat:
         with pytest.raises(VersionError):
             read_compressed(p)
 
-    def test_payload_accounting_matches_serialized_bytes(self, tmp_path):
+    def test_compression_rate_follows_the_documented_layout(self):
+        # the README layout for n=4, d=9: version through d_orig is
+        # 2+1+1+8+8+4 = 24 bytes, then the method's section
         X = RNG.normal(size=(4, 9))
-        for C in (compress_uniform(X, 1), compress_kmeans(X, 2), compress_pca(X, 3)):
-            blob = _serialize_compressed(C, None)
-            # magic (4) + payload + empty-vocab count (4) + crc (4)
-            assert C.payload_bits == 8 * (len(blob) - 12)
+        original = 32 * 4 * 9
+        cases = [
+            (compress_uniform(X, 1), 24 + 1 + 8 + 4 * 2),  # bits, clip, 9 bits -> 2 bytes a row
+            (compress_kmeans(X, 2), 24 + 1 + 8 * 4 + 4 * 3),  # bits, 4 centroids, 18 bits -> 3
+            (compress_pca(X, 3), 24 + 4 + 8 * 4 * 3 + 1),  # k, reduced, flag
+            (compress_pca(X, 3, keep_v=True), 24 + 4 + 8 * 4 * 3 + 1 + 8 * 9 * 3),  # + V
+        ]
+        assert [size for _, size in cases] == [41, 69, 125, 341]
+        for C, size in cases:
+            assert storage.compression_rate(C) == original / (8 * size)
 
     def test_code_block_size_example(self):
         # b=1, n=4, d=9: each row pads 9 bits to 2 bytes -> 8 code bytes

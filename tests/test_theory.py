@@ -167,6 +167,21 @@ class TestLipschitzBound:
         assert res.theory_kind == "upper_bound"
         assert res.estimate <= res.theory_value + 4 * res.std_error
 
+    @pytest.mark.parametrize("extra", [-3, 0, 2])
+    def test_simulated_bound_equals_lipschitz_gap_bound(self, extra):
+        # Xt narrower than, as wide as and wider than X: the bound from the
+        # harness's own factors must be the public function's value exactly
+        X = gen_uniform_matrix(80, 6, seed=2)
+        if extra < 0:
+            Xt = X[:, :extra]
+        elif extra == 0:
+            Xt = stochastic_quantize_full_range(X, 4, 3)
+        else:
+            Xt = np.hstack([X, gen_uniform_matrix(80, extra, seed=7)])
+        model = LabelModel(noise_ratio=0.1)
+        res = simulate_lipschitz_gap(X, Xt, model, trials=3, seed=8, L=2.5)
+        assert res.theory_value == lipschitz_gap_bound(X, Xt, 2.5, model)
+
     def test_identical_designs_gap_is_zero(self):
         X = gen_uniform_matrix(40, 4, seed=5)
         res = simulate_lipschitz_gap(X, X, LabelModel(noise_ratio=0.1), 50, seed=9)
