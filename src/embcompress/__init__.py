@@ -18,10 +18,8 @@ from .compress import (
 from .linalg import (
     LinalgError,
     ThinSVD,
-    joint_orthonormal_basis,
     least_squares_solve,
     numerical_rank,
-    sym_generalized_eigs,
     thin_svd,
 )
 from .measures import (

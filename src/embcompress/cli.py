@@ -1,8 +1,10 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 usage error, 2 data or file-format error,
-3 numerical failure.  Given the same arguments, inputs, and seed, every
-subcommand writes byte-identical outputs.
+3 numerical failure.  Given the same arguments, inputs, and seed, and the
+same BLAS thread count, every subcommand writes byte-identical outputs; a
+different BLAS thread count can change the last digits of LAPACK results
+(PCA factors, measure values).
 """
 
 from __future__ import annotations

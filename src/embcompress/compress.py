@@ -74,7 +74,9 @@ def quantize_codes(
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError(f"X must be a 2-D array, got shape {X.shape}")
-    t = (np.clip(X, -grid.clip, grid.clip) + grid.clip) / grid.spacing
+    # X is not clipped: the clamp of the codes (or of t) already pins entries
+    # outside [-grid.clip, grid.clip] to the end levels
+    t = (X + grid.clip) / grid.spacing
     if rounding == ROUNDING_DETERMINISTIC:
         codes = np.floor(t + 0.5)  # midpoint ties round toward +inf
         return np.clip(codes, 0, grid.num_levels - 1).astype(np.uint32)
@@ -193,6 +195,8 @@ class CompressedEmbedding:
             if self.grid.bits != self.bits:
                 raise ValueError("grid bits disagree with the bits field")
         if self.method == METHOD_KMEANS:
+            if not 1 <= self.bits <= 16:
+                raise ValueError(f"kmeans bits must be in [1, 16], got {self.bits}")
             if self.codebook is None or self.grid is not None:
                 raise ValueError("kmeans requires a codebook and no grid")
             if self.codebook.shape != (1 << self.bits,):
@@ -205,6 +209,8 @@ class CompressedEmbedding:
             if self.bits is not None or self.codes is not None or self.grid is not None \
                     or self.codebook is not None:
                 raise ValueError("pca must not carry quantization fields")
+            if not 1 <= self.k <= self.d_orig:
+                raise ValueError(f"pca k must be in [1, {self.d_orig}], got {self.k}")
             if self.reduced.shape != (self.n, self.k):
                 raise ValueError(
                     f"reduced shape {self.reduced.shape} != expected ({self.n}, {self.k})"

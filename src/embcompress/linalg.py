@@ -8,15 +8,14 @@ produce bit-identical values.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 import numpy as np
 
 
 class LinalgError(RuntimeError):
-    """A numerical operation failed: non-convergence, rank deficiency, or an
-    indefinite pencil."""
+    """A numerical operation failed: non-convergence, rank deficiency or
+    overflow."""
 
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -117,52 +116,6 @@ def numerical_rank(s, m: int) -> int:
         return 0
     tol = s[0] * m * _EPS
     return int(np.count_nonzero(s > tol))
-
-
-def joint_orthonormal_basis(U, W) -> np.ndarray:
-    """Orthonormal basis of span(U) + span(W) for inputs with orthonormal
-    columns and a shared row count.
-
-    Built from the SVD of the concatenation [U | W], keeping the
-    numerical-rank leading left singular vectors; this stays stable when the
-    two blocks share near-parallel directions.
-    """
-    U = as_matrix(U, "U")
-    W = as_matrix(W, "W")
-    if U.shape[0] != W.shape[0]:
-        raise ValueError(f"row count mismatch: {U.shape[0]} vs {W.shape[0]}")
-    C = np.hstack([U, W])
-    f = thin_svd(C)
-    m = numerical_rank(f.s, max(C.shape))
-    return f.U[:, :m]
-
-
-def sym_generalized_eigs(A, B) -> np.ndarray:
-    """Eigenvalues of the symmetric-definite pencil ``A v = mu B v``,
-    ascending.
-
-    ``A`` must be symmetric and ``B`` positive definite; when the Cholesky
-    factorization of ``B`` fails, the error names the failed pivot (0-based).
-    """
-    A = as_matrix(A, "A")
-    B = as_matrix(B, "B")
-    if A.shape[0] != A.shape[1] or A.shape != B.shape:
-        raise ValueError(f"A and B must be square with equal shape, got {A.shape} and {B.shape}")
-    scale = max(1.0, float(np.max(np.abs(A))))
-    if float(np.max(np.abs(A - A.T))) > 1e-10 * scale:
-        raise ValueError("A is not symmetric within 1e-10")
-    import scipy.linalg
-
-    try:
-        return scipy.linalg.eigh(A, B, eigvals_only=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        # scipy reports the failed Cholesky step as a 1-based leading minor
-        order = re.search(r"leading minor of order (\d+)", str(exc))
-        if order is None:
-            raise LinalgError(f"generalized eigenproblem failed: {exc}") from exc
-        raise LinalgError(
-            f"matrix is not positive definite: pivot {int(order.group(1)) - 1}"
-        ) from exc
 
 
 def least_squares_solve(M, y) -> np.ndarray:

@@ -15,15 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    LinalgError,
-    ThinSVD,
-    as_matrix,
-    joint_orthonormal_basis,
-    sq_fro_norm,
-    sym_generalized_eigs,
-    thin_svd,
-)
+from .linalg import LinalgError, ThinSVD, as_matrix, sq_fro_norm, thin_svd
 
 
 class RankDeficiencyWarning(UserWarning):
@@ -156,31 +148,38 @@ def spectral_deltas(X, Xt, lam: float):
     in the semidefinite order, plus delta = max of the two and
     delta_max = max(1/(1-delta1), delta2).
 
-    Solved on the joint column span of the two singular bases (dimension
-    m <= d+k); on the orthogonal complement both regularized Grams act as
-    lam*I, contributing the generalized eigenvalue 1.  delta_max is +inf when
-    delta1 >= 1.
+    The generalized eigenvalues mu of the pencil come from X's SVD, one QR
+    and one small symmetric eigensolve; see :class:`PreparedBase`.
+    delta_max is +inf when delta1 >= 1.
     """
     rep = PreparedBase(X).report(Xt, lam)
     return rep.delta1, rep.delta2, rep.delta, rep.delta_max
 
 
-def _deltas_from_bases(X, Xt, U, Ut, lam: float):
-    n = X.shape[0]
-    Q = joint_orthonormal_basis(U, Ut)
-    m = Q.shape[1]
-    Px = Q.T @ X
-    Pt = Q.T @ Xt
-    A = Pt @ Pt.T + lam * np.eye(m)
-    B = Px @ Px.T + lam * np.eye(m)
-    mus = sym_generalized_eigs(0.5 * (A + A.T), 0.5 * (B + B.T))
-    mu_min = float(mus[0])
-    mu_max = float(mus[-1])
-    if n > m:
-        mu_min = min(mu_min, 1.0)
-        mu_max = max(mu_max, 1.0)
-    delta1 = 1.0 - mu_min
-    delta2 = mu_max - 1.0
+def _deltas(f: ThinSVD, Xt: np.ndarray, lam: float):
+    # B = XX^T + lam I is diagonal in X's SVD, so B^{-1/2} is written down
+    # from U and s: no second factorization of X and no Cholesky of B, whose
+    # accuracy falls as cond(B) grows.
+    # With Y = B^{-1/2} Xt and Z = U diag(s^2/(s^2+lam))^{1/2},
+    # B^{-1/2} (Xt Xt^T + lam I) B^{-1/2} - I = Y Y^T - Z Z^T = W J W^T for
+    # W = [Y | Z] = QR and J = diag(I_k, -I_d), so mu - 1 are the eigenvalues
+    # of R J R^T, plus 0 on the complement of span(W) when n > rows of R.
+    U, s = f.U, f.s
+    s2 = s * s
+    P = U.T @ Xt
+    Y = U @ (P / np.sqrt(s2 + lam)[:, None]) + (Xt - U @ P) / math.sqrt(lam)
+    W = np.hstack([Y, U * np.sqrt(s2 / (s2 + lam))])
+    R = np.linalg.qr(W, mode="r")
+    J = np.concatenate([np.ones(Xt.shape[1]), -np.ones(U.shape[1])])
+    eigs = np.linalg.eigvalsh((R * J) @ R.T)  # mu - 1, ascending
+    if not np.all(np.isfinite(eigs)):
+        raise LinalgError(f"spectral deltas overflow float64 at lambda={lam:g}")
+    lo, hi = float(eigs[0]), float(eigs[-1])
+    if Xt.shape[0] > R.shape[0]:
+        lo, hi = min(lo, 0.0), max(hi, 0.0)
+    # written so that an exact zero comes out as +0.0, never -0.0
+    delta1 = 0.0 - lo
+    delta2 = hi + 0.0
     delta = max(delta1, delta2)
     delta_max = math.inf if delta1 >= 1.0 else max(1.0 / (1.0 - delta1), delta2)
     return delta1, delta2, delta, delta_max
@@ -200,8 +199,13 @@ class PreparedBase:
     """A base matrix X factored once, to score any number of candidates.
 
     Holds the thin SVD of X, its numerical rank and its retained left
-    singular basis.  Each candidate Xt then costs one SVD of Xt, plus one
-    joint-basis SVD when the spectral deltas are wanted.
+    singular basis.  Each candidate Xt then costs one SVD of Xt.  The
+    spectral deltas add one QR and one small symmetric eigensolve: B =
+    XX^T + lam I is diagonal in X's SVD, so B^{-1/2} is explicit, and the
+    eigenvalues of B^{-1/2} (Xt Xt^T + lam I) B^{-1/2} - I are those of
+    R J R^T, with R the triangular factor of the n x (k+d) matrix
+    [B^{-1/2} Xt | U diag(s^2/(s^2+lam))^{1/2}] and J = diag(I_k, -I_d),
+    plus 0 when n exceeds k+d.
     """
 
     def __init__(self, X):
@@ -238,7 +242,7 @@ class PreparedBase:
         n, d = X.shape
         k = Xt.shape[1]
         lam = self.resolve_lambda(lam)
-        delta1, delta2, delta, delta_max = _deltas_from_bases(X, Xt, self.U, Ut, lam)
+        delta1, delta2, delta, delta_max = _deltas(self.svd, Xt, lam)
         recon = reconstruction_error(X, Xt) if X.shape == Xt.shape else None
         return QualityReport(
             eigenspace_overlap=float(_overlap_from_bases(self.U, Ut, d, k)),

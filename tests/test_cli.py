@@ -1,8 +1,10 @@
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +13,8 @@ import pytest
 import embcompress
 from embcompress.cli import run
 from embcompress.storage import (
+    FORMAT_VERSION,
+    MAGIC,
     Vocabulary,
     compression_rate,
     read_compressed,
@@ -303,6 +307,23 @@ def test_reconstruct_synthesizes_tokens_without_vocab(tmp_path):
     assert vocab.tokens == tuple(f"row{i}" for i in range(5))
 
 
+@pytest.mark.parametrize("method_code, section", [
+    (2, struct.pack("<IB", 0, 0)),  # pca, k = 0
+    (1, struct.pack("<Bd", 0, 0.0)),  # kmeans, bits = 0
+], ids=["pca-k0", "kmeans-bits0"])
+def test_reconstruct_rejects_rows_without_values(tmp_path, capsys, method_code, section):
+    body = (
+        MAGIC + struct.pack("<HBBQQI", FORMAT_VERSION, method_code, 0, 0, 3, 3)
+        + section + struct.pack("<I", 0)
+    )
+    blob = tmp_path / "c.eqc"
+    blob.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+    out = tmp_path / "out.txt"
+    assert run(["reconstruct", str(blob), str(out)]) == 2
+    assert not out.exists()
+    assert "must be in" in capsys.readouterr().err
+
+
 def test_clipping_curve_cli(tmp_path):
     cfg = tmp_path / "cc.json"
     cfg.write_text(json.dumps({
@@ -392,3 +413,25 @@ def test_import_loads_no_scipy():
         env=env, capture_output=True, text=True, check=True,
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_measure_loads_no_scipy(base_embedding, tmp_path):
+    # the spectral deltas come from numpy's QR and symmetric eigensolver
+    from embcompress.compress import compress_kmeans, compress_pca, compress_uniform
+    from embcompress.storage import write_compressed
+
+    base, X = base_embedding
+    paths = []
+    for name, C in [("u1", compress_uniform(X, 1)), ("km2", compress_kmeans(X, 2)),
+                    ("p6", compress_pca(X, 6))]:
+        paths.append(str(tmp_path / f"{name}.eqc"))
+        write_compressed(C, None, paths[-1])
+    argv = ["measure", "--out", str(tmp_path / "r.json"), str(base), *paths]
+    env = dict(os.environ, PYTHONPATH=str(Path(embcompress.__file__).resolve().parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from embcompress.cli import run; code = run(sys.argv[1:]); "
+         "print(code, sorted(m for m in sys.modules if m.startswith('scipy')))", *argv],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.splitlines()[-1] == "0 []"

@@ -164,6 +164,18 @@ class TestQuantizeCodes:
                 quantize_codes(X[i0:i1], g, rounding, rng, row0=i0), whole[i0:i1]
             )
 
+    @pytest.mark.parametrize("rounding", ["deterministic", "stochastic"])
+    def test_out_of_range_entries_match_clipped_input(self, rounding):
+        # X is not clipped; the clamp of the codes must give the same levels
+        X = RNG.standard_t(2, size=(200, 30))
+        rng = CounterRng(5)
+        for bits, clip in itertools.product((1, 2, 3, 8, 16), (0.1, 0.7, 1.0, 3.3)):
+            g = QuantizationGrid(bits, clip)
+            np.testing.assert_array_equal(
+                quantize_codes(X, g, rounding, rng),
+                quantize_codes(np.clip(X, -clip, clip), g, rounding, rng),
+            )
+
     def test_unknown_rounding_rejected(self):
         with pytest.raises(ValueError, match="unknown rounding"):
             quantize_codes(np.zeros((2, 2)), QuantizationGrid(1, 1.0), "nearest")

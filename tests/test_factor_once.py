@@ -1,7 +1,7 @@
 """Each base matrix is factored once per call.
 
-Calls to ``thin_svd`` and ``joint_orthonormal_basis`` are counted through the
-module bindings that ``measures`` and ``theory`` call them by.
+Calls to ``thin_svd`` are counted through the module bindings that
+``measures`` and ``theory`` call it by.
 """
 
 import numpy as np
@@ -16,21 +16,14 @@ from embcompress.storage import Vocabulary, write_compressed, write_text_embeddi
 
 @pytest.fixture()
 def calls(monkeypatch):
-    counts = {"svd": 0, "joint": 0}
+    counts = {"svd": 0}
 
-    def counted(key, fn):
-        def wrapper(*args, **kwargs):
-            counts[key] += 1
-            return fn(*args, **kwargs)
-
-        return wrapper
+    def counted(*args, **kwargs):
+        counts["svd"] += 1
+        return linalg.thin_svd(*args, **kwargs)
 
     for mod in (measures, theory):
-        monkeypatch.setattr(mod, "thin_svd", counted("svd", linalg.thin_svd))
-    monkeypatch.setattr(
-        measures, "joint_orthonormal_basis",
-        counted("joint", linalg.joint_orthonormal_basis),
-    )
+        monkeypatch.setattr(mod, "thin_svd", counted)
     return counts
 
 
@@ -41,9 +34,9 @@ def _candidates(X):
 def test_select_best_by_overlap_factors_base_once(calls):
     X = np.random.default_rng(1).normal(size=(80, 6))
     candidates = _candidates(X)
-    calls.update(svd=0, joint=0)
+    calls.update(svd=0)
     select_best(X, candidates, MeasureSpec.default("eigenspace_overlap"))
-    assert calls == {"svd": len(candidates) + 1, "joint": 0}
+    assert calls == {"svd": len(candidates) + 1}
 
 
 def test_cli_measure_factors_base_once(calls, tmp_path):
@@ -54,16 +47,16 @@ def test_cli_measure_factors_base_once(calls, tmp_path):
     for i, C in enumerate(_candidates(X)):
         paths.append(str(tmp_path / f"c{i}.eqc"))
         write_compressed(C, None, paths[-1])
-    calls.update(svd=0, joint=0)
+    calls.update(svd=0)
     assert run(["measure", "--out", str(tmp_path / "r.json"), str(base), *paths]) == 0
-    assert calls == {"svd": len(paths) + 1, "joint": len(paths)}
+    assert calls == {"svd": len(paths) + 1}
 
 
 def test_clipping_curve_factors_base_once(calls):
     X = theory.gen_student_t_matrix(200, 5, df=5.0, scale=1.0, seed=0)
     r_grid = np.linspace(0.5, float(np.max(np.abs(X))), 7)
     theory.clipping_curve(X, 2, "stochastic", r_grid)
-    assert calls == {"svd": r_grid.size + 1, "joint": 0}
+    assert calls == {"svd": r_grid.size + 1}
 
 
 def test_scaling_factors_each_matrix_once(calls):
@@ -74,11 +67,11 @@ def test_scaling_factors_each_matrix_once(calls):
 def test_overlap_bound_experiment_factors_base_once(calls):
     X = theory.gen_uniform_matrix(200, 5, seed=0)
     theory.overlap_bound_experiment(X, 4, range(6))
-    assert calls == {"svd": 6 + 1, "joint": 0}
+    assert calls == {"svd": 6 + 1}
 
 
 def test_theorem2_factors_each_design_once(calls):
     X = theory.gen_uniform_matrix(120, 4, seed=0)
     Xt = compress_pca(X, 2).reduced
     theory.simulate_lipschitz_gap(X, Xt, theory.LabelModel(noise_ratio=0.1), 4, seed=1)
-    assert calls == {"svd": 2, "joint": 0}
+    assert calls == {"svd": 2}

@@ -7,10 +7,8 @@ from embcompress.linalg import (
     LinalgError,
     det_sum,
     fro_norm,
-    joint_orthonormal_basis,
     least_squares_solve,
     numerical_rank,
-    sym_generalized_eigs,
     thin_svd,
 )
 
@@ -100,75 +98,6 @@ class TestNumericalRank:
 
     def test_zero_spectrum(self):
         assert numerical_rank([0.0, 0.0], 7) == 0
-
-
-class TestJointBasis:
-    def test_identical_single_direction(self):
-        e1 = np.zeros((3, 1))
-        e1[0, 0] = 1.0
-        Q = joint_orthonormal_basis(e1, e1)
-        assert Q.shape == (3, 1)
-
-    def test_orthogonal_directions(self):
-        e1 = np.array([[1.0], [0.0], [0.0]])
-        e2 = np.array([[0.0], [1.0], [0.0]])
-        Q = joint_orthonormal_basis(e1, e2)
-        assert Q.shape == (3, 2)
-        # span check: both inputs reproduce exactly under projection
-        for v in (e1, e2):
-            np.testing.assert_allclose(Q @ (Q.T @ v), v, atol=1e-12)
-
-    def test_shared_direction_rank(self):
-        # p=3 and q=4 with one column in common: joint rank is 6
-        base = thin_svd(RNG.normal(size=(20, 7))).U
-        U = base[:, :3]
-        W = np.hstack([base[:, 2:3], base[:, 3:6]])
-        Q = joint_orthonormal_basis(U, W)
-        assert Q.shape == (20, 6)
-        _assert_orthonormal(Q)
-        # oracle: rank of the concatenation by direct SVD
-        s = np.linalg.svd(np.hstack([U, W]), compute_uv=False)
-        assert numerical_rank(s, 20) == 6
-
-
-class TestGeneralizedEigs:
-    def test_equal_matrices(self):
-        A = RNG.normal(size=(4, 4))
-        A = A @ A.T + np.eye(4)
-        np.testing.assert_allclose(sym_generalized_eigs(A, A), np.ones(4), atol=1e-10)
-
-    def test_scaled_identity(self):
-        np.testing.assert_allclose(
-            sym_generalized_eigs(2.0 * np.eye(3), np.eye(3)), [2.0, 2.0, 2.0], atol=1e-12
-        )
-
-    def test_diagonal_pencil(self):
-        mus = sym_generalized_eigs(np.diag([1.0, 4.0]), np.diag([1.0, 2.0]))
-        np.testing.assert_allclose(mus, [1.0, 2.0], atol=1e-12)
-
-    def test_not_positive_definite_names_pivot(self):
-        B = np.diag([1.0, -2.0, 3.0])
-        with pytest.raises(LinalgError, match="pivot 1"):
-            sym_generalized_eigs(np.eye(3), B)
-
-    def test_failed_pivot_is_zero_based(self):
-        with pytest.raises(LinalgError, match="pivot 0"):
-            sym_generalized_eigs(np.eye(2), np.diag([-1.0, 1.0]))
-
-    def test_asymmetric_a_rejected(self):
-        A = np.array([[1.0, 1e-3], [0.0, 1.0]])
-        with pytest.raises(ValueError, match="symmetric"):
-            sym_generalized_eigs(A, np.eye(2))
-
-    @pytest.mark.parametrize("m", [2, 5, 12, 20])
-    def test_matches_dense_inverse_oracle(self, m):
-        A = RNG.normal(size=(m, m))
-        A = 0.5 * (A + A.T)
-        B = RNG.normal(size=(m, m))
-        B = B @ B.T + m * np.eye(m)
-        mus = sym_generalized_eigs(A, B)
-        oracle = np.sort(np.linalg.eigvals(np.linalg.inv(B) @ A).real)
-        np.testing.assert_allclose(mus, oracle, atol=1e-8)
 
 
 class TestLeastSquares:

@@ -1,3 +1,7 @@
+import itertools
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -231,6 +235,80 @@ class TestSpectralDeltas:
         d1, _, _, dmax = spectral_deltas(X, Xt, 1e-300)
         assert d1 >= 1.0
         assert dmax == np.inf
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflow_raises(self):
+        # a residual outside span(X) scaled by lam^{-1/2} = 1e150 squares past
+        # the float64 range; the deltas must not come out as NaN
+        X = np.eye(4)[:, :2]
+        Xt = np.eye(4)[:, 2:3] * 1e10
+        with pytest.raises(LinalgError, match="overflow"):
+            spectral_deltas(X, Xt, 1e-300)
+
+
+def exact_gram(M):
+    """M M^T in rational arithmetic, from the exact values of M's floats."""
+    F = [[Fraction(v) for v in row] for row in M.tolist()]
+    return [[sum((a * b for a, b in zip(r, q)), Fraction(0)) for q in F] for r in F]
+
+
+def exact_pencil(a, GA, b, GB, lam):
+    """a (GA + lam I) - b (GB + lam I), exactly."""
+    n = len(GA)
+    return [
+        [a * GA[i][j] - b * GB[i][j] + ((a - b) * lam if i == j else 0) for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def exact_positive_definite(M):
+    """Whether the symmetric rational M is positive definite: every pivot of
+    its LDL^T factorization (on the lower triangle) is positive."""
+    A = [row[:] for row in M]
+    n = len(A)
+    for j in range(n):
+        if A[j][j] <= 0:
+            return False
+        for i in range(j + 1, n):
+            f = A[i][j] / A[j][j]
+            for k in range(j + 1, i + 1):
+                A[i][k] -= f * A[k][j]
+    return True
+
+
+def _column_decay_pairs():
+    from embcompress.theory import gen_scaled_matrix, stochastic_quantize_full_range
+
+    shapes = itertools.product([8, 10], [3, 4], [1e-6, 1e-8])
+    for seed, (n, d, decay) in enumerate(shapes):
+        S = gen_scaled_matrix(n, d, decay, seed % 4)
+        yield f"{n}x{d}-{decay:g}", S, stochastic_quantize_full_range(S, 4, seed % 4 + 1)
+
+
+@pytest.mark.parametrize("case", list(_column_decay_pairs()), ids=lambda c: c[0])
+def test_deltas_match_the_exact_pencil(case):
+    # columns scaled down to 1e-6 or 1e-8 and a 4-bit candidate at the default
+    # lambda: cond(XX^T + lam I) reaches 1e16, delta2 is 1e10 to 5e14, and
+    # delta1 sits within 1e-9 of 1
+    _, X, Xt = case
+    rep = quality_report(X, Xt)
+    assert rep.delta1 < 1.0 and math.isfinite(rep.delta_max)
+    lam = Fraction(rep.lambda_used)
+    GA, GB = exact_gram(Xt), exact_gram(X)
+    mu_min = 1 - Fraction(rep.delta1)
+    mu_max = 1 + Fraction(rep.delta2)
+    tol = Fraction(1e-13)
+    assert exact_positive_definite(exact_pencil(1, GA, mu_min - tol, GB, lam))
+    assert not exact_positive_definite(exact_pencil(1, GA, mu_min + tol, GB, lam))
+    rel = Fraction(1e-9)
+    assert exact_positive_definite(exact_pencil((1 + rel) * mu_max, GB, 1, GA, lam))
+    assert not exact_positive_definite(exact_pencil((1 - rel) * mu_max, GB, 1, GA, lam))
+
+
+def test_exact_positive_definite():
+    assert exact_positive_definite([[Fraction(2), Fraction(1)], [Fraction(1), Fraction(2)]])
+    assert not exact_positive_definite([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(1)]])
+    assert not exact_positive_definite([[Fraction(1), Fraction(1)], [Fraction(1), Fraction(1)]])
 
 
 class TestQualityReport:

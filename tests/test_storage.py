@@ -1,6 +1,8 @@
 import json
 import math
+import struct
 import warnings
+import zlib
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from embcompress.storage import (
     BadMagicError,
     ChecksumError,
     FormatError,
+    StorageError,
     TruncatedError,
     VersionError,
     Vocabulary,
@@ -323,6 +326,18 @@ class TestTextWriterGolden:
         assert X2.tobytes() == X.tobytes()
         assert v2 == v
 
+def hand_built_container(method_code, n, d, section):
+    """A container with the given method section, no vocabulary and a valid
+    CRC, laid out as the README describes."""
+    body = (
+        storage.MAGIC
+        + struct.pack("<HBBQQI", storage.FORMAT_VERSION, method_code, 0, 0, n, d)
+        + section
+        + struct.pack("<I", 0)
+    )
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
 class TestBinaryFormat:
     @pytest.mark.parametrize("method", ["uniform", "kmeans", "pca", "pca_v"])
     def test_round_trip_bit_identical(self, tmp_path, method):
@@ -414,6 +429,23 @@ class TestBinaryFormat:
         X = RNG.normal(size=(4, 9))
         C = compress_uniform(X, 1)
         assert C.codes.nbytes == 4 * 2
+
+    @pytest.mark.parametrize("method_code, n, section", [
+        # pca, k = 0: no factor block, so no length check sees the declared n
+        (2, 3, struct.pack("<IB", 0, 0)),
+        (2, 2**40, struct.pack("<IB", 0, 0)),
+        (2, 3, struct.pack("<I", 4) + bytes(8 * 3 * 4) + b"\0"),  # pca, k = 4 > d = 3
+        # kmeans, bits = 0: one centroid and no code bytes, whatever n
+        (1, 3, struct.pack("<Bd", 0, 0.0)),
+        (1, 2**40, struct.pack("<Bd", 0, 0.0)),
+        (1, 3, struct.pack("<B", 17) + bytes(8 << 17) + bytes(3 * 7)),  # kmeans, bits = 17
+    ], ids=["pca-k0", "pca-k0-huge-n", "pca-k-above-d", "kmeans-bits0",
+            "kmeans-bits0-huge-n", "kmeans-bits17"])
+    def test_fields_the_writer_cannot_produce_rejected(self, tmp_path, method_code, n, section):
+        p = tmp_path / "c.eqc"
+        p.write_bytes(hand_built_container(method_code, n, 3, section))
+        with pytest.raises((ValueError, StorageError), match="must be in"):
+            read_compressed(p)
 
     def test_vocabulary_optional(self, tmp_path):
         X = RNG.normal(size=(3, 3))
