@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bitpack
-from .linalg import LinalgError, as_matrix, det_sum, fro_norm, numerical_rank, thin_svd
+from .linalg import LinalgError, as_matrix, fro_norm, numerical_rank, thin_svd
 from .rng import CounterRng
 
 METHOD_UNIFORM = "uniform"
@@ -76,12 +76,12 @@ def quantize_codes(
         raise ValueError(f"X must be a 2-D array, got shape {X.shape}")
     # X is not clipped: the clamp of the codes (or of t) already pins entries
     # outside [-grid.clip, grid.clip] to the end levels
-    t = (X + grid.clip) / grid.spacing
     if rounding == ROUNDING_DETERMINISTIC:
-        codes = np.floor(t + 0.5)  # midpoint ties round toward +inf
+        codes = _nearest_level(X, grid)
         return np.clip(codes, 0, grid.num_levels - 1).astype(np.uint32)
     if rng is None:
         raise ValueError("stochastic rounding needs an rng")
+    t = (X + grid.clip) / grid.spacing
     np.clip(t, 0.0, grid.num_levels - 1.0, out=t)
     low = np.floor(t)
     u = rng.uniform_block(X.shape[0], X.shape[1], row0=row0)
@@ -89,17 +89,114 @@ def quantize_codes(
     return np.clip(codes, 0, grid.num_levels - 1, out=codes)
 
 
+def _nearest_level(x, grid: QuantizationGrid) -> np.ndarray:
+    """Unclamped index of the nearest level as a float, exact midpoints
+    going toward +inf: the deterministic rounding of :func:`quantize_codes`."""
+    return np.floor((x + grid.clip) / grid.spacing + 0.5)
+
+
+_PREFIX_CHUNK = 1 << 16
+
+
+def _prefix_sums(x: np.ndarray, power: int) -> np.ndarray:
+    """Compensated prefix sums of ``x**power`` (power 1 or 2), a
+    (2, len(x) + 1) array: row 0 is the sequential running sum and row 1 the
+    running sum of its rounding errors, each taken exactly with TwoSum
+    (Knuth, TAOCP vol. 2, 4.2.2).  The sum of a run ``i:j`` is then
+    ``(p[0, j] - p[0, i]) + (p[1, j] - p[1, i])``, to a few ulps of that sum
+    rather than of the running total.  Chunked, so the temporaries stay
+    small; a chunk's running sums start from the carry, so both rows equal
+    one sequential ``cumsum``."""
+    p = np.zeros((2, x.size + 1))
+    hi, lo = p
+    for i in range(0, x.size, _PREFIX_CHUNK):
+        v = x[i : i + _PREFIX_CHUNK] if power == 1 else np.square(x[i : i + _PREFIX_CHUNK])
+        j = i + v.size
+        np.cumsum(np.concatenate((hi[i : i + 1], v)), out=hi[i : j + 1])
+        prev, total = hi[i:j], hi[i + 1 : j + 1]
+        b = total - prev
+        err = total - b
+        np.subtract(prev, err, out=err)
+        np.subtract(v, b, out=b)
+        np.add(err, b, out=err)
+        np.cumsum(np.concatenate((lo[i : i + 1], err)), out=lo[i : j + 1])
+    return p
+
+
+@dataclass(frozen=True)
+class _SortedScalars:
+    """All scalars of an array in ascending order, ``x``, with the
+    compensated prefix sums (:func:`_prefix_sums`) of x and of x**2, so the
+    count, sum and sum of squares of any run ``x[i:j]`` take O(1)."""
+
+    x: np.ndarray
+    s1: np.ndarray
+    s2: np.ndarray
+
+    def segments(self, bounds: np.ndarray):
+        """``(counts, sums, sums of squares)`` of the runs
+        ``x[bounds[t]:bounds[t + 1]]``."""
+        d1 = np.diff(self.s1[:, bounds])
+        d2 = np.diff(self.s2[:, bounds])
+        return np.diff(bounds), d1[0] + d1[1], d2[0] + d2[1]
+
+
+def _sort_scalars(values) -> _SortedScalars:
+    x = np.sort(np.asarray(values, dtype=np.float64), axis=None)
+    return _SortedScalars(x, _prefix_sums(x, 1), _prefix_sums(x, 2))
+
+
+def _level_starts(x: np.ndarray, grid: QuantizationGrid) -> np.ndarray:
+    """For each level k = 1 .. 2**bits - 1, the first index of the sorted
+    ``x`` whose deterministic code is at least k.  The codes are monotone in
+    x, so all boundaries are bisected at once on the encoder's own float
+    expression; midpoint ties and the clamped tails fall as they fall there."""
+    n = x.size
+    k = np.arange(1, grid.num_levels)
+    lo = np.zeros(k.size, dtype=np.int64)
+    hi = np.full(k.size, n, dtype=np.int64)
+    for _ in range(n.bit_length()):
+        mid = (lo + hi) >> 1
+        below = (_nearest_level(x[np.minimum(mid, n - 1)], grid) < k) & (mid < hi)
+        lo = np.where(below, mid + 1, lo)
+        hi = np.where(below, hi, mid)
+    return lo
+
+
+# Up to this width an evaluation uses the moment form, sum(x^2) - 2*l*sum(x)
+# + m*l^2 per level.  It cancels about two more binary digits per extra bit
+# (measured on 1M-3M values, worst relative error of the objective: 1e-13 at
+# 8 bits, 3e-11 at 12, 2e-9 at 16), so wider grids sum (l - x)^2 over the
+# sorted values instead.
+_MOMENT_MAX_BITS = 8
+
+
 def quantization_objective(X, bits: int):
     """Reconstruction error r -> ||quantize(clip(X, r)) - X||_F with
-    deterministic rounding; the function minimized by the clip search."""
-    X = as_matrix(X)
+    deterministic rounding; the function minimized by the clip search.
+
+    The scalars are sorted once, when the objective is made.  Up to 8 bits
+    an evaluation then bisects each level's run of sorted values and reads
+    its error off the prefix sums, O(2**bits * log(n*d)); wider grids take
+    one pass over the sorted values.
+    """
+    ss = _sort_scalars(as_matrix(X))
+    row = ss.x.reshape(1, -1)
+    # entries beyond 1e154 overflow x^2, and inf - inf would turn the
+    # moment form into NaN where the direct sum reads inf
+    moments = bool(np.isfinite(ss.s2[0, -1]))
 
     def objective(r: float) -> float:
         if r <= 0.0:
-            return fro_norm(X)
+            return fro_norm(row)
         grid = QuantizationGrid(bits, float(r))
-        q = grid.values_for(quantize_codes(X, grid))
-        return fro_norm(q - X)
+        if grid.bits > _MOMENT_MAX_BITS or not moments:
+            return fro_norm(grid.values_for(quantize_codes(row, grid)) - row)
+        bounds = np.concatenate(([0], _level_starts(ss.x, grid), [ss.x.size]))
+        counts, sums, squares = ss.segments(bounds)
+        ell = grid.values_for(np.arange(grid.num_levels))
+        sq = float(np.sum(squares - 2.0 * ell * sums + counts * ell * ell))
+        return math.sqrt(max(sq, 0.0))
 
     return objective
 
@@ -273,13 +370,12 @@ def compress_uniform(
     )
 
 
-def _optimal_contiguous_centroids(sorted_vals: np.ndarray, K: int) -> np.ndarray:
+def _optimal_contiguous_centroids(ss: _SortedScalars, K: int) -> np.ndarray:
     """Exact 1-D k-means by dynamic programming over contiguous partitions of
     the sorted values (the optimum always respects sorted order).  O(K n^2),
     so only used as seeding for small inputs."""
-    n = sorted_vals.size
-    s = np.concatenate([[0.0], np.cumsum(sorted_vals)])
-    sq = np.concatenate([[0.0], np.cumsum(sorted_vals * sorted_vals)])
+    n = ss.x.size
+    s, sq = ss.s1[0], ss.s2[0]
     cost = np.full((K + 1, n + 1), np.inf)
     cut = np.zeros((K + 1, n + 1), dtype=np.int64)
     cost[0, 0] = 0.0
@@ -299,7 +395,7 @@ def _optimal_contiguous_centroids(sorted_vals: np.ndarray, K: int) -> np.ndarray
         bounds.append(j)
     bounds.reverse()
     return np.array(
-        [sorted_vals[bounds[t] : bounds[t + 1]].mean() for t in range(K)]
+        [ss.x[bounds[t] : bounds[t + 1]].mean() for t in range(K)]
     )
 
 
@@ -320,6 +416,10 @@ def kmeans_1d(values, K: int, max_iter: int = 300, rel_tol: float = 1e-4):
     of optimal); larger inputs are seeded at the ((j+0.5)/K)-quantiles, where
     the dense value distribution makes Lloyd reliable.  Both seeds are
     deterministic functions of the data.
+
+    The values are sorted once: each cluster is then a run of the sorted
+    values, found by K - 1 binary searches, and its centroid and loss come
+    from prefix sums, so an iteration costs O(K log n).
     """
     values = np.asarray(values, dtype=np.float64).ravel()
     if values.size == 0:
@@ -330,26 +430,28 @@ def kmeans_1d(values, K: int, max_iter: int = 300, rel_tol: float = 1e-4):
         raise ValueError(f"K must be >= 1, got {K}")
 
     if K < values.size and values.size <= _EXACT_SEED_MAX_N and K <= _EXACT_SEED_MAX_K:
-        centroids = _optimal_contiguous_centroids(np.sort(values), K)
+        centroids = _optimal_contiguous_centroids(_sort_scalars(values), K)
     else:
         centroids = np.quantile(values, (np.arange(K) + 0.5) / K)
     centroids.sort()
+    # after the seeding: np.quantile copies its input
+    ss = _sort_scalars(values)
     prev_loss = None
-    assign = np.zeros(values.shape, dtype=np.int64)
     for _ in range(max_iter):
         mids = 0.5 * (centroids[:-1] + centroids[1:])
-        assign = np.searchsorted(mids, values, side="left")
-        counts = np.bincount(assign, minlength=K)
-        sums = np.bincount(assign, weights=values, minlength=K)
+        # the run of values with searchsorted(mids, v, side="left") == k
+        bounds = np.concatenate(([0], np.searchsorted(ss.x, mids, side="right"), [values.size]))
+        counts, sums, squares = ss.segments(bounds)
         nonempty = counts > 0
-        centroids = centroids.copy()
         centroids[nonempty] = sums[nonempty] / counts[nonempty]
         centroids.sort()
-        loss = det_sum((values - centroids[assign]) ** 2)
+        # sum over run k of (v - centroids[k])^2, with the re-sorted centroids
+        loss = float(np.sum(squares - 2.0 * centroids * sums + counts * centroids * centroids))
         if prev_loss is not None:
             if prev_loss <= 0.0 or (prev_loss - loss) / prev_loss < rel_tol:
                 break
         prev_loss = loss
+    del ss  # before the n-long assignment array
     mids = 0.5 * (centroids[:-1] + centroids[1:])
     assign = np.searchsorted(mids, values, side="left")
     return centroids, assign

@@ -12,6 +12,7 @@ import hashlib
 import itertools
 import json
 import math
+import os
 import struct
 import zlib
 from dataclasses import asdict, dataclass, is_dataclass
@@ -103,7 +104,10 @@ def read_text_embedding(path, fmt: str = "auto"):
 
     Rows are parsed in blocks of :data:`TEXT_BLOCK_ROWS`, so memory stays
     near the size of the matrix; a block that fails a check is reparsed line
-    by line, so every :class:`FormatError` names its line.
+    by line, so every :class:`FormatError` names its line.  With an "n d"
+    header the blocks fill one n x d array, allocated only when the file
+    is large enough to hold n*d values (2 bytes each at least); otherwise
+    they are kept and joined at the end.
     """
     if fmt not in ("auto", "glove", "fasttext"):
         raise ValueError(f"unknown format {fmt!r}")
@@ -113,6 +117,7 @@ def read_text_embedding(path, fmt: str = "auto"):
     seen = set()
     dim = None
     declared = None
+    out = None
     with path.open("rb") as fh:
         lines = _content_lines(path, fh)
         first = next(lines, None)
@@ -124,17 +129,22 @@ def read_text_embedding(path, fmt: str = "auto"):
                 raise FormatError(f"{path}:1: expected a 'n d' header line")
         if declared is None:
             lines = itertools.chain([first], lines)
+        elif 2 * declared[0] * declared[1] <= os.fstat(fh.fileno()).st_size:
+            out = np.empty(declared)
         for block in iter(lambda: list(itertools.islice(lines, TEXT_BLOCK_ROWS)), []):
             names, values = _parse_block(path, block, dim, seen)
-            tokens.extend(names)
-            blocks.append(values)
             dim = values.shape[1]
+            if out is None:
+                blocks.append(values)
+            elif len(tokens) + len(names) <= out.shape[0] and dim == out.shape[1]:
+                out[len(tokens) : len(tokens) + len(names)] = values
+            tokens.extend(names)
     if declared is not None and (len(tokens), dim) != declared:
         held = f"{len(tokens)}x{dim}" if tokens else "0 rows"
         raise FormatError(
             f"{path}: header declares {declared[0]}x{declared[1]} but the file holds {held}"
         )
-    return np.concatenate(blocks), Vocabulary(tuple(tokens))
+    return (np.concatenate(blocks) if out is None else out), Vocabulary(tuple(tokens))
 
 
 def _content_lines(path, fh):
@@ -175,15 +185,17 @@ def _parse_block(path, block, dim, seen):
     raises the error of the first bad line or accepts what numpy would not
     (runs of spaces, ``1_000``).
     """
-    split = [line.partition(" ") for _, line in block]
-    names = [tok for tok, _, _ in split]
-    rests = [rest for _, _, rest in split]
+    names = [line.partition(" ")[0] for _, line in block]
     values = None
     # numpy skips empty lines and strips \x1f around a field; float() does
-    # neither, so such blocks take the per-line path
-    if "" not in rests and not any("\x1f" in rest for rest in rests):
+    # neither, so such blocks take the per-line path.  The value fields are
+    # handed over one line at a time, not as a second list of the block's text.
+    if all(line.partition(" ")[2] and "\x1f" not in line for _, line in block):
         try:
-            values = np.loadtxt(rests, delimiter=" ", comments=None, ndmin=2)
+            values = np.loadtxt(
+                (line.partition(" ")[2] for _, line in block),
+                delimiter=" ", comments=None, ndmin=2,
+            )
         except ValueError:
             pass
     if (
@@ -391,6 +403,8 @@ def read_compressed(path):
         kwargs.update(k=k, reduced=reduced, basis_v=basis_v)
 
     (n_tokens,) = cur.unpack("<I")
+    if n_tokens and n_tokens != n:
+        raise FormatError(f"{path}: vocabulary has {n_tokens} tokens but the matrix has {n} rows")
     vocab = None
     if n_tokens:
         tokens = []

@@ -324,6 +324,21 @@ def test_reconstruct_rejects_rows_without_values(tmp_path, capsys, method_code, 
     assert "must be in" in capsys.readouterr().err
 
 
+def test_reconstruct_rejects_token_count_mismatch(tmp_path, capsys):
+    # uniform 1-bit container with n = 3 rows but two tokens
+    body = (
+        MAGIC + struct.pack("<HBBQQI", FORMAT_VERSION, 0, 0, 0, 3, 2)
+        + struct.pack("<Bd", 1, 1.0) + bytes(3)
+        + struct.pack("<I", 2) + struct.pack("<I", 1) + b"a" + struct.pack("<I", 1) + b"b"
+    )
+    blob = tmp_path / "c.eqc"
+    blob.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+    out = tmp_path / "out.txt"
+    assert run(["reconstruct", str(blob), str(out)]) == 2
+    assert not out.exists()
+    assert "vocabulary has 2 tokens but the matrix has 3 rows" in capsys.readouterr().err
+
+
 def test_clipping_curve_cli(tmp_path):
     cfg = tmp_path / "cc.json"
     cfg.write_text(json.dumps({

@@ -53,6 +53,36 @@ def kmeans_loss(values, centroids, assign):
     return float(np.sum((np.asarray(values, float) - centroids[assign]) ** 2))
 
 
+def plain_objective(X, bits, r):
+    """The clip objective as a full pass: quantize every entry, then take
+    the norm of the difference."""
+    g = QuantizationGrid(bits, r)
+    return float(np.linalg.norm(g.values_for(quantize_codes(X, g)) - X))
+
+
+def bincount_lloyd(values, K, max_iter=300, rel_tol=1e-4):
+    """Lloyd with quantile seeding as full passes over the values in index
+    order: ``(centroids, assign, iterations)``."""
+    values = np.asarray(values, dtype=float).ravel()
+    centroids = np.sort(np.quantile(values, (np.arange(K) + 0.5) / K))
+    prev_loss = None
+    iterations = 0
+    for _ in range(max_iter):
+        iterations += 1
+        assign = np.searchsorted(0.5 * (centroids[:-1] + centroids[1:]), values)
+        counts = np.bincount(assign, minlength=K)
+        sums = np.bincount(assign, weights=values, minlength=K)
+        centroids = centroids.copy()
+        centroids[counts > 0] = sums[counts > 0] / counts[counts > 0]
+        centroids.sort()
+        loss = float(np.sum((values - centroids[assign]) ** 2))
+        if prev_loss is not None and (prev_loss <= 0 or (prev_loss - loss) / prev_loss < rel_tol):
+            break
+        prev_loss = loss
+    assign = np.searchsorted(0.5 * (centroids[:-1] + centroids[1:]), values)
+    return centroids, assign, iterations
+
+
 class TestGrid:
     def test_levels_and_spacing(self):
         g = QuantizationGrid(2, 1.0)
@@ -292,6 +322,93 @@ class TestClipThreshold:
         assert f(r) == min(f(float(v)) for v in rs)
 
 
+class TestPrefixSums:
+    @pytest.mark.parametrize("power", [1, 2])
+    def test_run_sums_are_accurate_across_chunks(self, power, monkeypatch):
+        from fractions import Fraction
+
+        from embcompress import compress as compress_mod
+
+        monkeypatch.setattr(compress_mod, "_PREFIX_CHUNK", 7)
+        x = np.sort(gen_student_t_matrix(1, 600, df=3.0, scale=1.0, seed=8).ravel())
+        x[300:] += 1e4  # a large running total ahead of small runs
+        v = x if power == 1 else x * x
+        p = compress_mod._prefix_sums(x, power)
+        # row 0 is one sequential cumsum, whatever the chunking
+        assert p[0].tobytes() == np.concatenate([[0.0], np.cumsum(v)]).tobytes()
+        eps = np.finfo(float).eps
+        rng = np.random.default_rng(1)
+        for i, j in np.sort(rng.integers(0, x.size + 1, size=(40, 2)), axis=1):
+            exact = sum(map(Fraction, v[i:j].tolist()), Fraction(0))
+            got = (p[0, j] - p[0, i]) + (p[1, j] - p[1, i])
+            assert abs(Fraction(got) - exact) <= 4 * eps * float(np.sum(np.abs(v[i:j])))
+
+
+class TestClipObjectiveOracle:
+    """The sorted prefix-sum objective against :func:`plain_objective`."""
+
+    @staticmethod
+    def check(X, bits, rs):
+        f = quantization_objective(X, bits)
+        for r in rs:
+            want = plain_objective(X, bits, float(r))
+            assert want > 0.0
+            assert f(float(r)) == pytest.approx(want, rel=1e-12, abs=0.0), (bits, r)
+
+    @pytest.mark.parametrize("bits", [1, 2, 4, 6, 8, 12])
+    def test_student_t(self, bits):
+        X = gen_student_t_matrix(200, 50, df=5.0, scale=1.0, seed=6)
+        xmax = float(np.max(np.abs(X)))
+        # the last two thresholds lie above max|X|
+        self.check(X, bits, np.linspace(0.05, 1.5 * xmax, 11))
+
+    @pytest.mark.parametrize("bits", [1, 2, 3])
+    def test_plus_minus_v_matrix(self, bits):
+        v = 0.7777731
+        X = np.where(np.random.default_rng(5).random((40, 25)) < 0.5, -v, v)
+        self.check(X, bits, [0.1 * v, 0.5 * v, 0.9 * v, 1.3 * v, 2.5 * v])
+
+    @pytest.mark.parametrize("r", [1.5, 0.3, 0.7777731])
+    def test_entries_on_grid_midpoints(self, r):
+        g = QuantizationGrid(2, r)
+        mids = g.values_for(np.arange(3)) + 0.5 * g.spacing
+        pool = np.concatenate([mids, np.nextafter(mids, np.inf), np.nextafter(mids, -np.inf),
+                               [-2 * r, -r, 0.1 * r, 2 * r]])
+        X = np.random.default_rng(7).choice(pool, size=(30, 20))
+        self.check(X, 2, [r, 0.99 * r, 1.01 * r])
+
+    @pytest.mark.parametrize("bits", [1, 2, 4])
+    def test_single_element(self, bits):
+        self.check(np.array([[-0.37]]), bits, [0.1, 0.2, 0.5, 2.0, 1e3])
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_squares_beyond_float_range(self):
+        X = np.array([[-3e200, 1.0, 2e200]])
+        f = quantization_objective(X, 2)
+        for r in (1.0, 1e200, 5e200):
+            assert f(r) == plain_objective(X, 2, r) == np.inf
+
+    def test_zero_error_is_rounding_noise(self):
+        # an exact fit leaves only the rounding of the moment form
+        X = np.array([[-0.37, 0.37, 0.37]])
+        assert quantization_objective(X, 1)(0.37) <= 1e-7 * fro_norm(X)
+
+    @pytest.mark.parametrize("r", [1.5, 0.3, 0.25, 2.0 / 3.0])
+    @pytest.mark.parametrize("bits", [1, 2, 3, 8])
+    def test_level_runs_match_the_encoder(self, bits, r):
+        from embcompress.compress import _level_starts
+
+        g = QuantizationGrid(bits, r)
+        edges = g.values_for(np.arange(g.num_levels)) + 0.5 * g.spacing
+        pool = np.concatenate([edges, np.nextafter(edges, np.inf),
+                               np.nextafter(edges, -np.inf), [-3 * r, 3 * r, 0.0, -0.0]])
+        x = np.sort(np.random.default_rng(bits).choice(pool, size=997))
+        codes = quantize_codes(x[None, :], g)[0]
+        want = np.searchsorted(codes, np.arange(1, g.num_levels), side="left")
+        np.testing.assert_array_equal(_level_starts(x, g), want)
+
+
 class TestUniformCompression:
     def test_grid_matrix_round_trips_exactly(self):
         g = QuantizationGrid(3, 0.9371)
@@ -383,6 +500,49 @@ class TestKmeans1D:
     def test_centroids_sorted(self):
         centroids, _ = kmeans_1d(RNG.normal(size=500), 16)
         assert np.all(np.diff(centroids) >= 0)
+
+
+class TestKmeansLloydOracle:
+    """kmeans_1d against :func:`bincount_lloyd` on inputs seeded at quantiles
+    (more than 1024 values, or K at least the number of values)."""
+
+    CASES = {
+        "student_t_k8": (gen_student_t_matrix(40, 50, df=4.0, scale=1.0, seed=2).ravel(), 8),
+        "student_t_k16": (gen_student_t_matrix(40, 50, df=4.0, scale=1.0, seed=3).ravel(), 16),
+        "duplicates": (np.random.default_rng(4).choice([-1.25, 0.1, 0.3, 2.0, 7.5], 3000), 4),
+        "k_above_distinct": (np.random.default_rng(5).choice([-1.25, 0.1, 0.3, 2.0, 7.5], 3000), 8),
+        "empty_clusters": (np.concatenate([np.zeros(2000), np.full(15, 1.0), np.full(9, 2.5)]), 4),
+        "k_above_n": (np.array([1.0, 1.0, 2.0]), 4),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_bincount_lloyd(self, case, monkeypatch):
+        from embcompress import compress as compress_mod
+
+        values, K = self.CASES[case]
+        segments = compress_mod._SortedScalars.segments
+        calls = []
+
+        def counted(self, bounds):
+            calls.append(1)
+            return segments(self, bounds)
+
+        monkeypatch.setattr(compress_mod._SortedScalars, "segments", counted)
+        centroids, assign = kmeans_1d(values, K)
+        ref_c, ref_a, iterations = bincount_lloyd(values, K)
+        np.testing.assert_array_equal(assign, ref_a)
+        assert len(calls) == iterations  # one run lookup per Lloyd iteration
+        np.testing.assert_allclose(
+            centroids, ref_c, rtol=1e-12, atol=1e-12 * float(np.max(np.abs(values)))
+        )
+
+    def test_cases_reach_the_edges(self):
+        _, K = self.CASES["empty_clusters"]
+        centroids, _, _ = bincount_lloyd(*self.CASES["empty_clusters"])
+        assert np.unique(centroids).size < K  # a seed stays put with no members
+        values, K = self.CASES["k_above_distinct"]
+        assert np.unique(values).size < K
+        assert max(bincount_lloyd(v, K)[2] for v, K in self.CASES.values()) > 5
 
 
 class TestKmeansCompression:

@@ -1,6 +1,7 @@
 import json
 import math
 import struct
+import tracemalloc
 import warnings
 import zlib
 
@@ -117,6 +118,34 @@ class TestTextFormat:
         write_text_embedding(X, vocab(1), p)
         X2, _ = read_text_embedding(p)
         np.testing.assert_array_equal(X2, X)
+
+    def test_headered_file_fills_one_array(self, tmp_path):
+        n, d = 10_000, 100
+        values = np.random.default_rng(3).integers(-99, 100, size=(n, d)) / 8
+        body = "".join(f"w{i} " + " ".join(map(str, row)) + "\n"
+                       for i, row in enumerate(values.tolist()))
+        plain, headered = tmp_path / "plain.txt", tmp_path / "headered.txt"
+        plain.write_text(body)
+        headered.write_text(f"{n} {d}\n" + body)
+        X, v = read_text_embedding(plain)
+        tracemalloc.start()
+        try:
+            Y, w = read_text_embedding(headered)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert Y.tobytes() == X.tobytes() and Y.shape == X.shape and w == v
+        assert peak < 1.6 * X.nbytes
+
+    def test_implausible_header_is_not_allocated(self, tmp_path):
+        # 2 * n * d bytes would not fit in the file: no n x d array is made
+        p = tmp_path / "emb.txt"
+        p.write_text("1000000000000 1000000\na 1 2\nb 3 4\n")
+        with pytest.raises(FormatError) as exc:
+            read_text_embedding(p)
+        assert str(exc.value) == (
+            f"{p}: header declares 1000000000000x1000000 but the file holds 2x2"
+        )
 
     def test_header_only_file(self, tmp_path):
         p = tmp_path / "emb.txt"
@@ -246,6 +275,9 @@ class TestBlockReaderOracle:
             ("\n\n" + "\n".join(_ROWS), "fasttext", ":1: expected a 'n d' header line"),
             ("7 3\n" + "\n".join(_ROWS), "auto", "header declares 7x3 but the file holds 6x3"),
             ("6 4\n" + "\n".join(_ROWS), "auto", "header declares 6x4 but the file holds 6x3"),
+            ("5 3\n" + "\n".join(_ROWS), "auto", "header declares 5x3 but the file holds 6x3"),
+            ("6 2\n" + "\n".join(_ROWS), "auto", "header declares 6x2 but the file holds 6x3"),
+            ("900 3\n" + "\n".join(_ROWS), "auto", "header declares 900x3 but the file holds 6x3"),
             ("\n".join(_ROWS), "fasttext", ":1: expected a 'n d' header line"),
             ("6 3\r\n" + "\r\n".join(_ROWS) + "\r\n", "auto", "ok"),
             ("6 3\n" + "\n".join(_ROWS), "glove", ":2: row has 3 values, expected 1"),
@@ -326,14 +358,16 @@ class TestTextWriterGolden:
         assert X2.tobytes() == X.tobytes()
         assert v2 == v
 
-def hand_built_container(method_code, n, d, section):
-    """A container with the given method section, no vocabulary and a valid
-    CRC, laid out as the README describes."""
+def hand_built_container(method_code, n, d, section, tokens=(), n_tokens=None):
+    """A container with the given method section and tokens (none by
+    default) and a valid CRC, laid out as the README describes; ``n_tokens``
+    overrides the declared token count."""
     body = (
         storage.MAGIC
         + struct.pack("<HBBQQI", storage.FORMAT_VERSION, method_code, 0, 0, n, d)
         + section
-        + struct.pack("<I", 0)
+        + struct.pack("<I", len(tokens) if n_tokens is None else n_tokens)
+        + b"".join(struct.pack("<I", len(t)) + t.encode() for t in tokens)
     )
     return body + struct.pack("<I", zlib.crc32(body))
 
@@ -446,6 +480,32 @@ class TestBinaryFormat:
         p.write_bytes(hand_built_container(method_code, n, 3, section))
         with pytest.raises((ValueError, StorageError), match="must be in"):
             read_compressed(p)
+
+    # uniform, 1 bit, clip 1.0, n = 3 rows of d = 2 codes (one byte each)
+    UNIFORM_3X2 = struct.pack("<Bd", 1, 1.0) + bytes(3)
+
+    @pytest.mark.parametrize("tokens", [("a", "b"), ("a", "b", "c", "d")])
+    def test_token_count_must_match_rows(self, tmp_path, tokens):
+        p = tmp_path / "c.eqc"
+        p.write_bytes(hand_built_container(0, 3, 2, self.UNIFORM_3X2, tokens))
+        with pytest.raises(FormatError) as exc:
+            read_compressed(p)
+        assert str(exc.value) == (
+            f"{p}: vocabulary has {len(tokens)} tokens but the matrix has 3 rows"
+        )
+
+    def test_token_count_checked_before_the_tokens(self, tmp_path):
+        # 2**32 - 1 declared tokens and none present: the count is the error
+        p = tmp_path / "c.eqc"
+        p.write_bytes(hand_built_container(0, 3, 2, self.UNIFORM_3X2, n_tokens=2**32 - 1))
+        with pytest.raises(FormatError, match="4294967295 tokens but the matrix has 3 rows"):
+            read_compressed(p)
+
+    def test_matching_token_count_reads(self, tmp_path):
+        p = tmp_path / "c.eqc"
+        p.write_bytes(hand_built_container(0, 3, 2, self.UNIFORM_3X2, ("a", "b", "c")))
+        C, v = read_compressed(p)
+        assert v == Vocabulary(("a", "b", "c")) and C.n == 3
 
     def test_vocabulary_optional(self, tmp_path):
         X = RNG.normal(size=(3, 3))
