@@ -345,10 +345,11 @@ def _simulate_clipping(cfg: dict) -> tuple[dict, list[dict]]:
     xmax = float(np.max(np.abs(X)))
     points = int(cfg.get("r_points", 100))
     r_grid = np.linspace(xmax / points, xmax, points)
+    base = PreparedBase(X)
     rows = []
     for bits in cfg.get("bits", [1, 2, 4]):
         for rounding in cfg.get("rounding", ["deterministic", "stochastic"]):
-            for row in clipping_curve(X, int(bits), rounding, r_grid, seed=seed):
+            for row in clipping_curve(base, int(bits), rounding, r_grid, seed=seed):
                 rows.append({"bits": int(bits), "rounding": rounding, **row})
     return {"experiment": "clipping_curve", "rows": rows}, rows
 

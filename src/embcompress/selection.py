@@ -112,8 +112,9 @@ class Ranking:
 
 def rank_candidates(base, candidates, measure: MeasureSpec, lam: float | None = None) -> Ranking:
     """Order an iterable of dense or :class:`CompressedEmbedding` candidates
-    by one measure against the base matrix.  The base is factored once.
-    Ranking by overlap computes the overlap alone, one SVD per candidate;
+    by one measure against the base matrix.  The base is factored once, and
+    a candidate takes an SVD only when it leaves the Gram path (see
+    :class:`PreparedBase`).  Ranking by overlap computes the overlap alone;
     any other measure computes the candidate's full quality report."""
     prepared = PreparedBase(base)
     lam = prepared.resolve_lambda(lam)

@@ -466,7 +466,7 @@ def simulate_lipschitz_gap(
     if not L > 0:
         raise ValueError(f"L must be positive, got {L}")
     rng = CounterRng(seed)
-    X, Xt, fx, ft = _full_rank_pair(X, Xt, model)
+    X, Xt, fx, _ = _full_rank_pair(X, Xt, model)
     n, d = X.shape
     gd = gd or GdConfig()
     Ybar = _true_labels(fx, model, trials, rng)
@@ -476,9 +476,8 @@ def simulate_lipschitz_gap(
     Wt = _fit_logistic_gd(Xt, Y, gd)
     test_x = mean_logistic_loss(X @ W, Ybar, axis=0)
     test_t = mean_logistic_loss(Xt @ Wt, Ybar, axis=0)
-    # both designs have full column rank, so their whole U factors are the
-    # retained bases eigenspace_overlap would take from two more SVDs
-    score = sq_fro_norm(fx.U.T @ ft.U) / max(d, Xt.shape[1])
+    # the overlap lipschitz_gap_bound takes, on X's factors already in hand
+    score = PreparedBase(X, fx).overlap(Xt)
     return _experiment_result(
         test_t - test_x, _lipschitz_bound(X.shape, score, L, model), "upper_bound",
         X, Xt, model, seed, L=L,
@@ -568,13 +567,15 @@ def clipping_curve(X, bits: int, rounding: str, r_grid, seed: int = 0) -> list[d
 
     Each grid point clips, quantizes at that threshold with the requested
     rounding, and records the overlap with the original plus ||Xt - X||_F.
+    ``X`` may be a :class:`PreparedBase`, so that several curves on one
+    matrix factor it once.
     """
-    X = as_matrix(X, "X")
+    prepared = X if isinstance(X, PreparedBase) else PreparedBase(X)
+    X = prepared.X
     r_grid = np.asarray(r_grid, dtype=np.float64).ravel()
     xmax = float(np.max(np.abs(X)))
     if r_grid.size == 0 or np.any(r_grid <= 0) or np.any(r_grid > xmax):
         raise ValueError("r_grid must lie in (0, max|X|]")
-    prepared = PreparedBase(X)
     rng = CounterRng(seed)
     rows = []
     for i, r in enumerate(r_grid):

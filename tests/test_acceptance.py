@@ -28,6 +28,7 @@ from embcompress.compress import (
 )
 from embcompress.linalg import sq_fro_norm, thin_svd
 from embcompress.measures import (
+    PreparedBase,
     eigenspace_overlap,
     pip_loss,
     projected_reconstruction_error,
@@ -250,9 +251,10 @@ def test_criterion_6_clipping():
     X = gen_student_t_matrix(10_000, 50, df=5.0, scale=1.0, seed=0)
     xmax = float(np.max(np.abs(X)))
     r_grid = np.linspace(xmax / 100, xmax, 100)
+    base = PreparedBase(X)
     for bits in (1, 2, 4):
         curves = {
-            mode: clipping_curve(X, bits, mode, r_grid, seed=0)
+            mode: clipping_curve(base, bits, mode, r_grid, seed=0)
             for mode in ("deterministic", "stochastic")
         }
         for mode, rows in curves.items():

@@ -198,6 +198,47 @@ def test_evaluate_pipeline(tmp_path):
     assert csv_out.read_text().startswith("task,measure")
 
 
+def test_evaluate_inf_delta_and_missing_candidates(tmp_path, capsys):
+    # a measure report as `measure` writes it, with delta_max "inf" for b;
+    # the CSV lacks the reported d and names the unreported e
+    rep_dir = tmp_path / "reports"
+    rep_dir.mkdir()
+    (rep_dir / "measure.json").write_text("""{
+  "body": {"reports": {
+    "a": {"delta_max": 1.5, "eigenspace_overlap": 0.9, "dims": [50, 4, 4],
+          "lambda_used": 0.25, "ranks": [4, 4]},
+    "b": {"delta_max": "inf", "eigenspace_overlap": 0.5, "dims": [50, 4, 4],
+          "lambda_used": 0.25, "ranks": [4, 3]},
+    "c": {"delta_max": 3.0, "eigenspace_overlap": 0.7, "dims": [50, 4, 4],
+          "lambda_used": 0.25, "ranks": [4, 4]},
+    "d": {"delta_max": 2.0, "eigenspace_overlap": 0.8, "dims": [50, 4, 2],
+          "lambda_used": 0.25, "ranks": [4, 2]}
+  }},
+  "input_digests": {},
+  "tool_version": "0"
+}
+""")
+    perf = tmp_path / "perf.csv"
+    perf.write_text(
+        "candidate_id,task,performance,seed\n"
+        "a,sst,0.9,0\nb,sst,0.6,0\nc,sst,0.8,0\ne,sst,0.7,0\n"
+    )
+    out = tmp_path / "summary.json"
+    assert run(["evaluate", "--perf", str(perf), "--reports", str(rep_dir),
+                "--out", str(out)]) == 0
+    body = read_report(out)["body"]
+    assert body["missing_reports"] == ["e"]
+    assert body["missing_performance"] == ["d"]
+    by_measure = {row["measure"]: row for row in body["rows"]}
+    row = by_measure["delta_max"]
+    # b's infinite delta_max ranks it last, as its performance does
+    assert row["n_candidates"] == 3
+    assert math.isfinite(row["abs_spearman"]) and row["abs_spearman"] == pytest.approx(1.0)
+    assert row["selection_error_rate"] == 0.0
+    assert by_measure["eigenspace_overlap"]["abs_spearman"] == pytest.approx(1.0)
+    assert "sst/delta_max: |rho|=1.0000" in capsys.readouterr().out
+
+
 def test_simulate_theorem3_bound_value(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(

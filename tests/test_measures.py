@@ -5,7 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from embcompress.linalg import LinalgError, least_squares_solve, thin_svd
+from embcompress import measures
+from embcompress.linalg import LinalgError, least_squares_solve, sq_fro_norm, thin_svd
 from embcompress.measures import (
     PreparedBase,
     RankDeficiencyWarning,
@@ -363,6 +364,8 @@ def _oracle_pairs():
     # rank 3 in 8 columns, as a PCA --keep-v candidate decompresses
     yield "pca-keep-v", X, decompress(compress_pca(X, 3, keep_v=True)), 0.5
     yield "pca-narrow", X, decompress(compress_pca(X, 3)), 0.5
+    # rank 7 in 8 columns: a full-rank candidate against a rank-deficient base
+    yield "rank-deficient-base", np.hstack([X[:, :7], X[:, :1]]), rng.normal(size=(60, 5)), 0.5
     # column scales from 1 down to 1e-6: condition number about 1e6
     S = gen_scaled_matrix(150, 6, 1e-6, seed=3)
     yield "scaled", S, stochastic_quantize_full_range(S, 4, seed=4), 1e-3
@@ -404,3 +407,114 @@ class TestPreparedBaseOracles:
         assert spectral_deltas(X, Xt, lam) == (rep.delta1, rep.delta2, rep.delta, rep.delta_max)
         assert quality_report(X, Xt).lambda_used == prepared.resolve_lambda()
         assert prepared.overlap(Xt) == rep.eigenspace_overlap
+
+
+@pytest.fixture()
+def candidate_svds(monkeypatch):
+    """Counts the SVDs that PreparedBase takes once it is built."""
+    calls = []
+
+    def counted(M):
+        calls.append(M.shape)
+        return thin_svd(M)
+
+    monkeypatch.setattr(measures, "thin_svd", counted)
+    return calls
+
+
+def svd_path_report(prepared, Xt, lam, monkeypatch):
+    """The report with every candidate sent down the SVD path."""
+    with monkeypatch.context() as m:
+        m.setattr(measures, "_GRAM_MAX_COND", 0.0)
+        return prepared.report(Xt, lam)
+
+
+def assert_paths_agree(gram, svd, prepared):
+    assert abs(gram.eigenspace_overlap - svd.eigenspace_overlap) <= 1e-10
+    assert abs(gram.projected_reconstruction_error - svd.projected_reconstruction_error) <= (
+        1e-10 * prepared.sq_norm
+    )
+    assert abs(gram.pip_loss - svd.pip_loss) <= 1e-10 * svd.pip_loss
+    assert gram.rank_xt == svd.rank_xt == gram.k
+
+
+def _student_t_pairs():
+    from embcompress.compress import compress_pca, compress_uniform, decompress
+    from embcompress.theory import gen_student_t_matrix
+
+    X = gen_student_t_matrix(10_000, 50, df=5.0, scale=1.0, seed=0)
+    yield "k=d-1bit", X, decompress(compress_uniform(X, 1))
+    yield "k=d-4bit-stoch", X, decompress(compress_uniform(X, 4, rounding="stochastic", seed=1))
+    yield "k<d-pca", X, decompress(compress_pca(X, 20))
+    yield "k<d-columns", X, X[:, :30] + 0.1 * RNG.standard_t(5, size=(10_000, 30))
+
+
+def _rotated_spectrum(n, k, cond, seed):
+    """n x k with singular values spread evenly in log scale over ``cond``,
+    under a random rotation, so no column scaling undoes the conditioning."""
+    rng = np.random.default_rng(seed)
+    Q = np.linalg.qr(rng.normal(size=(n, k)))[0]
+    V = np.linalg.qr(rng.normal(size=(k, k)))[0]
+    return (Q * np.logspace(0, -math.log10(cond), k)) @ V
+
+
+class TestGramPath:
+    """Candidates scored from their Gram matrix against the SVD path."""
+
+    @pytest.mark.parametrize("case", list(_student_t_pairs()), ids=lambda c: c[0])
+    def test_matches_svd_path(self, case, candidate_svds, monkeypatch):
+        _, X, Xt = case
+        prepared = PreparedBase(X)
+        del candidate_svds[:]
+        gram = prepared.report(Xt, 0.5)
+        assert candidate_svds == []
+        assert prepared.overlap(Xt) == gram.eigenspace_overlap
+        assert_paths_agree(gram, svd_path_report(prepared, Xt, 0.5, monkeypatch), prepared)
+
+    @pytest.mark.parametrize("cond", [1e2, 5e2, 2e3, 1e5])
+    def test_cond_sweep_picks_the_path(self, cond, candidate_svds, monkeypatch):
+        X = RNG.normal(size=(2000, 12))
+        Xt = _rotated_spectrum(2000, 10, cond, seed=int(cond))
+        prepared = PreparedBase(X)
+        del candidate_svds[:]
+        rep = prepared.report(Xt, 0.5)
+        assert len(candidate_svds) == (0 if cond <= measures._GRAM_MAX_COND else 1)
+        assert_paths_agree(rep, svd_path_report(prepared, Xt, 0.5, monkeypatch), prepared)
+
+
+def _fallback_pairs():
+    from embcompress.compress import compress_pca, compress_uniform, decompress
+    from embcompress.theory import gen_scaled_matrix, stochastic_quantize_full_range
+
+    X = RNG.normal(size=(60, 8))
+    yield "pca-keep-v", X, decompress(compress_pca(X, 3, keep_v=True))
+    # the scaled matrix itself, cond 1e6, as the candidate of its quantization
+    S = gen_scaled_matrix(150, 6, 1e-6, seed=3)
+    yield "scaled-cond-1e6", stochastic_quantize_full_range(S, 4, seed=4), S
+    W = RNG.normal(size=(30, 5))
+    yield "k>n", W, RNG.normal(size=(30, 40))
+    Z = decompress(compress_uniform(X, 2))
+    Z[:, 3] = 0.0
+    yield "zero-column", X, Z
+
+
+@pytest.mark.filterwarnings("ignore::embcompress.measures.RankDeficiencyWarning")
+@pytest.mark.parametrize("case", list(_fallback_pairs()), ids=lambda c: c[0])
+def test_fallback_takes_the_svd_and_its_values(case, candidate_svds):
+    # each of these leaves the Gram path, takes exactly one SVD of Xt, and
+    # reports what the SVD formulas give
+    _, X, Xt = case
+    prepared = PreparedBase(X)
+    del candidate_svds[:]
+    rep = prepared.report(Xt, 1e-3)
+    assert candidate_svds == [Xt.shape]
+    assert prepared.overlap(Xt) == rep.eigenspace_overlap
+    ft = thin_svd(Xt)
+    Ut = ft.U[:, : ft.rank()]
+    U = prepared.U
+    assert rep.eigenspace_overlap == sq_fro_norm(U.T @ Ut) / max(X.shape[1], Xt.shape[1])
+    assert rep.projected_reconstruction_error == max(
+        sq_fro_norm(X) - sq_fro_norm(Ut.T @ X), 0.0
+    )
+    assert rep.pip_loss == pip_loss(X, Xt)
+    assert rep.rank_xt == ft.rank()

@@ -137,6 +137,41 @@ class TestTextFormat:
         assert Y.tobytes() == X.tobytes() and Y.shape == X.shape and w == v
         assert peak < 1.6 * X.nbytes
 
+    def test_headerless_file_fills_one_array(self, tmp_path):
+        # the form write_text_embedding writes: no header, 17-digit values
+        X = RNG.standard_t(5, size=(10_000, 100))
+        v = vocab(10_000)
+        p = tmp_path / "emb.txt"
+        write_text_embedding(X, v, p)
+        tracemalloc.start()
+        try:
+            Y, w = read_text_embedding(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert Y.tobytes() == X.tobytes() and Y.shape == X.shape and w == v
+        assert peak < 1.7 * X.nbytes
+
+    @pytest.mark.parametrize("long_first", [True, False])
+    @pytest.mark.parametrize("block_rows", [3, 256])
+    def test_row_estimate_off_either_way(self, tmp_path, monkeypatch, block_rows, long_first):
+        # long rows first make the size-based row estimate fall short, so the
+        # array grows; short rows first make it overshoot, so it is trimmed
+        monkeypatch.setattr(storage, "TEXT_BLOCK_ROWS", block_rows)
+        X = RNG.normal(size=(2000, 4))
+        tokens = [f"{'x' * 200}{i}" for i in range(1000)] + [f"w{i}" for i in range(1000)]
+        if not long_first:
+            tokens.reverse()
+        body = "".join(f"{t} " + " ".join(map(repr, row)) + "\n"
+                       for t, row in zip(tokens, X.tolist()))
+        plain, headered = tmp_path / "plain.txt", tmp_path / "headered.txt"
+        plain.write_text(body)
+        headered.write_text("2000 4\n" + body)
+        Y, w = read_text_embedding(plain)
+        Z, u = read_text_embedding(headered)
+        assert Y.tobytes() == Z.tobytes() == X.tobytes() and Y.shape == X.shape
+        assert w == u and w.tokens == tuple(tokens) and Y.flags.c_contiguous
+
     def test_implausible_header_is_not_allocated(self, tmp_path):
         # 2 * n * d bytes would not fit in the file: no n x d array is made
         p = tmp_path / "emb.txt"
