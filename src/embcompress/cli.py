@@ -88,7 +88,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--bits", type=int, help="bits per entry (uniform/kmeans)")
     p.add_argument("--dim", type=int, help="retained dimension k (pca)")
     p.add_argument("--rounding", choices=("det", "stoch"), default="det")
-    p.add_argument("--clip-search", choices=("golden", "grid"), default="golden")
     p.add_argument("--keep-v", action="store_true", help="store the right factor (pca)")
     p.add_argument("input")
     p.add_argument("output")
@@ -155,7 +154,6 @@ def _cmd_compress(args) -> int:
                 args.bits,
                 rounding=rounding,
                 seed=args.seed,
-                clip_search=args.clip_search,
                 threads=_default_threads(args.threads),
             )
         else:
@@ -221,11 +219,7 @@ def _cmd_evaluate(args) -> int:
         raise StorageError(f"{report_dir}: not a directory")
     for path in sorted(report_dir.glob("*.json")):
         doc = storage.read_report(path)
-        for cid, rep in doc["body"].get("reports", {}).items():
-            reports[cid] = {
-                k: storage.from_jsonable_number(v) if not isinstance(v, list) else v
-                for k, v in rep.items()
-            }
+        reports.update(doc["body"].get("reports", {}))
     summary = evaluate_measures(reports, perf)
     storage.write_report(summary, args.out, inputs={"perf": args.perf})
     if args.csv:

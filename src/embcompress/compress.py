@@ -330,7 +330,6 @@ def compress_uniform(
     rounding: str = ROUNDING_DETERMINISTIC,
     seed: int = 0,
     tol: float = 0.01,
-    clip_search: str = "golden",
     threads: int = 1,
 ) -> CompressedEmbedding:
     """Clip-search uniform quantization.
@@ -344,7 +343,7 @@ def compress_uniform(
     X = as_matrix(X)
     if rounding not in ROUNDINGS:
         raise ValueError(f"unknown rounding {rounding!r}")
-    grid = QuantizationGrid(bits, find_clip_threshold(X, bits, tol=tol, method=clip_search))
+    grid = QuantizationGrid(bits, find_clip_threshold(X, bits, tol=tol))
     rng = CounterRng(seed)
 
     def encode(span):

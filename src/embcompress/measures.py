@@ -10,6 +10,8 @@ lambda-regularized Gram pencil.
 from __future__ import annotations
 
 import math
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -74,6 +76,19 @@ def _pair(X, Xt):
     return X, Xt
 
 
+_PACKAGE_DIR = os.path.dirname(__file__) + os.sep
+
+
+def _caller_stacklevel() -> int:
+    """The ``stacklevel`` that makes a warning issued by the caller of this
+    function point at the first frame outside the embcompress package.
+    (``warnings.warn(skip_file_prefixes=...)`` would do this from Python 3.12.)"""
+    level, frame = 1, sys._getframe(1)
+    while frame is not None and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
+        level, frame = level + 1, frame.f_back
+    return level
+
+
 def _retained_basis(f: ThinSVD, name: str) -> np.ndarray:
     rank = f.rank()
     cols = f.V.shape[0]
@@ -82,7 +97,7 @@ def _retained_basis(f: ThinSVD, name: str) -> np.ndarray:
             f"{name} is numerically rank-deficient (rank {rank} < {cols}); "
             "using the retained singular vectors",
             RankDeficiencyWarning,
-            stacklevel=3,
+            stacklevel=_caller_stacklevel(),
         )
     return f.U[:, :rank]
 

@@ -466,15 +466,6 @@ def to_jsonable(obj):
     return obj
 
 
-def from_jsonable_number(v):
-    """Undo the "inf"/"-inf" encoding for a single scalar."""
-    if v == "inf":
-        return math.inf
-    if v == "-inf":
-        return -math.inf
-    return v
-
-
 def file_digest(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 

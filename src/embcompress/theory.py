@@ -68,12 +68,12 @@ class LabelModel:
             return float(d)
         return float(np.trace(self.covariance))
 
-    def lambda_min(self, d: int) -> float:
+    def lambda_min(self) -> float:
         if self.covariance is None:
             return 1.0
         return float(np.min(np.linalg.eigvalsh(self.covariance)))
 
-    def sqrt_factor(self, d: int) -> np.ndarray | None:
+    def sqrt_factor(self) -> np.ndarray | None:
         """Symmetric PSD square root for sampling z = S g, or None for
         identity covariance."""
         if self.covariance is None:
@@ -159,7 +159,7 @@ def _exact_gap(X, Xt, fx: ThinSVD, ft: ThinSVD, model: LabelModel) -> float:
     n, d = X.shape
     k = Xt.shape[1]
     M = ft.U.T @ fx.U
-    S = model.sqrt_factor(d)
+    S = model.sqrt_factor()
     if S is not None:
         M = M @ S
     return (model.trace(d) - sq_fro_norm(M)) / n - (d - k) * model.sigma2(n, d) / n
@@ -175,28 +175,35 @@ def expected_gap_upper_bound(X, Xt, model: LabelModel) -> float:
     model.check_dim(d)
     score = eigenspace_overlap(X, Xt)
     tr = model.trace(d)
-    return (tr - d * model.lambda_min(d) * score) / n - (
+    return (tr - d * model.lambda_min() * score) / n - (
         model.noise_ratio**2 * tr * (d - k) / n**2
     )
+
+
+def _prepared(X) -> PreparedBase:
+    return X if isinstance(X, PreparedBase) else PreparedBase(X)
+
+
+def _matrix_and_svd(X) -> tuple[np.ndarray, ThinSVD | None]:
+    """X as a validated matrix, with its thin SVD when X is a PreparedBase."""
+    if isinstance(X, PreparedBase):
+        return X.X, X.svd
+    return as_matrix(X, "X"), None
 
 
 def lipschitz_gap_bound(X, Xt, L: float, model: LabelModel) -> float:
     """Upper bound on the expected risk gap for an L-Lipschitz convex loss:
     (L/sqrt(n)) (sqrt(trace(Sigma) - d lambda_min(Sigma) overlap)
-    + 2 c sqrt(trace(Sigma)))."""
+    + 2 c sqrt(trace(Sigma))).  ``X`` may be a :class:`PreparedBase`."""
     if not L > 0:
         raise ValueError(f"L must be positive, got {L}")
-    X = as_matrix(X, "X")
+    base = _prepared(X)
     Xt = as_matrix(Xt, "Xt")
-    model.check_dim(X.shape[1])
-    return _lipschitz_bound(X.shape, eigenspace_overlap(X, Xt), L, model)
-
-
-def _lipschitz_bound(shape, score: float, L: float, model: LabelModel) -> float:
-    """:func:`lipschitz_gap_bound` for an n x d design X at overlap ``score``."""
-    n, d = shape
+    n, d = base.X.shape
+    model.check_dim(d)
+    score = base.overlap(Xt)
     tr = model.trace(d)
-    inner = max(tr - d * model.lambda_min(d) * score, 0.0)
+    inner = max(tr - d * model.lambda_min() * score, 0.0)
     return (L / math.sqrt(n)) * (math.sqrt(inner) + 2.0 * model.noise_ratio * math.sqrt(tr))
 
 
@@ -216,29 +223,24 @@ def uniform_overlap_bound(bits: int, a: float) -> float:
 
 
 def conditioning_scalar(X) -> float:
-    """The scalar a with s_min(X) = a * sqrt(n/d)."""
-    X = as_matrix(X, "X")
-    return _conditioning(X, thin_svd(X))
-
-
-def _conditioning(X: np.ndarray, f: ThinSVD) -> float:
+    """The scalar a with s_min(X) = a * sqrt(n/d).  ``X`` may be a
+    :class:`PreparedBase`."""
+    X, f = _matrix_and_svd(X)
+    f = thin_svd(X) if f is None else f
     return float(f.s[-1] / math.sqrt(X.shape[0] / X.shape[1]))
 
 
 def davis_kahan_sample_bound(X, Xt) -> float:
     """Per-sample perturbation bound on the overlap shortfall:
     ||Xt Xt^T - X X^T||_F^2 / (d * s_min(X)^4), valid under the eigenvalue
-    separation conditions of the sin-theta inequality."""
-    X = as_matrix(X, "X")
+    separation conditions of the sin-theta inequality.  ``X`` may be a
+    :class:`PreparedBase`."""
+    X, f = _matrix_and_svd(X)
     Xt = as_matrix(Xt, "Xt")
     if X.shape != Xt.shape:
         raise ValueError(f"shape mismatch: {X.shape} vs {Xt.shape}")
-    return _davis_kahan(X, Xt, _require_full_rank(X, "X"))
-
-
-def _davis_kahan(X: np.ndarray, Xt: np.ndarray, fx: ThinSVD) -> float:
-    """:func:`davis_kahan_sample_bound` given the full-rank SVD of X."""
-    return pip_loss(X, Xt) ** 2 / (X.shape[1] * float(fx.s[-1]) ** 4)
+    f = _require_full_rank(X, "X", f)
+    return pip_loss(X, Xt) ** 2 / (X.shape[1] * float(f.s[-1]) ** 4)
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +330,7 @@ def _true_labels(fx: ThinSVD, model: LabelModel, trials: int, rng: CounterRng) -
     if trials < 2:
         raise ValueError(f"trials must be >= 2, got {trials}")
     Z = rng.substream(0).normal_block(trials, fx.U.shape[1])
-    S = model.sqrt_factor(fx.U.shape[1])
+    S = model.sqrt_factor()
     if S is not None:
         Z = Z @ S  # S symmetric, so rows become S g
     return fx.U @ Z.T
@@ -374,19 +376,12 @@ def _sigmoid(z):
     return scipy.special.expit(z)
 
 
-def _softplus(z):
-    return np.logaddexp(0.0, z)
-
-
-def logistic_loss(pred_logits, target_logits):
-    """Cross-entropy between Bernoulli parameters given as logits,
-    elementwise: sig(z) softplus(-z') + (1 - sig(z)) softplus(z')."""
-    p = _sigmoid(target_logits)
-    return p * _softplus(-np.asarray(pred_logits)) + (1.0 - p) * _softplus(pred_logits)
-
-
-def mean_logistic_loss(pred_logits, target_logits, axis=None):
-    return np.mean(logistic_loss(pred_logits, target_logits), axis=axis)
+def _cross_entropy(Z: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """Elementwise cross-entropy of Bernoulli(sigmoid(Z)) against targets of
+    probability P, in logits form: log(1 + e^Z) - P Z."""
+    loss = np.logaddexp(0.0, Z)
+    loss -= P * Z
+    return loss
 
 
 def _fit_logistic_gd(X: np.ndarray, Y: np.ndarray, gd: GdConfig) -> np.ndarray:
@@ -398,18 +393,19 @@ def _fit_logistic_gd(X: np.ndarray, Y: np.ndarray, gd: GdConfig) -> np.ndarray:
     smax = float(np.linalg.svd(X, compute_uv=False)[0])
     step = gd.step if gd.step is not None else 0.5 / (smax**2 / n)
 
-    S_target = _sigmoid(Y2)
+    P = _sigmoid(Y2)
     W = np.zeros((d, Y2.shape[1]))
-    total = det_sum(logistic_loss(X @ W, Y2))
+    Z = np.zeros(Y2.shape)  # X @ W
+    total = det_sum(_cross_entropy(Z, P))
     increases = 0
     for _ in range(gd.max_steps):
-        G = X.T @ (_sigmoid(X @ W) - S_target)
+        G = X.T @ (_sigmoid(Z) - P)
         if float(np.max(np.sqrt(np.sum(G * G, axis=0)))) <= tol:
             break
-        new_total = math.inf
         while True:
             W_new = W - step * G
-            new_total = det_sum(logistic_loss(X @ W_new, Y2))
+            Z_new = X @ W_new
+            new_total = det_sum(_cross_entropy(Z_new, P))
             if new_total <= total or step < 1e-20:
                 break
             step *= 0.5
@@ -421,7 +417,7 @@ def _fit_logistic_gd(X: np.ndarray, Y: np.ndarray, gd: GdConfig) -> np.ndarray:
                 )
         else:
             increases = 0
-        W, total = W_new, new_total
+        W, Z, total = W_new, Z_new, new_total
     else:
         warnings.warn(
             f"gradient descent stopped at max_steps={gd.max_steps} before "
@@ -474,14 +470,11 @@ def simulate_lipschitz_gap(
 
     W = _fit_logistic_gd(X, Y, gd)
     Wt = _fit_logistic_gd(Xt, Y, gd)
-    test_x = mean_logistic_loss(X @ W, Ybar, axis=0)
-    test_t = mean_logistic_loss(Xt @ Wt, Ybar, axis=0)
-    # the overlap lipschitz_gap_bound takes, on X's factors already in hand
-    score = PreparedBase(X, fx).overlap(Xt)
-    return _experiment_result(
-        test_t - test_x, _lipschitz_bound(X.shape, score, L, model), "upper_bound",
-        X, Xt, model, seed, L=L,
-    )
+    P = _sigmoid(Ybar)
+    test_x = np.mean(_cross_entropy(X @ W, P), axis=0)
+    test_t = np.mean(_cross_entropy(Xt @ Wt, P), axis=0)
+    bound = lipschitz_gap_bound(PreparedBase(X, fx), Xt, L, model)
+    return _experiment_result(test_t - test_x, bound, "upper_bound", X, Xt, model, seed, L=L)
 
 
 # ---------------------------------------------------------------------------
@@ -526,7 +519,7 @@ def scaling_experiment(axis: str, levels, base_config: dict, seeds) -> list[dict
                 X = gen_uniform_matrix(n, d, seed)
             Xt = stochastic_quantize_full_range(X, bits, CounterRng(seed).substream(1).seed)
             prepared = PreparedBase(X)
-            a = min(_conditioning(X, prepared.svd), 1.0)
+            a = min(conditioning_scalar(prepared), 1.0)
             bound = uniform_overlap_bound(bits, a) if a > 0 else math.inf
             rows.append(
                 {
@@ -547,16 +540,16 @@ def overlap_bound_experiment(X, bits: int, seeds, a: float | None = None) -> dic
     to the per-sample Davis-Kahan bound.  The overlap bound uses ``a``, or
     the measured conditioning scalar capped at 1.  X is factored once.
     """
-    X = as_matrix(X, "X")
     prepared = PreparedBase(X)
-    fx = _require_full_rank(X, "X", prepared.svd)
-    a = min(_conditioning(X, fx), 1.0) if a is None else a
+    X = prepared.X
+    _require_full_rank(X, "X", prepared.svd)
+    a = min(conditioning_scalar(prepared), 1.0) if a is None else a
     bound = uniform_overlap_bound(bits, a)
     per_seed = []
     for s in seeds:
         Xt = stochastic_quantize_full_range(X, bits, int(s))
         per_seed.append({"seed": int(s), "one_minus_overlap": 1.0 - prepared.overlap(Xt),
-                         "davis_kahan_bound": _davis_kahan(X, Xt, fx)})
+                         "davis_kahan_bound": davis_kahan_sample_bound(prepared, Xt)})
     mean_gap = float(np.mean([row["one_minus_overlap"] for row in per_seed]))
     return {"a": a, "bound": bound, "bound_capped": min(bound, 1.0), "vacuous": bound > 1.0,
             "mean_one_minus_overlap": mean_gap, "per_seed": per_seed}
@@ -570,7 +563,7 @@ def clipping_curve(X, bits: int, rounding: str, r_grid, seed: int = 0) -> list[d
     ``X`` may be a :class:`PreparedBase`, so that several curves on one
     matrix factor it once.
     """
-    prepared = X if isinstance(X, PreparedBase) else PreparedBase(X)
+    prepared = _prepared(X)
     X = prepared.X
     r_grid = np.asarray(r_grid, dtype=np.float64).ravel()
     xmax = float(np.max(np.abs(X)))

@@ -48,7 +48,7 @@ def test_help_and_usage_errors(capsys):
 @pytest.mark.parametrize(
     "command,flags",
     [
-        ("compress", ["--method", "--bits", "--dim", "--rounding", "--clip-search", "--keep-v"]),
+        ("compress", ["--method", "--bits", "--dim", "--rounding", "--keep-v"]),
         ("measure", ["--lambda", "--measures", "--out"]),
         ("select", ["--criterion"]),
         ("evaluate", ["--perf", "--reports", "--out", "--csv"]),

@@ -85,6 +85,18 @@ def test_overlap_bound_experiment_factors_base_once(calls):
     assert calls == {"svd": 1}
 
 
+@pytest.mark.parametrize("prepared", [False, True])
+def test_bounds_factor_a_plain_matrix_once_and_a_prepared_base_never(calls, prepared):
+    X = theory.gen_uniform_matrix(200, 5, seed=0)
+    Xt = theory.stochastic_quantize_full_range(X, 4, 1)  # on the Gram path
+    arg = measures.PreparedBase(X) if prepared else X
+    calls.update(svd=0)
+    theory.conditioning_scalar(arg)
+    theory.davis_kahan_sample_bound(arg, Xt)
+    theory.lipschitz_gap_bound(arg, Xt, 1.0, theory.LabelModel())
+    assert calls == {"svd": 0 if prepared else 3}
+
+
 def test_theorem2_factors_each_design_once(calls):
     X = theory.gen_uniform_matrix(120, 4, seed=0)
     Xt = compress_pca(X, 2).reduced

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +18,8 @@ from embcompress.measures import (
     reconstruction_error,
     spectral_deltas,
 )
+from embcompress.selection import MeasureSpec, select_best
+from embcompress.theory import LabelModel, lipschitz_gap_bound
 
 RNG = np.random.default_rng(314)
 
@@ -33,6 +36,42 @@ def dense_pencil_eigs(X, Xt, lam):
 
     return scipy.linalg.eigh(A, B, eigvals_only=True)
 
+
+
+def _rank_deficient_pair():
+    X = np.random.default_rng(11).normal(size=(40, 5))
+    Xt = X.copy()
+    Xt[:, 2] = 0.0
+    return X, Xt
+
+
+_X, _XT_DEFICIENT = _rank_deficient_pair()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: PreparedBase(_XT_DEFICIENT),
+        lambda: eigenspace_overlap(_X, _XT_DEFICIENT),
+        lambda: quality_report(_X, _XT_DEFICIENT),
+        lambda: spectral_deltas(_X, _XT_DEFICIENT, 1.0),
+        lambda: PreparedBase(_X).overlap(_XT_DEFICIENT),
+        lambda: PreparedBase(_X).report(_XT_DEFICIENT),
+        lambda: select_best(_X, [_X, _XT_DEFICIENT], MeasureSpec.default("eigenspace_overlap")),
+        lambda: select_best(_X, [_XT_DEFICIENT], MeasureSpec.default("delta_max")),
+        lambda: lipschitz_gap_bound(_XT_DEFICIENT, _X, 1.0, LabelModel()),
+    ],
+    ids=["PreparedBase", "eigenspace_overlap", "quality_report", "spectral_deltas",
+         "PreparedBase.overlap", "PreparedBase.report", "select_best-overlap",
+         "select_best-delta_max", "lipschitz_gap_bound"],
+)
+def test_rank_deficiency_warning_points_at_caller(call):
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        call()
+    record = [w for w in record if issubclass(w.category, RankDeficiencyWarning)]
+    assert len(record) == 1
+    assert record[0].filename == __file__
 
 class TestEigenspaceOverlap:
     def test_self_overlap_is_one(self):

@@ -1,14 +1,16 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from embcompress.compress import compress_pca, decompress
-from embcompress.linalg import LinalgError, least_squares_solve, sq_fro_norm, thin_svd
-from embcompress.measures import eigenspace_overlap
+from embcompress.linalg import LinalgError, det_sum, least_squares_solve, sq_fro_norm, thin_svd
+from embcompress.measures import PreparedBase, RankDeficiencyWarning, eigenspace_overlap
 from embcompress.rng import CounterRng
 from embcompress.theory import (
     GdConfig,
+    _fit_logistic_gd,
     LabelModel,
     clipping_curve,
     closed_form_risk,
@@ -230,6 +232,33 @@ class TestDavisKahanBound:
             assert gap <= davis_kahan_sample_bound(X, Xt)
 
 
+class TestBoundsOnPreparedBase:
+    def test_same_values_as_plain_matrix(self):
+        X = gen_uniform_matrix(80, 6, seed=2)
+        Xt = stochastic_quantize_full_range(X, 4, 3)
+        base = PreparedBase(X)
+        model = LabelModel(noise_ratio=0.1)
+        assert lipschitz_gap_bound(base, Xt, 2.0, model) == lipschitz_gap_bound(X, Xt, 2.0, model)
+        assert davis_kahan_sample_bound(base, Xt) == davis_kahan_sample_bound(X, Xt)
+        assert conditioning_scalar(base) == conditioning_scalar(X)
+
+    @pytest.mark.filterwarnings("ignore::embcompress.measures.RankDeficiencyWarning")
+    def test_same_errors_as_plain_matrix(self):
+        X = gen_uniform_matrix(40, 4, seed=3)
+        X[:, 1] = 0.0
+        with pytest.warns(RankDeficiencyWarning):
+            base = PreparedBase(X)
+        for arg in (X, base):
+            with pytest.raises(LinalgError, match="X is rank-deficient"):
+                davis_kahan_sample_bound(arg, X)
+            with pytest.raises(ValueError, match="shape mismatch"):
+                davis_kahan_sample_bound(arg, X[:, :3])
+            with pytest.raises(ValueError, match="covariance is 3x3"):
+                lipschitz_gap_bound(arg, X, 1.0, LabelModel(covariance=np.eye(3)))
+            with pytest.raises(ValueError, match="L must be positive"):
+                lipschitz_gap_bound(arg, X, 0.0, LabelModel())
+
+
 class TestGenerators:
     def test_uniform_bounds_and_reproducibility(self):
         X = gen_uniform_matrix(500, 16, seed=3)
@@ -287,6 +316,93 @@ class TestFitLinearModel:
         X[:, 0] = RNG.normal(size=10)
         with pytest.raises(LinalgError, match="rank"):
             fit_linear_model(X, np.zeros(10), "logistic")
+
+
+
+def _reference_fit_logistic_gd(X, Y, gd):
+    """The GD loop as first written, kept as an oracle: each loss evaluation
+    recomputes the target sigmoid and sums two softplus terms, and the
+    logits X @ W are recomputed for every gradient.  Returns the weights and
+    the final step."""
+    from scipy.special import expit
+
+    def loss(pred, target):
+        p = expit(target)
+        return p * np.logaddexp(0.0, -pred) + (1.0 - p) * np.logaddexp(0.0, pred)
+
+    n, d = X.shape
+    tol = gd.tol if gd.tol is not None else 1e-6 * n
+    smax = float(np.linalg.svd(X, compute_uv=False)[0])
+    step = gd.step if gd.step is not None else 0.5 / (smax**2 / n)
+    S_target = expit(Y)
+    W = np.zeros((d, Y.shape[1]))
+    total = det_sum(loss(X @ W, Y))
+    increases = 0
+    for _ in range(gd.max_steps):
+        G = X.T @ (expit(X @ W) - S_target)
+        if float(np.max(np.sqrt(np.sum(G * G, axis=0)))) <= tol:
+            break
+        while True:
+            W_new = W - step * G
+            new_total = det_sum(loss(X @ W_new, Y))
+            if new_total <= total or step < 1e-20:
+                break
+            step *= 0.5
+        if new_total > total:
+            increases += 1
+            if increases >= 20:
+                raise LinalgError("diverged")
+        else:
+            increases = 0
+        W, total = W_new, new_total
+    else:
+        warnings.warn("max_steps", RuntimeWarning)
+    return W, step
+
+
+def _logit_fixture(n, d, scale, seed):
+    """(X, Y): a uniform design and three columns of noisy logits whose
+    largest magnitude is about ``scale``."""
+    rng = CounterRng(seed)
+    X = gen_uniform_matrix(n, d, seed)
+    Y = X @ rng.substream(0).normal_block(d, 3)
+    Y += 0.1 * rng.substream(1).normal_block(n, 3) * float(np.std(Y))
+    return X, Y * (scale / float(np.max(np.abs(Y))))
+
+
+class TestLogisticGdOracle:
+    @pytest.mark.parametrize("n,d,scale,seed", [(60, 3, 3.0, 1), (200, 5, 8.0, 2),
+                                                 (40, 4, 1.0, 3)])
+    def test_default_config_matches_reference(self, n, d, scale, seed):
+        X, Y = _logit_fixture(n, d, scale, seed)
+        W_ref, _ = _reference_fit_logistic_gd(X, Y, GdConfig())
+        assert np.array_equal(_fit_logistic_gd(X, Y, GdConfig()), W_ref)
+
+    def test_logits_beyond_100(self):
+        X, Y = _logit_fixture(80, 4, 150.0, 4)
+        gd = GdConfig(max_steps=10_000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            W_ref, _ = _reference_fit_logistic_gd(X, Y, gd)
+            W = _fit_logistic_gd(X, Y, gd)
+        assert np.max(np.abs(Y)) > 100.0 and np.max(np.abs(X @ W_ref)) > 100.0
+        assert np.array_equal(W, W_ref)
+
+    def test_halved_step_matches_reference(self):
+        X, Y = _logit_fixture(60, 3, 4.0, 5)
+        gd = GdConfig(step=50.0)
+        W_ref, final_step = _reference_fit_logistic_gd(X, Y, gd)
+        assert final_step < gd.step
+        assert np.array_equal(_fit_logistic_gd(X, Y, gd), W_ref)
+
+    def test_max_steps_warns_and_matches_reference(self):
+        X, Y = _logit_fixture(60, 3, 4.0, 6)
+        gd = GdConfig(max_steps=7)
+        with pytest.warns(RuntimeWarning):
+            W_ref, _ = _reference_fit_logistic_gd(X, Y, gd)
+        with pytest.warns(RuntimeWarning, match="max_steps=7"):
+            W = _fit_logistic_gd(X, Y, gd)
+        assert np.array_equal(W, W_ref)
 
 
 class TestScalingExperiment:
