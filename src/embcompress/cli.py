@@ -133,8 +133,12 @@ def _default_threads(value: int) -> int:
     return os.cpu_count() or 1
 
 
-def _candidate_id(path) -> str:
-    return Path(path).stem
+def _candidate_ids(paths) -> list[str]:
+    """Candidate ids: the file stems, which must be distinct."""
+    ids = [Path(path).stem for path in paths]
+    if len(set(ids)) != len(ids):
+        raise UsageError("candidate files must have distinct stems (they become ids)")
+    return ids
 
 
 def _cmd_compress(args) -> int:
@@ -171,18 +175,15 @@ def _cmd_measure(args) -> int:
     for m in wanted:
         if m not in MEASURE_NAMES:
             raise UsageError(f"unknown measure {m!r}")
-    stems = [_candidate_id(p) for p in args.compressed]
-    if len(set(stems)) != len(stems):
-        raise UsageError("candidate files must have distinct stems (they become ids)")
+    ids = _candidate_ids(args.compressed)
     X, _ = storage.read_text_embedding(args.base, fmt=args.format)
     base = PreparedBase(X)
     lam = None if args.lam == "auto" else float(args.lam)
     reports = {}
     inputs = {"base": args.base}
-    for path in args.compressed:
+    for cid, path in zip(ids, args.compressed):
         C, _vocab = storage.read_compressed(path)
         rep = base.report(decompress(C), lam)
-        cid = _candidate_id(path)
         reports[cid] = {m: getattr(rep, m) for m in wanted}
         reports[cid].update(
             {"ranks": [rep.rank_x, rep.rank_xt], "dims": [rep.n, rep.d, rep.k],
@@ -198,8 +199,8 @@ def _cmd_measure(args) -> int:
 
 
 def _cmd_select(args) -> int:
+    ids = _candidate_ids(args.candidates)
     X, _ = storage.read_text_embedding(args.base, fmt=args.format)
-    ids = [_candidate_id(path) for path in args.candidates]
     candidates = (storage.read_compressed(path)[0] for path in args.candidates)
     ranking = rank_candidates(X, candidates, MeasureSpec.default(args.criterion))
     for idx, _shape in ranking.excluded:
@@ -276,15 +277,15 @@ def _theorem_pair(cfg: dict):
     return X, Xt, seed
 
 
-def _simulate_theorem1(cfg: dict) -> tuple[dict, None]:
+def _simulate_theorem1(cfg: dict) -> dict:
     X, Xt, seed = _theorem_pair(cfg)
     result = simulate_regression_gap(
         X, Xt, _label_model(cfg), int(cfg.get("trials", 10_000)), seed + 2
     )
-    return {"experiment": "regression_gap", "result": result}, None
+    return {"experiment": "regression_gap", "result": result}
 
 
-def _simulate_theorem2(cfg: dict) -> tuple[dict, None]:
+def _simulate_theorem2(cfg: dict) -> dict:
     X, Xt, seed = _theorem_pair(cfg)
     gd_cfg = cfg.get("gd", {})
     gd = GdConfig(
@@ -296,20 +297,20 @@ def _simulate_theorem2(cfg: dict) -> tuple[dict, None]:
         X, Xt, _label_model(cfg), int(cfg.get("trials", 1000)), seed + 2,
         gd=gd, L=float(cfg.get("L", 1.0)),
     )
-    return {"experiment": "lipschitz_gap", "result": result}, None
+    return {"experiment": "lipschitz_gap", "result": result}
 
 
-def _simulate_theorem3(cfg: dict) -> tuple[dict, None]:
+def _simulate_theorem3(cfg: dict) -> dict:
     n, d = int(cfg["n"]), int(cfg["d"])
     bits = int(cfg["bits"])
     X = gen_uniform_matrix(n, d, int(cfg.get("seed", 0)))
     a = float(cfg["a"]) if "a" in cfg else None
     result = overlap_bound_experiment(X, bits, cfg.get("seeds", list(range(20))), a)
     body = {"experiment": "quantization_overlap_bound", "n": n, "d": d, "bits": bits}
-    return {**body, **result}, None
+    return {**body, **result}
 
 
-def _simulate_table4(cfg: dict) -> tuple[dict, None]:
+def _simulate_table4(cfg: dict) -> dict:
     out = table4_perturbation(
         cfg["spectrum"], int(cfg["n"]), int(cfg.get("seed", 0))
     )
@@ -317,17 +318,17 @@ def _simulate_table4(cfg: dict) -> tuple[dict, None]:
         "experiment": "top_singular_value_perturbation",
         "measured": out["measured"],
         "predicted": out["predicted"],
-    }, None
+    }
 
 
-def _simulate_scaling(cfg: dict) -> tuple[dict, list[dict]]:
+def _simulate_scaling(cfg: dict) -> dict:
     rows = scaling_experiment(
         cfg["axis"], cfg["levels"], cfg.get("base", {}), cfg.get("seeds", [0, 1, 2, 3, 4])
     )
-    return {"experiment": "scaling", "axis": cfg["axis"], "rows": rows}, rows
+    return {"experiment": "scaling", "axis": cfg["axis"], "rows": rows}
 
 
-def _simulate_clipping(cfg: dict) -> tuple[dict, list[dict]]:
+def _simulate_clipping(cfg: dict) -> dict:
     seed = int(cfg.get("seed", 0))
     if "input" in cfg:
         X, _ = storage.read_text_embedding(cfg["input"])
@@ -345,7 +346,7 @@ def _simulate_clipping(cfg: dict) -> tuple[dict, list[dict]]:
         for rounding in cfg.get("rounding", ["deterministic", "stochastic"]):
             for row in clipping_curve(base, int(bits), rounding, r_grid, seed=seed):
                 rows.append({"bits": int(bits), "rounding": rounding, **row})
-    return {"experiment": "clipping_curve", "rows": rows}, rows
+    return {"experiment": "clipping_curve", "rows": rows}
 
 
 _SIMULATIONS = {
@@ -356,21 +357,23 @@ _SIMULATIONS = {
     "scaling": _simulate_scaling,
     "clipping-curve": _simulate_clipping,
 }
+# the simulations whose result holds the table rows that --csv writes
+_TABLE_KINDS = ("scaling", "clipping-curve")
 
 
 def _cmd_simulate(args) -> int:
+    if args.csv and args.kind not in _TABLE_KINDS:
+        raise UsageError(f"--csv is only valid for {' and '.join(_TABLE_KINDS)}")
     cfg_path = Path(args.config)
     try:
         cfg = json.loads(cfg_path.read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise StorageError(f"{cfg_path}: cannot read config: {exc}") from exc
-    body, csv_rows = _SIMULATIONS[args.kind](cfg)
+    body = _SIMULATIONS[args.kind](cfg)
     storage.write_report(body, args.out, inputs={"config": args.config})
     if args.csv:
-        if csv_rows is None:
-            raise UsageError("--csv is only valid for scaling and clipping-curve")
-        columns = list(csv_rows[0].keys()) if csv_rows else []
-        storage.write_table_csv(csv_rows, columns, args.csv)
+        rows = body["rows"]
+        storage.write_table_csv(rows, list(rows[0].keys()) if rows else [], args.csv)
     print(f"wrote {args.out}")
     return EXIT_OK
 

@@ -50,15 +50,6 @@ class MeasureSpec:
         return cls(name, DEFAULT_ORIENTATIONS[name])
 
 
-def _prefer(a: float, b: float, orientation: str) -> int:
-    if orientation not in (HIGHER_BETTER, LOWER_BETTER):
-        raise ValueError(f"unknown orientation {orientation!r}")
-    if a == b:
-        return 0
-    better = a > b if orientation == HIGHER_BETTER else a < b
-    return -1 if better else 1
-
-
 @dataclass(frozen=True)
 class PerformanceTable:
     """Rows of (candidate_id, task, performance, seed) with unique keys."""
@@ -67,8 +58,7 @@ class PerformanceTable:
 
     def __post_init__(self):
         seen = set()
-        for row in self.rows:
-            cid, task, perf, seed = row
+        for cid, task, perf, seed in self.rows:
             if not isinstance(cid, str) or not cid:
                 raise ValueError(f"candidate_id must be a non-empty string, got {cid!r}")
             if not math.isfinite(perf):
@@ -83,14 +73,12 @@ class PerformanceTable:
 
     def mean_performance(self, task: str) -> dict[str, float]:
         """Per-candidate performance averaged over seeds for one task."""
-        sums: dict[str, float] = {}
-        counts: dict[str, int] = {}
+        sums: dict[str, tuple[float, int]] = {}
         for cid, t, perf, _seed in self.rows:
-            if t != task:
-                continue
-            sums[cid] = sums.get(cid, 0.0) + perf
-            counts[cid] = counts.get(cid, 0) + 1
-        return {cid: sums[cid] / counts[cid] for cid in sums}
+            if t == task:
+                total, count = sums.get(cid, (0.0, 0))
+                sums[cid] = (total + perf, count + 1)
+        return {cid: total / count for cid, (total, count) in sums.items()}
 
 
 @dataclass(frozen=True)
@@ -152,10 +140,23 @@ def select_best(base, candidates, measure: MeasureSpec, lam: float | None = None
     return ranking.winner()
 
 
-def _pairs(count: int):
-    for i in range(count):
-        for j in range(i + 1, count):
-            yield i, j
+def _pairwise(scores, perf, orientation: str):
+    """Over the candidate pairs i < j: the measure's preference, +1 for i,
+    -1 for j and 0 on a score tie (two infinite scores of one sign tie),
+    and the performance difference perf[i] - perf[j]."""
+    scores = np.asarray(scores, dtype=np.float64)
+    perf = np.asarray(perf, dtype=np.float64)
+    if scores.shape != perf.shape or scores.ndim != 1 or scores.size < 2:
+        raise ValueError("scores and perf must be equal-length 1-D with >= 2 entries")
+    if np.isnan(scores).any() or np.isnan(perf).any():
+        raise ValueError("scores and perf must not contain NaN")
+    if orientation == LOWER_BETTER:
+        scores = -scores
+    elif orientation != HIGHER_BETTER:
+        raise ValueError(f"unknown orientation {orientation!r}")
+    i, j = np.triu_indices(scores.size, k=1)
+    pref = (scores[i] > scores[j]).astype(np.int8) - (scores[i] < scores[j])
+    return pref, perf[i] - perf[j]
 
 
 def selection_error_rate(scores, perf, orientation: str) -> float:
@@ -164,21 +165,12 @@ def selection_error_rate(scores, perf, orientation: str) -> float:
 
     Pairs tied in score or in performance are excluded from the denominator.
     """
-    scores = np.asarray(scores, dtype=np.float64)
-    perf = np.asarray(perf, dtype=np.float64)
-    if scores.shape != perf.shape or scores.ndim != 1 or scores.size < 2:
-        raise ValueError("scores and perf must be equal-length 1-D with >= 2 entries")
-    errors = 0
-    valid = 0
-    for i, j in _pairs(scores.size):
-        pref = _prefer(scores[i], scores[j], orientation)
-        if pref == 0 or perf[i] == perf[j]:
-            continue
-        valid += 1
-        chosen = i if pref < 0 else j
-        other = j if pref < 0 else i
-        if perf[chosen] < perf[other]:
-            errors += 1
+    pref, diff = _pairwise(scores, perf, orientation)
+    # +1 where the measure prefers the better performer, -1 the worse; 0 or
+    # NaN (inf - inf) where scores or performances tie
+    agree = pref * np.sign(diff)
+    errors = np.count_nonzero(agree < 0)
+    valid = errors + np.count_nonzero(agree > 0)
     if valid == 0:
         raise ValueError("no pairs with distinct scores and distinct performances")
     return errors / valid
@@ -188,32 +180,15 @@ def max_regret(scores, perf, orientation: str) -> float:
     """Largest performance shortfall of the measure-selected candidate
     relative to the pair-best one; 0 when the measure never mis-selects.
     Pairs tied in score make no selection and contribute nothing."""
-    scores = np.asarray(scores, dtype=np.float64)
-    perf = np.asarray(perf, dtype=np.float64)
-    if scores.shape != perf.shape or scores.ndim != 1 or scores.size < 2:
-        raise ValueError("scores and perf must be equal-length 1-D with >= 2 entries")
-    worst = 0.0
-    for i, j in _pairs(scores.size):
-        pref = _prefer(scores[i], scores[j], orientation)
-        if pref == 0:
-            continue
-        chosen = i if pref < 0 else j
-        worst = max(worst, max(perf[i], perf[j]) - perf[chosen])
-    return worst
+    pref, diff = _pairwise(scores, perf, orientation)
+    return float(np.max(np.abs(diff[pref * np.sign(diff) < 0]), initial=0.0))
 
 
 def _fractional_ranks(x: np.ndarray) -> np.ndarray:
     """Ranks starting at 1; tied values share the average of their ranks."""
-    order = np.argsort(x, kind="stable")
-    ranks = np.empty(x.size, dtype=np.float64)
-    i = 0
-    while i < x.size:
-        j = i
-        while j + 1 < x.size and x[order[j + 1]] == x[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    _, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
+    starts = np.cumsum(counts) - counts
+    return (starts + 0.5 * (counts + 1))[inverse]
 
 
 def spearman_rho(a, b) -> float:
@@ -222,15 +197,30 @@ def spearman_rho(a, b) -> float:
     b = np.asarray(b, dtype=np.float64).ravel()
     if a.size != b.size or a.size < 2:
         raise ValueError("inputs must have equal length >= 2")
-    ra = _fractional_ranks(a)
-    rb = _fractional_ranks(b)
-    ra -= ra.mean()
-    rb -= rb.mean()
+    if np.isnan(a).any() or np.isnan(b).any():
+        raise ValueError("inputs must not contain NaN")
+    ra, rb = (r - r.mean() for r in (_fractional_ranks(a), _fractional_ranks(b)))
     va = det_sum(ra * ra)
     vb = det_sum(rb * rb)
     if va == 0.0 or vb == 0.0:
         raise ValueError("rank correlation is undefined when either input is constant")
     return det_sum(ra * rb) / math.sqrt(va * vb)
+
+
+def _report_value(report, name: str):
+    """One measure's value from a QualityReport or a report dict; None when
+    absent, and the strings "inf"/"-inf" of a serialized report as floats."""
+    val = report.get(name) if isinstance(report, dict) else report.value(name)
+    return float(val) if isinstance(val, str) else val
+
+
+def _or_none(statistic):
+    """``statistic()``, or None where it is undefined (every pair tied, a
+    constant input)."""
+    try:
+        return statistic()
+    except ValueError:
+        return None
 
 
 def evaluate_measures(reports, perf: PerformanceTable, tasks=None, measures=None) -> dict:
@@ -240,58 +230,31 @@ def evaluate_measures(reports, perf: PerformanceTable, tasks=None, measures=None
     ``reports`` maps candidate_id to a QualityReport or a plain dict of
     measure values.  Per-seed performances are averaged per candidate before
     ranking.  Candidates missing on either side are reported, not fatal.
+    A NaN measure value raises ValueError.
     """
     tasks = list(tasks) if tasks is not None else perf.tasks()
     measures = list(measures) if measures is not None else list(MEASURE_NAMES)
-
-    def lookup(cid: str, name: str):
-        rep = reports[cid]
-        if isinstance(rep, dict):
-            val = rep.get(name)
-        else:
-            val = rep.value(name)
-        if isinstance(val, str):  # "inf" from a serialized report
-            val = float(val)
-        return val
-
+    performed = {row[0] for row in perf.rows}
     rows = []
-    missing_reports = sorted(
-        {row[0] for row in perf.rows} - set(reports.keys())
-    )
-    missing_perf = sorted(set(reports.keys()) - {row[0] for row in perf.rows})
     for task in tasks:
         per_candidate = perf.mean_performance(task)
         cids = sorted(cid for cid in per_candidate if cid in reports)
-        perf_vec = np.array([per_candidate[c] for c in cids])
         for name in measures:
-            vals = [lookup(c, name) for c in cids]
-            keep = [i for i, v in enumerate(vals) if v is not None]
-            row = {
-                "task": task,
-                "measure": name,
-                "n_candidates": len(keep),
-                "abs_spearman": None,
-                "selection_error_rate": None,
-                "max_regret": None,
-            }
-            if len(keep) >= 2:
-                scores = np.array([vals[i] for i in keep], dtype=np.float64)
-                pvec = perf_vec[keep]
+            values = {c: _report_value(reports[c], name) for c in cids}
+            scored = [c for c in cids if values[c] is not None]
+            row = {"task": task, "measure": name, "n_candidates": len(scored),
+                   "abs_spearman": None, "selection_error_rate": None, "max_regret": None}
+            if len(scored) >= 2:
+                scores = np.array([values[c] for c in scored], dtype=np.float64)
+                pvec = np.array([per_candidate[c] for c in scored])
                 orientation = DEFAULT_ORIENTATIONS[name]
-                try:
-                    row["abs_spearman"] = abs(spearman_rho(scores, pvec))
-                except ValueError:
-                    pass
-                try:
-                    row["selection_error_rate"] = selection_error_rate(
-                        scores, pvec, orientation
-                    )
-                except ValueError:
-                    pass
-                row["max_regret"] = max_regret(scores, pvec, orientation)
+                # max_regret is defined for any two candidates, so NaN fails there
+                row.update(
+                    max_regret=max_regret(scores, pvec, orientation),
+                    abs_spearman=_or_none(lambda: abs(spearman_rho(scores, pvec))),
+                    selection_error_rate=_or_none(
+                        lambda: selection_error_rate(scores, pvec, orientation)),
+                )
             rows.append(row)
-    return {
-        "rows": rows,
-        "missing_reports": missing_reports,
-        "missing_performance": missing_perf,
-    }
+    return {"rows": rows, "missing_reports": sorted(performed - set(reports)),
+            "missing_performance": sorted(set(reports) - performed)}

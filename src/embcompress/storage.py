@@ -107,11 +107,10 @@ def read_text_embedding(path, fmt: str = "auto"):
     Rows are parsed in blocks of :data:`TEXT_BLOCK_ROWS`, so memory stays
     near the size of the matrix; a block that fails a check is reparsed line
     by line, so every :class:`FormatError` names its line.  The blocks fill
-    one array.  With an "n d" header it is n x d, allocated only when the
-    file is large enough to hold n*d values (2 bytes each at least).
-    Otherwise its row count is estimated from the file size and the bytes
+    one array, whose row count is estimated from the file size and the bytes
     read so far, grown in place by at least a quarter when rows outrun it,
-    and trimmed in place at the end.
+    and trimmed in place at the end.  An "n d" header is only checked
+    against the rows read, so it cannot force an allocation.
     """
     if fmt not in ("auto", "glove", "fasttext"):
         raise ValueError(f"unknown format {fmt!r}")
@@ -133,18 +132,11 @@ def read_text_embedding(path, fmt: str = "auto"):
                 raise FormatError(f"{path}:1: expected a 'n d' header line")
         if declared is None:
             lines = itertools.chain([first], lines)
-        elif 2 * declared[0] * declared[1] <= size:
-            out = np.empty(declared)
-        fixed = out is not None
         for block in iter(lambda: list(itertools.islice(lines, TEXT_BLOCK_ROWS)), []):
             names, values = _parse_block(path, block, dim, seen)
             dim = values.shape[1]
             start, stop = len(tokens), len(tokens) + len(names)
             tokens.extend(names)
-            if fixed:
-                if stop <= out.shape[0] and dim == out.shape[1]:
-                    out[start:stop] = values
-                continue
             if out is None or stop > out.shape[0]:
                 # the rows read so far, scaled to the whole file
                 rows = max(stop, math.ceil(stop * size / max(fh.tell(), 1)))
@@ -486,7 +478,14 @@ def write_report(body, path, inputs: dict | None = None) -> None:
 
 
 def read_report(path) -> dict:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    """Read a JSON report; a bare NaN constant is a :class:`FormatError`."""
+
+    def constant(name):
+        if name == "NaN":
+            raise FormatError(f"{path}: NaN is not a valid report value")
+        return float(name)
+
+    doc = json.loads(Path(path).read_text(encoding="utf-8"), parse_constant=constant)
     if not isinstance(doc, dict) or "body" not in doc:
         raise FormatError(f"{path}: not a report file (missing 'body')")
     return doc

@@ -26,7 +26,7 @@ from .linalg import (
     sq_fro_norm,
     thin_svd,
 )
-from .measures import PreparedBase, eigenspace_overlap, pip_loss, quality_report
+from .measures import PreparedBase, pip_loss, quality_report
 from .rng import CounterRng
 
 
@@ -167,28 +167,26 @@ def _exact_gap(X, Xt, fx: ThinSVD, ft: ThinSVD, model: LabelModel) -> float:
 
 def expected_gap_upper_bound(X, Xt, model: LabelModel) -> float:
     """Upper bound on the exact gap in terms of the overlap score:
-    (trace(Sigma) - d lambda_min(Sigma) overlap)/n - c^2 trace(Sigma)(d-k)/n^2."""
-    X = as_matrix(X, "X")
+    (trace(Sigma) - d lambda_min(Sigma) overlap)/n - c^2 trace(Sigma)(d-k)/n^2.
+    ``X`` may be a :class:`PreparedBase`."""
+    base = _prepared(X)
     Xt = as_matrix(Xt, "Xt")
-    n, d = X.shape
-    k = Xt.shape[1]
-    model.check_dim(d)
-    score = eigenspace_overlap(X, Xt)
-    tr = model.trace(d)
-    return (tr - d * model.lambda_min() * score) / n - (
-        model.noise_ratio**2 * tr * (d - k) / n**2
-    )
+    n, d = base.X.shape
+    tr, shortfall = _overlap_terms(base, Xt, model)
+    return shortfall / n - model.noise_ratio**2 * tr * (d - Xt.shape[1]) / n**2
 
 
 def _prepared(X) -> PreparedBase:
     return X if isinstance(X, PreparedBase) else PreparedBase(X)
 
 
-def _matrix_and_svd(X) -> tuple[np.ndarray, ThinSVD | None]:
-    """X as a validated matrix, with its thin SVD when X is a PreparedBase."""
-    if isinstance(X, PreparedBase):
-        return X.X, X.svd
-    return as_matrix(X, "X"), None
+def _overlap_terms(base: PreparedBase, Xt, model: LabelModel) -> tuple[float, float]:
+    """trace(Sigma) and trace(Sigma) - d lambda_min(Sigma) overlap(X, Xt), the
+    terms of both overlap bounds, with the model checked against X's width."""
+    d = base.X.shape[1]
+    model.check_dim(d)
+    tr = model.trace(d)
+    return tr, tr - d * model.lambda_min() * base.overlap(Xt)
 
 
 def lipschitz_gap_bound(X, Xt, L: float, model: LabelModel) -> float:
@@ -198,13 +196,10 @@ def lipschitz_gap_bound(X, Xt, L: float, model: LabelModel) -> float:
     if not L > 0:
         raise ValueError(f"L must be positive, got {L}")
     base = _prepared(X)
-    Xt = as_matrix(Xt, "Xt")
-    n, d = base.X.shape
-    model.check_dim(d)
-    score = base.overlap(Xt)
-    tr = model.trace(d)
-    inner = max(tr - d * model.lambda_min() * score, 0.0)
-    return (L / math.sqrt(n)) * (math.sqrt(inner) + 2.0 * model.noise_ratio * math.sqrt(tr))
+    tr, shortfall = _overlap_terms(base, Xt, model)
+    return (L / math.sqrt(base.X.shape[0])) * (
+        math.sqrt(max(shortfall, 0.0)) + 2.0 * model.noise_ratio * math.sqrt(tr)
+    )
 
 
 def uniform_overlap_bound(bits: int, a: float) -> float:
@@ -225,9 +220,8 @@ def uniform_overlap_bound(bits: int, a: float) -> float:
 def conditioning_scalar(X) -> float:
     """The scalar a with s_min(X) = a * sqrt(n/d).  ``X`` may be a
     :class:`PreparedBase`."""
-    X, f = _matrix_and_svd(X)
-    f = thin_svd(X) if f is None else f
-    return float(f.s[-1] / math.sqrt(X.shape[0] / X.shape[1]))
+    base = _prepared(X)
+    return float(base.svd.s[-1] / math.sqrt(base.X.shape[0] / base.X.shape[1]))
 
 
 def davis_kahan_sample_bound(X, Xt) -> float:
@@ -235,11 +229,11 @@ def davis_kahan_sample_bound(X, Xt) -> float:
     ||Xt Xt^T - X X^T||_F^2 / (d * s_min(X)^4), valid under the eigenvalue
     separation conditions of the sin-theta inequality.  ``X`` may be a
     :class:`PreparedBase`."""
-    X, f = _matrix_and_svd(X)
-    Xt = as_matrix(Xt, "Xt")
+    base = _prepared(X)
+    X, Xt = base.X, as_matrix(Xt, "Xt")
     if X.shape != Xt.shape:
         raise ValueError(f"shape mismatch: {X.shape} vs {Xt.shape}")
-    f = _require_full_rank(X, "X", f)
+    f = _require_full_rank(X, "X", base.svd)
     return pip_loss(X, Xt) ** 2 / (X.shape[1] * float(f.s[-1]) ** 4)
 
 

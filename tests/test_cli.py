@@ -239,6 +239,24 @@ def test_evaluate_inf_delta_and_missing_candidates(tmp_path, capsys):
     assert "sst/delta_max: |rho|=1.0000" in capsys.readouterr().out
 
 
+def test_evaluate_rejects_nan_report_value(tmp_path, capsys):
+    # json accepts a bare NaN; a report holding one is a format error
+    rep_dir = tmp_path / "reports"
+    rep_dir.mkdir()
+    report = rep_dir / "measure.json"
+    report.write_text(
+        '{"body": {"reports": {"a": {"eigenspace_overlap": NaN}, '
+        '"b": {"eigenspace_overlap": 0.5}, "c": {"eigenspace_overlap": "inf"}}}}\n'
+    )
+    perf = tmp_path / "perf.csv"
+    perf.write_text("candidate_id,task,performance,seed\na,t,0.9,0\nb,t,0.6,0\nc,t,0.7,0\n")
+    out = tmp_path / "summary.json"
+    assert run(["evaluate", "--perf", str(perf), "--reports", str(rep_dir),
+                "--out", str(out)]) == 2
+    assert f"{report}: NaN is not a valid report value" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_theorem3_bound_value(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(
@@ -298,6 +316,17 @@ def test_simulate_table4_and_scaling_csv(tmp_path):
     assert len(lines) == 5
 
 
+def test_simulate_csv_rejected_before_the_run(tmp_path, capsys):
+    # theorem2 has no table: the flag fails before any simulation or file
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 80, "d": 6, "trials": 4}))
+    out, csv_out = tmp_path / "out.json", tmp_path / "x.csv"
+    assert run(["simulate", "theorem2", "--config", str(cfg), "--out", str(out),
+                "--csv", str(csv_out)]) == 1
+    assert "--csv is only valid for scaling and clipping-curve" in capsys.readouterr().err
+    assert not out.exists() and not csv_out.exists()
+
+
 def test_simulate_outputs_are_byte_stable(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"n": 100, "d": 5, "bits": 2, "seeds": [0, 1]}))
@@ -332,6 +361,25 @@ def test_measure_flags(base_embedding, tmp_path):
     assert "pip_loss" not in rep
     assert run(["measure", "--measures", "bogus", "--out", str(out),
                 str(base), str(cand)]) == 1
+
+
+@pytest.mark.parametrize("command", ["measure", "select"])
+def test_duplicate_candidate_stems_rejected(base_embedding, tmp_path, command, capsys):
+    # a/x.eqc and b/x.eqc would both become candidate id "x"
+    base, _ = base_embedding
+    paths = [tmp_path / sub / "x.eqc" for sub in ("a", "b")]
+    for path in paths:
+        path.parent.mkdir()
+        assert run(["compress", "--method", "uniform", "--bits", "2",
+                    str(base), str(path)]) == 0
+    out = tmp_path / "r.json"
+    argv = [command, *(["--out", str(out)] if command == "measure" else []),
+            str(base), *map(str, paths)]
+    capsys.readouterr()
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert "distinct stems" in captured.err and captured.out == ""
+    assert not out.exists()
 
 
 def test_reconstruct_synthesizes_tokens_without_vocab(tmp_path):

@@ -94,7 +94,8 @@ def test_bounds_factor_a_plain_matrix_once_and_a_prepared_base_never(calls, prep
     theory.conditioning_scalar(arg)
     theory.davis_kahan_sample_bound(arg, Xt)
     theory.lipschitz_gap_bound(arg, Xt, 1.0, theory.LabelModel())
-    assert calls == {"svd": 0 if prepared else 3}
+    theory.expected_gap_upper_bound(arg, Xt, theory.LabelModel())
+    assert calls == {"svd": 0 if prepared else 4}
 
 
 def test_theorem2_factors_each_design_once(calls):

@@ -62,6 +62,21 @@ def brute_force_spearman(a, b):
     return float(np.sum(ra * rb) / np.sqrt(np.sum(ra**2) * np.sum(rb**2)))
 
 
+def tied_and_infinite(seed, size=9):
+    """Scores on a coarse grid with some +-inf entries, so that ties (also of
+    two infinities) are common, and performances with ties of their own."""
+    rng = np.random.default_rng(seed)
+    scores = rng.integers(0, 4, size=size).astype(float)
+    scores[rng.random(size) < 0.2] = np.inf
+    scores[rng.random(size) < 0.2] = -np.inf
+    perf = rng.integers(0, 5, size=size) / 4
+    return scores, perf
+
+
+ORIENTATIONS = ("higher_better", "lower_better")
+NAN_CASES = [([0.5, np.nan, 0.2], [0.1, 0.2, 0.3]), ([0.5, 0.4, 0.2], [0.1, np.nan, 0.3])]
+
+
 class TestMeasureSpec:
     def test_defaults(self):
         assert MeasureSpec.default("eigenspace_overlap").orientation == "higher_better"
@@ -156,6 +171,28 @@ class TestSelectionErrorRate:
         with pytest.raises(ValueError, match="pairs"):
             selection_error_rate([1.0, 1.0], [0.2, 0.4], "higher_better")
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_ties_and_infinities_equal_brute_force(self, seed):
+        scores, perf = tied_and_infinite(seed)
+        for orientation in ORIENTATIONS:
+            try:
+                expected = brute_force_error_rate(scores, perf, orientation)
+            except ZeroDivisionError:
+                with pytest.raises(ValueError, match="pairs"):
+                    selection_error_rate(scores, perf, orientation)
+                continue
+            assert selection_error_rate(scores, perf, orientation) == expected
+
+    def test_two_infinite_scores_tie(self):
+        # (inf, inf) makes no selection; only the pairs with the finite one count
+        assert selection_error_rate([np.inf, np.inf, 0.0], [0.1, 0.9, 0.5],
+                                    "higher_better") == 0.5
+
+    @pytest.mark.parametrize("scores, perf", NAN_CASES)
+    def test_nan_rejected(self, scores, perf):
+        with pytest.raises(ValueError, match="NaN"):
+            selection_error_rate(scores, perf, "higher_better")
+
 
 class TestMaxRegret:
     def test_concordant_is_zero(self):
@@ -164,15 +201,20 @@ class TestMaxRegret:
     def test_single_inversion(self):
         assert max_regret([0.9, 0.5], [0.6, 0.63], "higher_better") == pytest.approx(0.03)
 
-    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("seed", range(20))
     def test_matches_brute_force(self, seed):
         rng = np.random.default_rng(seed)
-        scores = rng.normal(size=6)
-        perf = rng.normal(size=6)
-        for orientation in ("higher_better", "lower_better"):
-            assert max_regret(scores, perf, orientation) == pytest.approx(
-                brute_force_max_regret(scores, perf, orientation)
-            )
+        for scores, perf in ((rng.normal(size=6), rng.normal(size=6)),
+                             tied_and_infinite(seed)):
+            for orientation in ORIENTATIONS:
+                assert max_regret(scores, perf, orientation) == brute_force_max_regret(
+                    scores, perf, orientation
+                )
+
+    @pytest.mark.parametrize("scores, perf", NAN_CASES)
+    def test_nan_rejected(self, scores, perf):
+        with pytest.raises(ValueError, match="NaN"):
+            max_regret(scores, perf, "lower_better")
 
 
 class TestSpearman:
@@ -187,14 +229,17 @@ class TestSpearman:
         b = [1.0, 3.0, 2.0, 4.0]
         assert spearman_rho(a, b) == pytest.approx(brute_force_spearman(a, b))
 
-    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("seed", range(20))
     def test_random_with_ties_matches_oracle(self, seed):
         rng = np.random.default_rng(seed)
         a = rng.integers(0, 4, size=10).astype(float)
         b = rng.integers(0, 4, size=10).astype(float)
-        if len(set(a)) < 2 or len(set(b)) < 2:
-            pytest.skip("degenerate draw")
-        assert spearman_rho(a, b) == pytest.approx(brute_force_spearman(a, b))
+        for a, b in ((a, b), tied_and_infinite(seed)):
+            if len(set(a)) < 2 or len(set(b)) < 2:
+                with pytest.raises(ValueError, match="constant"):
+                    spearman_rho(a, b)
+            else:
+                assert spearman_rho(a, b) == brute_force_spearman(a, b)
 
     def test_invariant_under_increasing_transform(self):
         a = RNG.normal(size=8)
@@ -204,6 +249,11 @@ class TestSpearman:
     def test_constant_input_rejected(self):
         with pytest.raises(ValueError, match="constant"):
             spearman_rho([1.0, 1.0], [1.0, 2.0])
+
+    @pytest.mark.parametrize("a, b", NAN_CASES)
+    def test_nan_rejected(self, a, b):
+        with pytest.raises(ValueError, match="NaN"):
+            spearman_rho(a, b)
 
 
 class TestPerformanceTable:
@@ -290,6 +340,13 @@ class TestEvaluateMeasures:
         assert summary["missing_reports"] == ["ghost"]
         assert summary["missing_performance"] == ["zzz"]
         assert summary["rows"][0]["n_candidates"] == 2
+
+    def test_nan_value_raises(self):
+        # a NaN score fails loudly instead of being ranked as a preference
+        reports = _reports({"pip_loss": {"a": 0.1, "b": float("nan"), "c": 0.3}})
+        perf = PerformanceTable((("a", "t", 0.9, 0), ("b", "t", 0.8, 0), ("c", "t", 0.7, 0)))
+        with pytest.raises(ValueError, match="NaN"):
+            evaluate_measures(reports, perf, measures=["pip_loss"])
 
     def test_row_order_independent(self):
         reports = _reports({"delta": {"a": 0.9, "b": 0.5, "c": 0.7}})

@@ -173,7 +173,7 @@ class TestTextFormat:
         assert w == u and w.tokens == tuple(tokens) and Y.flags.c_contiguous
 
     def test_implausible_header_is_not_allocated(self, tmp_path):
-        # 2 * n * d bytes would not fit in the file: no n x d array is made
+        # the array is sized from the file, never from the header
         p = tmp_path / "emb.txt"
         p.write_text("1000000000000 1000000\na 1 2\nb 3 4\n")
         with pytest.raises(FormatError) as exc:

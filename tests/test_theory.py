@@ -239,6 +239,7 @@ class TestBoundsOnPreparedBase:
         base = PreparedBase(X)
         model = LabelModel(noise_ratio=0.1)
         assert lipschitz_gap_bound(base, Xt, 2.0, model) == lipschitz_gap_bound(X, Xt, 2.0, model)
+        assert expected_gap_upper_bound(base, Xt, model) == expected_gap_upper_bound(X, Xt, model)
         assert davis_kahan_sample_bound(base, Xt) == davis_kahan_sample_bound(X, Xt)
         assert conditioning_scalar(base) == conditioning_scalar(X)
 
