@@ -3,6 +3,11 @@
 Layout: row-major, LSB-first within each byte, every row padded to a whole
 byte.  This is the same layout the binary file format stores, so packed code
 arrays round-trip byte-for-byte.
+
+Code j of a row occupies bits j*bits .. j*bits+bits-1 of the row's bit
+string, so bit plane b (bit b of every code) is the strided slice
+``b : cols*bits : bits`` of the unpacked row.  Both directions move one plane
+at a time between uint32 codes and one uint8 array of the padded row bits.
 """
 
 from __future__ import annotations
@@ -24,12 +29,12 @@ def pack_codes(codes, bits: int) -> np.ndarray:
     if codes.size and (codes.min() < 0 or int(codes.max()) >= (1 << bits)):
         raise ValueError(f"codes out of range for {bits}-bit packing")
     n, d = codes.shape
-    shifts = np.arange(bits, dtype=np.uint64)
-    lsb_first = ((codes.astype(np.uint64)[:, :, None] >> shifts) & np.uint64(1)).astype(np.uint8)
-    flat = lsb_first.reshape(n, d * bits)
-    pad = row_bytes(d, bits) * 8 - d * bits
-    if pad:
-        flat = np.pad(flat, ((0, 0), (0, pad)))
+    rest = codes.astype(np.uint32)
+    flat = np.zeros((n, row_bytes(d, bits) * 8), dtype=np.uint8)
+    # lowest plane first: take the low bit, then shift the next plane down
+    for b in range(bits):
+        np.bitwise_and(rest, 1, out=flat[:, b : d * bits : bits])
+        rest >>= 1
     return np.packbits(flat, axis=1, bitorder="little")
 
 
@@ -45,8 +50,10 @@ def unpack_codes(packed, cols: int, bits: int) -> np.ndarray:
         raise ValueError(
             f"packed row is {packed.shape[1]} bytes, expected {expected} for {cols} {bits}-bit codes"
         )
-    flat = np.unpackbits(packed, axis=1, bitorder="little")[:, : cols * bits]
-    vals = flat.reshape(packed.shape[0], cols, bits).astype(np.uint64)
-    weights = np.uint64(1) << np.arange(bits, dtype=np.uint64)
-    out = (vals * weights).sum(axis=2, dtype=np.uint64)
-    return out.astype(np.uint32)
+    flat = np.unpackbits(packed, axis=1, bitorder="little")
+    out = np.zeros((packed.shape[0], cols), dtype=np.uint32)
+    # highest plane first: shift what is there up one bit, then OR in the next plane
+    for b in reversed(range(bits)):
+        out <<= 1
+        out |= flat[:, b : cols * bits : bits]
+    return out

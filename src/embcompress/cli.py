@@ -22,7 +22,7 @@ from .compress import compress_kmeans, compress_pca, compress_uniform, decompres
 from .linalg import LinalgError
 from .measures import MEASURE_NAMES, PreparedBase
 from .selection import MeasureSpec, evaluate_measures, rank_candidates
-from .storage import StorageError, Vocabulary
+from .storage import FormatError, StorageError, Vocabulary
 from .theory import (
     GdConfig,
     LabelModel,
@@ -214,13 +214,17 @@ def _cmd_select(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     perf = storage.read_performance_csv(args.perf)
-    reports = {}
+    reports, source = {}, {}
     report_dir = Path(args.reports)
     if not report_dir.is_dir():
         raise StorageError(f"{report_dir}: not a directory")
     for path in sorted(report_dir.glob("*.json")):
-        doc = storage.read_report(path)
-        reports.update(doc["body"].get("reports", {}))
+        for cid, rep in storage.read_report(path)["body"].get("reports", {}).items():
+            if cid in source:
+                raise FormatError(
+                    f"candidate {cid!r} is reported in both {source[cid]} and {path}"
+                )
+            reports[cid], source[cid] = rep, path
     summary = evaluate_measures(reports, perf)
     storage.write_report(summary, args.out, inputs={"perf": args.perf})
     if args.csv:
@@ -231,14 +235,11 @@ def _cmd_evaluate(args) -> int:
             args.csv,
         )
     for row in summary["rows"]:
-        rho = row["abs_spearman"]
-        err = row["selection_error_rate"]
-        print(
-            f"{row['task']}/{row['measure']}: |rho|="
-            f"{'n/a' if rho is None else format(rho, '.4f')} "
-            f"error_rate={'n/a' if err is None else format(err, '.4f')} "
-            f"max_regret={row['max_regret']}"
+        rho, err, regret = (
+            "n/a" if row[key] is None else format(row[key], ".4f")
+            for key in ("abs_spearman", "selection_error_rate", "max_regret")
         )
+        print(f"{row['task']}/{row['measure']}: |rho|={rho} error_rate={err} max_regret={regret}")
     return EXIT_OK
 
 

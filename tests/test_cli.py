@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -255,6 +256,56 @@ def test_evaluate_rejects_nan_report_value(tmp_path, capsys):
                 "--out", str(out)]) == 2
     assert f"{report}: NaN is not a valid report value" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_evaluate_rejects_a_candidate_in_two_report_files(tmp_path, capsys):
+    rep_dir = tmp_path / "reports"
+    rep_dir.mkdir()
+    first, second = rep_dir / "a.json", rep_dir / "b.json"
+    first.write_text('{"body": {"reports": {"u1": {"eigenspace_overlap": 0.9}, '
+                     '"u2": {"eigenspace_overlap": 0.5}}}}\n')
+    second.write_text('{"body": {"reports": {"u2": {"eigenspace_overlap": 0.01}}}}\n')
+    perf = tmp_path / "perf.csv"
+    perf.write_text("candidate_id,task,performance,seed\nu1,t,0.9,0\nu2,t,0.6,0\n")
+    out = tmp_path / "summary.json"
+    assert run(["evaluate", "--perf", str(perf), "--reports", str(rep_dir),
+                "--out", str(out)]) == 2
+    assert f"candidate 'u2' is reported in both {first} and {second}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "perf_rows, stdout, max_regret",
+    [
+        # one scored candidate: no pair, so every statistic is undefined
+        ("a,t,0.9,0\n", "t/eigenspace_overlap: |rho|=n/a error_rate=n/a max_regret=n/a", None),
+        # the overlap prefers a, which performs 0.9 - 0.7 worse than b
+        ("a,t,0.7,0\nb,t,0.9,0\n",
+         "t/eigenspace_overlap: |rho|=1.0000 error_rate=1.0000 max_regret=0.2000",
+         0.9 - 0.7),
+    ],
+)
+def test_evaluate_prints_every_statistic_with_four_decimals(
+    tmp_path, capsys, perf_rows, stdout, max_regret
+):
+    rep_dir = tmp_path / "reports"
+    rep_dir.mkdir()
+    (rep_dir / "r.json").write_text(
+        '{"body": {"reports": {"a": {"eigenspace_overlap": 0.9}, '
+        '"b": {"eigenspace_overlap": 0.5}}}}\n'
+    )
+    perf = tmp_path / "perf.csv"
+    perf.write_text("candidate_id,task,performance,seed\n" + perf_rows)
+    out, csv_out = tmp_path / "summary.json", tmp_path / "summary.csv"
+    assert run(["evaluate", "--perf", str(perf), "--reports", str(rep_dir),
+                "--out", str(out), "--csv", str(csv_out)]) == 0
+    assert stdout in capsys.readouterr().out.splitlines()
+    # the JSON and CSV keep the unrounded value
+    rows = read_report(out)["body"]["rows"]
+    assert [r["max_regret"] for r in rows if r["measure"] == "eigenspace_overlap"] == [max_regret]
+    with csv_out.open(newline="") as fh:
+        csv_rows = [r for r in csv.DictReader(fh) if r["measure"] == "eigenspace_overlap"]
+    assert [r["max_regret"] for r in csv_rows] == ["" if max_regret is None else repr(max_regret)]
 
 
 def test_simulate_theorem3_bound_value(tmp_path):

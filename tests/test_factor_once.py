@@ -2,7 +2,9 @@
 only when it leaves the Gram path.
 
 Calls to ``thin_svd`` are counted through the module bindings that
-``measures`` and ``theory`` call it by.
+``measures`` and ``theory`` call it by.  Across calls, ``thin_svd``
+remembers the last factorization, so the one-call shortcuts take one LAPACK
+SVD of an unchanged base between them.
 """
 
 import json
@@ -12,7 +14,7 @@ import pytest
 
 from embcompress import linalg, measures, theory
 from embcompress.cli import run
-from embcompress.compress import compress_pca, compress_uniform
+from embcompress.compress import compress_pca, compress_uniform, decompress
 from embcompress.selection import MeasureSpec, select_best
 from embcompress.storage import Vocabulary, write_compressed, write_text_embedding
 
@@ -103,3 +105,22 @@ def test_theorem2_factors_each_design_once(calls):
     Xt = compress_pca(X, 2).reduced
     theory.simulate_lipschitz_gap(X, Xt, theory.LabelModel(noise_ratio=0.1), 4, seed=1)
     assert calls == {"svd": 2}
+
+
+def test_one_call_shortcuts_share_one_lapack_svd_of_x(monkeypatch):
+    X = np.random.default_rng(3).normal(size=(120, 8))
+    candidates = [compress_uniform(X, b) for b in (1, 2, 3, 4)] + [compress_pca(X, 5)]
+    svd = np.linalg.svd
+    of_x = []
+
+    def spy(a, *args, **kwargs):
+        of_x.append(a.shape == X.shape and np.array_equal(a, X))
+        return svd(a, *args, **kwargs)
+
+    linalg._forget()  # compress_pca above left X's factors in the memo
+    monkeypatch.setattr(linalg.np.linalg, "svd", spy)
+    for C in candidates:
+        measures.quality_report(X, decompress(C))
+    select_best(X, candidates, MeasureSpec.default("delta_max"))
+    compress_pca(X, 3)
+    assert sum(of_x) == 1
