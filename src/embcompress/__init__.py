@@ -28,10 +28,8 @@ from .measures import (
     RankDeficiencyWarning,
     eigenspace_overlap,
     pip_loss,
-    projected_reconstruction_error,
     quality_report,
     reconstruction_error,
-    spectral_deltas,
 )
 from .rng import CounterRng
 from .selection import (

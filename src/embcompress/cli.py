@@ -248,9 +248,8 @@ def _make_compressed_variant(X, spec: dict, seed: int):
     if method == "uniform":
         bits = int(spec.get("bits", 4))
         rounding = spec.get("rounding", "stochastic")
-        if spec.get("full_range", True):
-            return stochastic_quantize_full_range(X, bits, seed) if rounding == "stochastic" \
-                else decompress(compress_uniform(X, bits, rounding="deterministic", seed=seed))
+        if rounding == "stochastic" and spec.get("full_range", True):
+            return stochastic_quantize_full_range(X, bits, seed)
         return decompress(compress_uniform(X, bits, rounding=rounding, seed=seed))
     if method == "pca":
         return decompress(compress_pca(X, int(spec["k"])))

@@ -59,8 +59,8 @@ def quantize_codes(
     X, grid: QuantizationGrid, rounding: str = ROUNDING_DETERMINISTIC,
     rng: CounterRng | None = None, row0: int = 0,
 ) -> np.ndarray:
-    """Clip the 2-D array X to [-grid.clip, grid.clip] and round each entry
-    to a grid level index (uint32).
+    """Round each entry of the 2-D array X to a grid level index (uint32),
+    entries beyond [-grid.clip, grid.clip] going to the end levels.
 
     Deterministic rounding takes the nearest level, with exact midpoints
     going toward +inf.  Stochastic rounding is unbiased: the upper bracketing
@@ -201,13 +201,10 @@ def quantization_objective(X, bits: int):
     return objective
 
 
-def find_clip_threshold(X, bits: int, tol: float = 0.01, method: str = "golden") -> float:
+def find_clip_threshold(X, bits: int, tol: float = 0.01) -> float:
     """Clip threshold minimizing the deterministic quantized reconstruction
-    error over [0, max|X|].
-
-    ``method="golden"`` is golden-section search that assumes a unimodal
-    objective and localizes the minimizer to within ``tol``;
-    ``method="grid"`` is a 1000-point sweep fallback for verification.
+    error over [0, max|X|], by golden-section search: it assumes a unimodal
+    objective and localizes the minimizer to within ``tol``.
     """
     X = as_matrix(X)
     if not (np.isfinite(tol) and tol > 0):
@@ -216,14 +213,6 @@ def find_clip_threshold(X, bits: int, tol: float = 0.01, method: str = "golden")
     if xmax == 0.0:
         raise ValueError("all-zero matrix has no meaningful clip threshold")
     f = quantization_objective(X, bits)
-
-    if method == "grid":
-        rs = np.linspace(xmax / 1000.0, xmax, 1000)
-        vals = [f(float(r)) for r in rs]
-        return float(rs[int(np.argmin(vals))])
-    if method != "golden":
-        raise ValueError(f"unknown clip search method {method!r}")
-
     a, b = 0.0, xmax
     x1 = b - _INVPHI * (b - a)
     x2 = a + _INVPHI * (b - a)

@@ -29,8 +29,14 @@ class RankDeficiencyWarning(UserWarning):
 class QualityReport:
     """All quality measures for one (X, Xt) pair plus shape/rank metadata.
 
+    ``projected_reconstruction_error`` is min over linear maps P of
+    ||Xt P - X||_F^2, clamped at 0.  ``delta1`` and ``delta2`` are the
+    tightest constants with
+    (1-delta1)(XX^T+lam I) <= Xt Xt^T + lam I <= (1+delta2)(XX^T+lam I)
+    in the semidefinite order, ``delta`` the larger of the two and
+    ``delta_max`` = max(1/(1-delta1), delta2), +inf when delta1 reaches 1.
     ``reconstruction_error`` is None when the two matrices have different
-    widths.  ``delta_max`` is +inf when delta1 reaches 1.
+    widths.
     """
 
     eigenspace_overlap: float
@@ -139,33 +145,6 @@ def reconstruction_error(X, Xt) -> float:
             f"reconstruction error needs identical shapes, got {X.shape} and {Xt.shape}"
         )
     return math.sqrt(sq_fro_norm(X - Xt))
-
-
-def projected_reconstruction_error(X, Xt) -> float:
-    """min over linear maps P of ||Xt P - X||_F^2, via the closed form
-    ||X||_F^2 - ||Ut^T X||_F^2.  Requires Xt with full column rank."""
-    X, Xt = _pair(X, Xt)
-    ft = thin_svd(Xt)
-    rank = ft.rank()
-    if rank < Xt.shape[1]:
-        raise LinalgError(
-            f"Xt is rank-deficient (rank {rank} < {Xt.shape[1]} columns)"
-        )
-    return sq_fro_norm(X) - sq_fro_norm(ft.U[:, :rank].T @ X)
-
-
-def spectral_deltas(X, Xt, lam: float):
-    """Tightest (delta1, delta2) with
-    (1-delta1)(XX^T+lam I) <= Xt Xt^T + lam I <= (1+delta2)(XX^T+lam I)
-    in the semidefinite order, plus delta = max of the two and
-    delta_max = max(1/(1-delta1), delta2).
-
-    The generalized eigenvalues mu of the pencil come from X's SVD, two QRs
-    and one small symmetric eigensolve; see :class:`PreparedBase`.
-    delta_max is +inf when delta1 >= 1.
-    """
-    rep = PreparedBase(X).report(Xt, lam)
-    return rep.delta1, rep.delta2, rep.delta, rep.delta_max
 
 
 def _deltas(f: ThinSVD, Xt: np.ndarray, lam: float, P: np.ndarray | None = None):
@@ -284,13 +263,11 @@ class PreparedBase:
     [B^{-1/2} Xt | U diag(s^2/(s^2+lam))^{1/2}] and J = diag(I_k, -I_d),
     plus 0 when n exceeds k+d.  R comes from the QR of Xt's n x k residual
     off span(U) and of one (d+k) x (k+d) matrix.
-
-    ``svd`` is ``thin_svd(X)`` when the caller already holds it.
     """
 
-    def __init__(self, X, svd: ThinSVD | None = None):
+    def __init__(self, X):
         self.X = as_matrix(X, "X")
-        self.svd = thin_svd(self.X) if svd is None else svd
+        self.svd = thin_svd(self.X)
         self.rank = self.svd.rank()
         self.U = _retained_basis(self.svd, "X")
         self.sq_norm = sq_fro_norm(self.X)

@@ -26,7 +26,7 @@ from .linalg import (
     sq_fro_norm,
     thin_svd,
 )
-from .measures import PreparedBase, pip_loss, quality_report
+from .measures import PreparedBase, RankDeficiencyWarning, _pair, pip_loss, quality_report
 from .rng import CounterRng
 
 
@@ -143,22 +143,24 @@ def exact_expected_gap(X, Xt, model: LabelModel) -> float:
 
 
 def _full_rank_pair(X, Xt, model: LabelModel):
-    """(X, Xt, fx, ft): both designs validated, with equal row counts, full
-    column rank and a label model sized to X."""
-    X = as_matrix(X, "X")
-    Xt = as_matrix(Xt, "Xt")
-    if X.shape[0] != Xt.shape[0]:
-        raise ValueError(f"row count mismatch: {X.shape[0]} vs {Xt.shape[0]}")
-    fx = _require_full_rank(X, "X")
+    """(base, Xt, ft): both designs validated, with equal row counts, full
+    column rank and a label model sized to X; ``base`` is X's
+    :class:`PreparedBase` and ``ft`` the thin SVD of Xt."""
+    X, Xt = _pair(X, Xt)
+    with warnings.catch_warnings():
+        # a rank-deficient X raises just below, with no warning first
+        warnings.simplefilter("ignore", RankDeficiencyWarning)
+        base = PreparedBase(X)
+    _require_full_rank(X, "X", base.svd)
     ft = _require_full_rank(Xt, "Xt")
     model.check_dim(X.shape[1])
-    return X, Xt, fx, ft
+    return base, Xt, ft
 
 
-def _exact_gap(X, Xt, fx: ThinSVD, ft: ThinSVD, model: LabelModel) -> float:
-    n, d = X.shape
+def _exact_gap(base: PreparedBase, Xt, ft: ThinSVD, model: LabelModel) -> float:
+    n, d = base.X.shape
     k = Xt.shape[1]
-    M = ft.U.T @ fx.U
+    M = ft.U.T @ base.svd.U
     S = model.sqrt_factor()
     if S is not None:
         M = M @ S
@@ -303,7 +305,8 @@ def simulate_regression_gap(
     not depend on scheduling.
     """
     rng = CounterRng(seed)
-    X, Xt, fx, ft = _full_rank_pair(X, Xt, model)
+    base, Xt, ft = _full_rank_pair(X, Xt, model)
+    X, fx = base.X, base.svd
     n, d = X.shape
     k = Xt.shape[1]
     Ybar = _true_labels(fx, model, trials, rng)
@@ -315,7 +318,7 @@ def simulate_regression_gap(
         + (k - d) * model.sigma2(n, d)
     ) / n
     return _experiment_result(
-        gaps, _exact_gap(X, Xt, fx, ft, model), "exact_identity", X, Xt, model, seed
+        gaps, _exact_gap(base, Xt, ft, model), "exact_identity", X, Xt, model, seed
     )
 
 
@@ -456,10 +459,11 @@ def simulate_lipschitz_gap(
     if not L > 0:
         raise ValueError(f"L must be positive, got {L}")
     rng = CounterRng(seed)
-    X, Xt, fx, _ = _full_rank_pair(X, Xt, model)
+    base, Xt, _ = _full_rank_pair(X, Xt, model)
+    X = base.X
     n, d = X.shape
     gd = gd or GdConfig()
-    Ybar = _true_labels(fx, model, trials, rng)
+    Ybar = _true_labels(base.svd, model, trials, rng)
     Y = Ybar + math.sqrt(model.sigma2(n, d)) * rng.substream(1).normal_block(trials, n).T
 
     W = _fit_logistic_gd(X, Y, gd)
@@ -467,7 +471,7 @@ def simulate_lipschitz_gap(
     P = _sigmoid(Ybar)
     test_x = np.mean(_cross_entropy(X @ W, P), axis=0)
     test_t = np.mean(_cross_entropy(Xt @ Wt, P), axis=0)
-    bound = lipschitz_gap_bound(PreparedBase(X, fx), Xt, L, model)
+    bound = lipschitz_gap_bound(base, Xt, L, model)
     return _experiment_result(test_t - test_x, bound, "upper_bound", X, Xt, model, seed, L=L)
 
 

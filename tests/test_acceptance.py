@@ -31,8 +31,7 @@ from embcompress.measures import (
     PreparedBase,
     eigenspace_overlap,
     pip_loss,
-    projected_reconstruction_error,
-    spectral_deltas,
+    quality_report,
 )
 from embcompress.rng import CounterRng
 from embcompress.selection import (
@@ -283,12 +282,12 @@ def test_criterion_7_oracles():
         X = rng.normal(size=(n, d))
         Xt = rng.normal(size=(n, k))
         lam = 0.8
-        d1, d2, _, _ = spectral_deltas(X, Xt, lam)
+        rep = quality_report(X, Xt, lam)
         mus = scipy.linalg.eigh(
             Xt @ Xt.T + lam * np.eye(n), X @ X.T + lam * np.eye(n), eigvals_only=True
         )
-        assert abs(d1 - (1.0 - float(mus[0]))) <= 1e-7
-        assert abs(d2 - (float(mus[-1]) - 1.0)) <= 1e-7
+        assert abs(rep.delta1 - (1.0 - float(mus[0]))) <= 1e-7
+        assert abs(rep.delta2 - (float(mus[-1]) - 1.0)) <= 1e-7
 
     # projected reconstruction error vs per-column least squares
     from embcompress.linalg import least_squares_solve
@@ -299,7 +298,7 @@ def test_criterion_7_oracles():
         float(np.sum((Xt @ least_squares_solve(Xt, X[:, j]) - X[:, j]) ** 2))
         for j in range(4)
     )
-    assert abs(projected_reconstruction_error(X, Xt) - direct) <= 1e-8
+    assert abs(quality_report(X, Xt).projected_reconstruction_error - direct) <= 1e-8
 
     # PIP loss small-Gram form vs dense n x n difference
     for n in (50, 200):

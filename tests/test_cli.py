@@ -378,6 +378,19 @@ def test_simulate_csv_rejected_before_the_run(tmp_path, capsys):
     assert not out.exists() and not csv_out.exists()
 
 
+@pytest.mark.parametrize("rounding", ["stochstic", "det"])
+def test_simulate_rejects_an_unknown_rounding(tmp_path, capsys, rounding):
+    # with full_range at its default, only "stochastic" takes the full-range
+    # quantizer; anything else reaches compress_uniform, which rejects it
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 80, "d": 6, "trials": 4,
+                               "compression": {"method": "uniform", "rounding": rounding}}))
+    out = tmp_path / "out.json"
+    assert run(["simulate", "theorem1", "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"unknown rounding {rounding!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_outputs_are_byte_stable(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"n": 100, "d": 5, "bits": 2, "seeds": [0, 1]}))

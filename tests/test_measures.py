@@ -13,10 +13,8 @@ from embcompress.measures import (
     RankDeficiencyWarning,
     eigenspace_overlap,
     pip_loss,
-    projected_reconstruction_error,
     quality_report,
     reconstruction_error,
-    spectral_deltas,
 )
 from embcompress.selection import MeasureSpec, select_best
 from embcompress.theory import LabelModel, lipschitz_gap_bound
@@ -54,16 +52,15 @@ _X, _XT_DEFICIENT = _rank_deficient_pair()
         lambda: PreparedBase(_XT_DEFICIENT),
         lambda: eigenspace_overlap(_X, _XT_DEFICIENT),
         lambda: quality_report(_X, _XT_DEFICIENT),
-        lambda: spectral_deltas(_X, _XT_DEFICIENT, 1.0),
         lambda: PreparedBase(_X).overlap(_XT_DEFICIENT),
         lambda: PreparedBase(_X).report(_XT_DEFICIENT),
         lambda: select_best(_X, [_X, _XT_DEFICIENT], MeasureSpec.default("eigenspace_overlap")),
         lambda: select_best(_X, [_XT_DEFICIENT], MeasureSpec.default("delta_max")),
         lambda: lipschitz_gap_bound(_XT_DEFICIENT, _X, 1.0, LabelModel()),
     ],
-    ids=["PreparedBase", "eigenspace_overlap", "quality_report", "spectral_deltas",
-         "PreparedBase.overlap", "PreparedBase.report", "select_best-overlap",
-         "select_best-delta_max", "lipschitz_gap_bound"],
+    ids=["PreparedBase", "eigenspace_overlap", "quality_report", "PreparedBase.overlap",
+         "PreparedBase.report", "select_best-overlap", "select_best-delta_max",
+         "lipschitz_gap_bound"],
 )
 def test_rank_deficiency_warning_points_at_caller(call):
     with warnings.catch_warnings(record=True) as record:
@@ -171,13 +168,17 @@ class TestProjectedReconstructionError:
         base = thin_svd(RNG.normal(size=(20, 6))).U
         X = base[:, :3] @ RNG.normal(size=(3, 5))
         Xt = base[:, :4]
-        assert projected_reconstruction_error(X, Xt) == pytest.approx(0.0, abs=1e-9)
+        with pytest.warns(RankDeficiencyWarning):  # X has rank 3 in 5 columns
+            rep = quality_report(X, Xt)
+        assert rep.projected_reconstruction_error == pytest.approx(0.0, abs=1e-9)
 
     def test_full_norm_when_orthogonal(self):
         base = thin_svd(RNG.normal(size=(20, 8))).U
         X = base[:, :3]
         Xt = base[:, 4:7]
-        assert projected_reconstruction_error(X, Xt) == pytest.approx(3.0, abs=1e-10)
+        assert quality_report(X, Xt).projected_reconstruction_error == pytest.approx(
+            3.0, abs=1e-10
+        )
 
     def test_matches_per_column_least_squares_oracle(self):
         X = RNG.normal(size=(15, 4))
@@ -187,13 +188,9 @@ class TestProjectedReconstructionError:
         for j in range(X.shape[1]):
             w = least_squares_solve(Xt, X[:, j])
             total += float(np.sum((Xt @ w - X[:, j]) ** 2))
-        assert projected_reconstruction_error(X, Xt) == pytest.approx(total, abs=1e-8)
-
-    def test_rank_deficient_candidate_rejected(self):
-        X = RNG.normal(size=(10, 3))
-        Xt = np.ones((10, 2))
-        with pytest.raises(LinalgError, match="rank"):
-            projected_reconstruction_error(X, Xt)
+        assert quality_report(X, Xt).projected_reconstruction_error == pytest.approx(
+            total, abs=1e-8
+        )
 
 
 def default_lambda(X):
@@ -223,35 +220,35 @@ class TestDefaultLambda:
 class TestSpectralDeltas:
     def test_identical_inputs(self):
         X = RNG.normal(size=(25, 5))
-        d1, d2, d, dmax = spectral_deltas(X, X, 0.7)
-        assert abs(d1) <= 1e-10 and abs(d2) <= 1e-10
-        assert d == pytest.approx(0.0, abs=1e-10)
-        assert dmax == pytest.approx(1.0, abs=1e-9)
+        rep = quality_report(X, X, 0.7)
+        assert abs(rep.delta1) <= 1e-10 and abs(rep.delta2) <= 1e-10
+        assert rep.delta == pytest.approx(0.0, abs=1e-10)
+        assert rep.delta_max == pytest.approx(1.0, abs=1e-9)
 
     def test_doubled_embedded_identity(self):
         X = np.zeros((3, 2))
         X[0, 0] = X[1, 1] = 1.0
-        d1, d2, d, dmax = spectral_deltas(X, 2.0 * X, 1.0)
-        assert d1 == pytest.approx(0.0, abs=1e-12)
-        assert d2 == pytest.approx(1.5, abs=1e-12)
-        assert d == pytest.approx(1.5, abs=1e-12)
-        assert dmax == pytest.approx(1.5, abs=1e-12)
+        rep = quality_report(X, 2.0 * X, 1.0)
+        assert rep.delta1 == pytest.approx(0.0, abs=1e-12)
+        assert rep.delta2 == pytest.approx(1.5, abs=1e-12)
+        assert rep.delta == pytest.approx(1.5, abs=1e-12)
+        assert rep.delta_max == pytest.approx(1.5, abs=1e-12)
 
     @pytest.mark.parametrize("shape_t", [(30, 3), (30, 4)])
     def test_reduced_matches_dense_pencil(self, shape_t):
         X = RNG.normal(size=(30, 4))
         Xt = RNG.normal(size=shape_t)
         lam = 0.5
-        d1, d2, _, _ = spectral_deltas(X, Xt, lam)
+        rep = quality_report(X, Xt, lam)
         mus = dense_pencil_eigs(X, Xt, lam)
-        assert d1 == pytest.approx(1.0 - float(mus[0]), abs=1e-7)
-        assert d2 == pytest.approx(float(mus[-1]) - 1.0, abs=1e-7)
+        assert rep.delta1 == pytest.approx(1.0 - float(mus[0]), abs=1e-7)
+        assert rep.delta2 == pytest.approx(float(mus[-1]) - 1.0, abs=1e-7)
 
     def test_semidefinite_witness_and_tightness(self):
         X = RNG.normal(size=(60, 5))
         Xt = X + 0.3 * RNG.normal(size=(60, 5))
-        lam = default_lambda(X)
-        d1, d2, _, _ = spectral_deltas(X, Xt, lam)
+        rep = quality_report(X, Xt)
+        d1, d2, lam = rep.delta1, rep.delta2, rep.lambda_used
         n = X.shape[0]
         A = Xt @ Xt.T + lam * np.eye(n)
         B = X @ X.T + lam * np.eye(n)
@@ -272,9 +269,9 @@ class TestSpectralDeltas:
         # the limiting case
         X = np.eye(4)
         Xt = np.eye(4)[:, :1] * 1e-12
-        d1, _, _, dmax = spectral_deltas(X, Xt, 1e-300)
-        assert d1 >= 1.0
-        assert dmax == np.inf
+        rep = quality_report(X, Xt, 1e-300)
+        assert rep.delta1 >= 1.0
+        assert rep.delta_max == np.inf
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_overflow_raises(self):
@@ -283,7 +280,7 @@ class TestSpectralDeltas:
         X = np.eye(4)[:, :2]
         Xt = np.eye(4)[:, 2:3] * 1e10
         with pytest.raises(LinalgError, match="overflow"):
-            spectral_deltas(X, Xt, 1e-300)
+            quality_report(X, Xt, 1e-300)
 
 
 def exact_gram(M):
@@ -443,7 +440,6 @@ class TestPreparedBaseOracles:
         rep = prepared.report(Xt, lam)
         assert quality_report(X, Xt, lam) == rep
         assert eigenspace_overlap(X, Xt) == rep.eigenspace_overlap
-        assert spectral_deltas(X, Xt, lam) == (rep.delta1, rep.delta2, rep.delta, rep.delta_max)
         assert quality_report(X, Xt).lambda_used == prepared.resolve_lambda()
         assert prepared.overlap(Xt) == rep.eigenspace_overlap
 

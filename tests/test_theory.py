@@ -73,6 +73,20 @@ class TestClosedFormRisk:
             closed_form_risk(np.ones((4, 2)), np.zeros(4), 0.0)
 
 
+@pytest.mark.parametrize("call", [
+    lambda X, Xt: exact_expected_gap(X, Xt, LabelModel()),
+    lambda X, Xt: simulate_regression_gap(X, Xt, LabelModel(), 4, seed=1),
+    lambda X, Xt: simulate_lipschitz_gap(X, Xt, LabelModel(), 4, seed=1),
+], ids=["exact_expected_gap", "simulate_regression_gap", "simulate_lipschitz_gap"])
+def test_rank_deficient_design_raises_without_a_warning(call):
+    X = gen_uniform_matrix(40, 4, seed=3)
+    X[:, 1] = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(LinalgError, match=r"^X is rank-deficient \(numerical rank 3 < 4"):
+            call(X, gen_uniform_matrix(40, 3, seed=4))
+
+
 class TestExactExpectedGap:
     def test_zero_for_identical(self):
         X = RNG.normal(size=(30, 5))
