@@ -248,7 +248,11 @@ def _make_compressed_variant(X, spec: dict, seed: int):
     if method == "uniform":
         bits = int(spec.get("bits", 4))
         rounding = spec.get("rounding", "stochastic")
-        if rounding == "stochastic" and spec.get("full_range", True):
+        if spec.get("full_range", rounding == "stochastic"):
+            if rounding != "stochastic":
+                raise ValueError(
+                    f"full_range needs stochastic rounding, got rounding {rounding!r}"
+                )
             return stochastic_quantize_full_range(X, bits, seed)
         return decompress(compress_uniform(X, bits, rounding=rounding, seed=seed))
     if method == "pca":
@@ -291,7 +295,7 @@ def _simulate_theorem2(cfg: dict) -> dict:
     gd = GdConfig(
         step=gd_cfg.get("step"),
         tol=gd_cfg.get("tol"),
-        max_steps=int(gd_cfg.get("max_steps", 100_000)),
+        max_steps=gd_cfg.get("max_steps", 100_000),
     )
     result = simulate_lipschitz_gap(
         X, Xt, _label_model(cfg), int(cfg.get("trials", 1000)), seed + 2,

@@ -10,8 +10,10 @@ harnesses used to check all of the above.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -357,14 +359,29 @@ def _experiment_result(gaps, theory_value: float, theory_kind: str, X, Xt, model
 class GdConfig:
     """Full-batch gradient descent settings for the logistic fit.
 
-    ``step`` defaults to 0.5 / lambda_max(X^T X / n), halved whenever a step
-    would increase the loss.  ``tol`` is the gradient-norm stopping threshold
-    and defaults to 1e-6 * n.
+    The fit minimizes the logistic loss summed over the n rows, whose
+    gradient is L-smooth with L = sigma_max(X)^2 / 4.  ``step`` is the
+    initial step and defaults to 1/L = 4 / sigma_max(X)^2.  A trial step is
+    accepted only when it lowers the loss by at least half the step times the
+    squared gradient norm (Armijo backtracking) and is halved otherwise;
+    after each accepted step the step doubles, so it follows the local
+    curvature.  ``tol`` is the per-column gradient-norm stopping threshold
+    and defaults to 1e-6 * n; ``max_steps`` caps the gradient steps.
     """
 
     step: float | None = None
     tol: float | None = None
     max_steps: int = 100_000
+
+    def __post_init__(self):
+        for name in ("step", "tol"):
+            value = getattr(self, name)
+            if value is not None and (isinstance(value, bool) or not isinstance(value, Real)
+                                      or not (math.isfinite(value) and value > 0)):
+                raise ValueError(f"GdConfig.{name} must be a finite number > 0, got {value!r}")
+        if isinstance(self.max_steps, bool) or not isinstance(self.max_steps, Integral) \
+                or self.max_steps < 1:
+            raise ValueError(f"GdConfig.max_steps must be an int >= 1, got {self.max_steps!r}")
 
 
 def _sigmoid(z):
@@ -388,7 +405,7 @@ def _fit_logistic_gd(X: np.ndarray, Y: np.ndarray, gd: GdConfig) -> np.ndarray:
     Y2 = Y if Y.ndim == 2 else Y[:, None]
     tol = gd.tol if gd.tol is not None else 1e-6 * n
     smax = float(np.linalg.svd(X, compute_uv=False)[0])
-    step = gd.step if gd.step is not None else 0.5 / (smax**2 / n)
+    step = gd.step if gd.step is not None else 4.0 / smax**2
 
     P = _sigmoid(Y2)
     W = np.zeros((d, Y2.shape[1]))
@@ -397,13 +414,16 @@ def _fit_logistic_gd(X: np.ndarray, Y: np.ndarray, gd: GdConfig) -> np.ndarray:
     increases = 0
     for _ in range(gd.max_steps):
         G = X.T @ (_sigmoid(Z) - P)
-        if float(np.max(np.sqrt(np.sum(G * G, axis=0)))) <= tol:
+        G2 = G * G
+        if float(np.max(np.sqrt(np.sum(G2, axis=0)))) <= tol:
             break
+        g2 = det_sum(G2)
         while True:
             W_new = W - step * G
             Z_new = X @ W_new
             new_total = det_sum(_cross_entropy(Z_new, P))
-            if new_total <= total or step < 1e-20:
+            # a NaN loss fails the test and halves the step like a rise
+            if new_total <= total - 0.5 * step * g2 or step < 1e-20:
                 break
             step *= 0.5
         if new_total > total:
@@ -415,6 +435,7 @@ def _fit_logistic_gd(X: np.ndarray, Y: np.ndarray, gd: GdConfig) -> np.ndarray:
         else:
             increases = 0
         W, Z, total = W_new, Z_new, new_total
+        step = min(2.0 * step, sys.float_info.max)  # kept finite, so halving always ends
     else:
         warnings.warn(
             f"gradient descent stopped at max_steps={gd.max_steps} before "

@@ -391,6 +391,46 @@ def test_simulate_rejects_an_unknown_rounding(tmp_path, capsys, rounding):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("gd", [
+    {"step": 0}, {"step": float("nan")}, {"tol": -1}, {"step": -1}, {"max_steps": 0},
+    {"step": "abc"},
+], ids=["step-0", "step-nan", "tol-negative", "step-negative", "max_steps-0", "step-str"])
+def test_simulate_theorem2_rejects_an_invalid_gd_config(tmp_path, capsys, gd):
+    # each of these once spun, diverged, fitted nothing or raised a traceback
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 80, "d": 6, "trials": 4, "gd": gd}))
+    out = tmp_path / "out.json"
+    assert run(["simulate", "theorem2", "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"GdConfig.{next(iter(gd))} must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("rounding", ["deterministic", "stochstic"])
+def test_simulate_rejects_full_range_without_stochastic_rounding(tmp_path, capsys, rounding):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 80, "d": 6, "trials": 4, "compression": {
+        "method": "uniform", "rounding": rounding, "full_range": True}}))
+    out = tmp_path / "out.json"
+    assert run(["simulate", "theorem1", "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"full_range needs stochastic rounding, got rounding {rounding!r}" in (
+        capsys.readouterr().err
+    )
+    assert not out.exists()
+
+
+def test_simulate_deterministic_rounding_takes_the_clip_search(tmp_path):
+    # full_range false and full_range left out give the same compress_uniform run
+    results = []
+    for extra in ({}, {"full_range": False}):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 80, "d": 6, "trials": 4, "compression": {
+            "method": "uniform", "bits": 2, "rounding": "deterministic", **extra}}))
+        out = tmp_path / f"out{len(results)}.json"
+        assert run(["simulate", "theorem1", "--config", str(cfg), "--out", str(out)]) == 0
+        results.append(read_report(out)["body"])
+    assert results[0] == results[1]
+
+
 def test_simulate_outputs_are_byte_stable(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"n": 100, "d": 5, "bits": 2, "seeds": [0, 1]}))

@@ -615,3 +615,96 @@ class TestPerformanceCsv:
             [{"a": 1, "b": math.inf}, {"a": 2, "b": 0.5}], ["a", "b"], p
         )
         assert p.read_text().splitlines() == ["a,b", "1,inf", "2,0.5"]
+
+
+def _fuzz_container(method, n, d, bits, seed, with_vocab):
+    """Serialized container of a small random matrix, and the offset of its
+    declared token count."""
+    X = np.random.default_rng(seed).normal(size=(n, d))
+    if method == "uniform":
+        C = compress_uniform(X, bits, rounding="stochastic", seed=seed)
+    elif method == "kmeans":
+        C = compress_kmeans(X, bits, seed=seed)
+    else:
+        C = compress_pca(X, min(bits, n, d), keep_v=method == "pca_v")
+    raw = _serialize_compressed(C, vocab(n) if with_vocab else None)
+    return raw, len(storage.MAGIC) + len(storage._payload(C))
+
+
+_FUZZ_CONTAINERS = st.builds(
+    _fuzz_container,
+    method=st.sampled_from(["uniform", "kmeans", "pca", "pca_v"]),
+    n=st.integers(1, 6),
+    d=st.integers(1, 6),
+    bits=st.integers(1, 3),
+    seed=st.integers(0, 2**16),
+    with_vocab=st.booleans(),
+)
+
+
+def _with_crc(body: bytes) -> bytes:
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+def _read_mutated(tmp_path, raw: bytes) -> None:
+    """Read ``raw`` as a container: it may parse, or fail with StorageError
+    or ValueError; any other exception escapes.  The reader's peak
+    allocation must stay within a small multiple of the file size, so no
+    buffer is sized from a declared field before that field is checked."""
+    p = tmp_path / "fuzz.eqc"
+    p.write_bytes(raw)
+    tracemalloc.start()
+    try:
+        read_compressed(p)
+    except (StorageError, ValueError):
+        pass
+    finally:
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+    assert peak <= 64 * len(raw) + (64 << 10), (len(raw), peak)
+
+
+class TestReadCompressedFuzz:
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(container=_FUZZ_CONTAINERS)
+    def test_truncation_at_every_length(self, tmp_path, container):
+        raw, _ = container
+        body = raw[:-4]
+        for cut in range(len(raw)):
+            _read_mutated(tmp_path, raw[:cut])
+            if cut <= len(body):
+                _read_mutated(tmp_path, _with_crc(body[:cut]))
+
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(container=_FUZZ_CONTAINERS, data=st.data())
+    def test_byte_overwrites_with_valid_crc(self, tmp_path, container, data):
+        raw, _ = container
+        body = bytearray(raw[:-4])
+        for _ in range(data.draw(st.integers(1, 3))):
+            body[data.draw(st.integers(0, len(body) - 1))] = data.draw(st.integers(0, 255))
+        _read_mutated(tmp_path, _with_crc(bytes(body)))
+
+    # (offset, struct format) of each declared size; bits and k share the
+    # first byte after d_orig, k being the pca method's 4-byte field
+    _SIZE_FIELDS = {"n": (16, "<Q"), "d_orig": (24, "<I"), "bits": (28, "<B"),
+                    "k": (28, "<I")}
+
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(container=_FUZZ_CONTAINERS,
+           field=st.sampled_from(["n", "d_orig", "bits", "k", "tokens"]),
+           data=st.data())
+    def test_huge_declared_sizes(self, tmp_path, container, field, data):
+        raw, tokens_at = container
+        offset, fmt = (tokens_at, "<I") if field == "tokens" else self._SIZE_FIELDS[field]
+        width = struct.calcsize(fmt)
+        top = 8 * width
+        value = data.draw(st.one_of(
+            st.integers(0, 2**top - 1),
+            st.sampled_from([2**top - 1, 2 ** (top - 1), 2 ** (top // 2)]),
+        ))
+        body = bytearray(raw[:-4])
+        body[offset : offset + width] = struct.pack(fmt, value)
+        _read_mutated(tmp_path, _with_crc(bytes(body)))

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from embcompress import theory
 from embcompress.compress import compress_pca, decompress
 from embcompress.linalg import LinalgError, det_sum, least_squares_solve, sq_fro_norm, thin_svd
 from embcompress.measures import PreparedBase, RankDeficiencyWarning, eigenspace_overlap
@@ -335,10 +336,12 @@ class TestFitLinearModel:
 
 
 def _reference_fit_logistic_gd(X, Y, gd):
-    """The GD loop as first written, kept as an oracle: each loss evaluation
+    """The GD loop written plainly, kept as an oracle: each loss evaluation
     recomputes the target sigmoid and sums two softplus terms, and the
-    logits X @ W are recomputed for every gradient.  Returns the weights and
-    the final step."""
+    logits X @ W are recomputed for every gradient.  The step starts at
+    1/L = 4 / sigma_max(X)^2, a trial is accepted when it passes the Armijo
+    test and halved otherwise, and each accepted step doubles it.  Returns
+    the weights and the number of halvings."""
     from scipy.special import expit
 
     def loss(pred, target):
@@ -348,11 +351,11 @@ def _reference_fit_logistic_gd(X, Y, gd):
     n, d = X.shape
     tol = gd.tol if gd.tol is not None else 1e-6 * n
     smax = float(np.linalg.svd(X, compute_uv=False)[0])
-    step = gd.step if gd.step is not None else 0.5 / (smax**2 / n)
+    step = gd.step if gd.step is not None else 4.0 / smax**2
     S_target = expit(Y)
     W = np.zeros((d, Y.shape[1]))
     total = det_sum(loss(X @ W, Y))
-    increases = 0
+    increases = halvings = 0
     for _ in range(gd.max_steps):
         G = X.T @ (expit(X @ W) - S_target)
         if float(np.max(np.sqrt(np.sum(G * G, axis=0)))) <= tol:
@@ -360,9 +363,10 @@ def _reference_fit_logistic_gd(X, Y, gd):
         while True:
             W_new = W - step * G
             new_total = det_sum(loss(X @ W_new, Y))
-            if new_total <= total or step < 1e-20:
+            if new_total <= total - 0.5 * step * det_sum(G * G) or step < 1e-20:
                 break
             step *= 0.5
+            halvings += 1
         if new_total > total:
             increases += 1
             if increases >= 20:
@@ -370,9 +374,10 @@ def _reference_fit_logistic_gd(X, Y, gd):
         else:
             increases = 0
         W, total = W_new, new_total
+        step *= 2.0
     else:
         warnings.warn("max_steps", RuntimeWarning)
-    return W, step
+    return W, halvings
 
 
 def _logit_fixture(n, d, scale, seed):
@@ -406,8 +411,8 @@ class TestLogisticGdOracle:
     def test_halved_step_matches_reference(self):
         X, Y = _logit_fixture(60, 3, 4.0, 5)
         gd = GdConfig(step=50.0)
-        W_ref, final_step = _reference_fit_logistic_gd(X, Y, gd)
-        assert final_step < gd.step
+        W_ref, halvings = _reference_fit_logistic_gd(X, Y, gd)
+        assert halvings > 0
         assert np.array_equal(_fit_logistic_gd(X, Y, gd), W_ref)
 
     def test_max_steps_warns_and_matches_reference(self):
@@ -418,6 +423,87 @@ class TestLogisticGdOracle:
         with pytest.warns(RuntimeWarning, match="max_steps=7"):
             W = _fit_logistic_gd(X, Y, gd)
         assert np.array_equal(W, W_ref)
+
+
+def _theorem2_fixture(seed):
+    """(X, Y) shaped like a theorem2 fit: n=1000, d=10, and 200 columns of
+    noisy logits U z + noise drawn the way the harness draws them."""
+    n, d, trials = 1000, 10, 200
+    rng = CounterRng(seed)
+    X = gen_uniform_matrix(n, d, seed)
+    Ybar = thin_svd(X).U @ rng.substream(0).normal_block(trials, d).T
+    sigma = math.sqrt(LabelModel(noise_ratio=0.1).sigma2(n, d))
+    return X, Ybar + sigma * rng.substream(1).normal_block(trials, n).T
+
+
+def _newton_logistic(X, Y):
+    """Per-column damped Newton solve of the summed logistic loss, run to
+    near machine precision; independent of the GD loop."""
+    from scipy.special import expit
+
+    def loss(z, p):
+        return float(np.sum(np.logaddexp(0.0, z) - p * z))
+
+    W = np.zeros((X.shape[1], Y.shape[1]))
+    for j in range(Y.shape[1]):
+        p, w = expit(Y[:, j]), W[:, j]
+        for _ in range(200):
+            s = expit(X @ w)
+            g = X.T @ (s - p)
+            H = X.T @ (X * (s * (1.0 - s))[:, None])
+            dw, t = np.linalg.solve(H, g), 1.0
+            while loss(X @ (w - t * dw), p) > loss(X @ w, p) and t > 1e-8:
+                t *= 0.5
+            w = w - t * dw
+            if np.max(np.abs(X @ (t * dw))) < 1e-12:
+                break
+        W[:, j] = w
+    return W
+
+
+_CONVERGENCE_FIXTURES = {
+    "60x3": lambda: _logit_fixture(60, 3, 3.0, 1),
+    "200x5": lambda: _logit_fixture(200, 5, 8.0, 2),
+    "40x4": lambda: _logit_fixture(40, 4, 1.0, 3),
+    "theorem2": lambda: _theorem2_fixture(1),
+}
+
+
+class TestLogisticGdConvergence:
+    @pytest.mark.parametrize("name", list(_CONVERGENCE_FIXTURES))
+    def test_matches_the_newton_solution(self, name):
+        from scipy.special import expit
+
+        X, Y = _CONVERGENCE_FIXTURES[name]()
+        W = _fit_logistic_gd(X, Y, GdConfig())
+        G = X.T @ (expit(X @ W) - expit(Y))
+        assert np.max(np.linalg.norm(G, axis=0)) <= 1e-6 * X.shape[0]
+        assert np.max(np.abs(X @ (W - _newton_logistic(X, Y)))) <= 1e-3
+
+    def test_theorem2_shaped_fit_takes_at_most_20_steps(self, monkeypatch):
+        X, Y = _theorem2_fixture(1)
+        calls = []
+        sigmoid = theory._sigmoid
+        monkeypatch.setattr(theory, "_sigmoid", lambda z: calls.append(z) or sigmoid(z))
+        _fit_logistic_gd(X, Y, GdConfig())
+        # one call for the targets, then one per gradient
+        assert len(calls) - 1 <= 20
+
+
+class TestGdConfig:
+    @pytest.mark.parametrize("kwargs", [
+        {"step": 0}, {"step": -1.0}, {"step": float("nan")}, {"step": float("inf")},
+        {"step": "abc"}, {"step": True}, {"tol": -1}, {"tol": 0.0}, {"tol": float("nan")},
+        {"tol": "1e-3"}, {"max_steps": 0}, {"max_steps": -3}, {"max_steps": 1.5},
+        {"max_steps": "10"}, {"max_steps": True}, {"max_steps": None},
+    ], ids=repr)
+    def test_rejects_invalid_fields(self, kwargs):
+        with pytest.raises(ValueError, match=f"GdConfig.{next(iter(kwargs))}"):
+            GdConfig(**kwargs)
+
+    def test_accepts_numpy_and_int_values(self):
+        gd = GdConfig(step=1, tol=np.float64(1e-3), max_steps=np.int64(5))
+        assert (gd.step, gd.tol, gd.max_steps) == (1, 1e-3, 5)
 
 
 class TestScalingExperiment:
