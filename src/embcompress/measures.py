@@ -14,6 +14,7 @@ import os
 import sys
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -76,10 +77,15 @@ MEASURE_NAMES = (
 def _pair(X, Xt):
     """X and Xt as validated matrices with equal row counts."""
     X = as_matrix(X, "X")
+    return X, _rows_of(X, Xt)
+
+
+def _rows_of(X: np.ndarray, Xt) -> np.ndarray:
+    """Xt as a validated matrix with the row count of the validated X."""
     Xt = as_matrix(Xt, "Xt")
     if X.shape[0] != Xt.shape[0]:
         raise ValueError(f"row count mismatch: {X.shape[0]} vs {Xt.shape[0]}")
-    return X, Xt
+    return Xt
 
 
 _PACKAGE_DIR = os.path.dirname(__file__) + os.sep
@@ -147,7 +153,8 @@ def reconstruction_error(X, Xt) -> float:
     return math.sqrt(sq_fro_norm(X - Xt))
 
 
-def _deltas(f: ThinSVD, Xt: np.ndarray, lam: float, P: np.ndarray | None = None):
+def _deltas(f: ThinSVD, Xt: np.ndarray, lam: float, P: np.ndarray | None = None,
+            G: np.ndarray | None = None):
     # B = XX^T + lam I is diagonal in X's SVD, so B^{-1/2} is written down
     # from U and s: no second factorization of X and no Cholesky of B, whose
     # accuracy falls as cond(B) grows.
@@ -156,24 +163,31 @@ def _deltas(f: ThinSVD, Xt: np.ndarray, lam: float, P: np.ndarray | None = None)
     # W = [Y | Z] and J = diag(I_k, -I_d).  Splitting Xt = U P + E with E
     # orthogonal to U, and E = Q_e R_e,
     # W = [U | Q_e] [[P/sqrt(s^2+lam), diag(s^2/(s^2+lam))^{1/2}], [R_e/sqrt(lam), 0]]
-    # with orthonormal [U | Q_e], so W = QR only needs the QR of the n x k
-    # residual and of that small matrix.  mu - 1 are the eigenvalues of
-    # R J R^T, plus 0 on the complement of span(W) when n > rows of R.
-    # ``P`` is U^T Xt when the caller already holds it.
+    # with orthonormal [U | Q_e], so W = QR only needs R_e and the QR of
+    # that small matrix.  mu - 1 are the eigenvalues of R J R^T, plus 0 on
+    # the complement of span(W) when n > rows of R.
+    # ``P`` is U^T Xt, and ``G`` = Xt^T Xt, when the caller already holds
+    # them.  With both, R_e is the Cholesky factor of E^T E = G - P^T P (see
+    # ``_gram_residual_factor``) and no n x k matrix is touched; without
+    # them, or when that factor is refused, R_e comes from the QR of E.
     U, s = f.U, f.s
     d, k = U.shape[1], Xt.shape[1]
     s2 = s * s
-    P = U.T @ Xt if P is None else P.copy()
-    E = Xt - U @ P
-    # one re-orthogonalisation pass keeps E orthogonal to U to working precision
-    C = U.T @ E
-    E -= U @ C
-    P += C
-    Re = np.linalg.qr(E, mode="r")
+    Re = None if G is None else _gram_residual_factor(G, P)
+    if Re is None:
+        P = U.T @ Xt if P is None else P.copy()
+        E = Xt - U @ P
+        # one re-orthogonalisation pass keeps E orthogonal to U to working precision
+        C = U.T @ E
+        E -= U @ C
+        P += C
+        Re = np.linalg.qr(E, mode="r")
     M = np.zeros((d + Re.shape[0], k + d))
     M[:d, :k] = P / np.sqrt(s2 + lam)[:, None]
     M[:d, k:] = np.diag(np.sqrt(s2 / (s2 + lam)))
     M[d:, :k] = Re / math.sqrt(lam)
+    # keep this QR: (M J) M^T has the same eigenvalues in exact arithmetic,
+    # but loses delta1 near 1 at tiny lam (test_deltas_match_the_exact_pencil)
     R = np.linalg.qr(M, mode="r")
     J = np.concatenate([np.ones(k), -np.ones(d)])
     eigs = np.linalg.eigvalsh((R * J) @ R.T)  # mu - 1, ascending
@@ -242,11 +256,40 @@ def _well_conditioned_cholesky(G: np.ndarray) -> np.ndarray | None:
     return L
 
 
+# Smallest trace(S) / trace(G), for S = G - P^T P = E^T E, at which the
+# residual's R factor is the Cholesky factor of S; cond(L_S) must also stay
+# within ``_GRAM_MAX_COND``.  Forming S cancels the part of G inside span(U),
+# so S carries an absolute error of about eps * trace(G), and the deltas a
+# relative one that grows like eps * trace(G) / trace(S).  Swept against the
+# explicit path on a 10000 x 100 Student-t base, with candidates U A + E
+# whose residual E has singular values spread over cond(L_S) = 1 to 5e2 and
+# lam at X's default, /10 and /100, the largest relative difference in
+# delta1 or delta2 was 1e-14 at a trace ratio of 1e-1, 1e-13 at 1e-2, 7e-13
+# at 1e-3, 7e-12 at 1e-4 and 8e-10 at 1e-6.  1e-2 keeps a decade below the
+# 1e-12 the oracle tests allow.  Uniform quantizations at 1 to 5 bits and
+# k-means at 3 bits sit at 1e-2 to 0.6 on Student-t data; 6 bits and more,
+# and PCA (S = 0 up to rounding), fall below and take the explicit path.
+_RESIDUAL_MIN_TRACE = 1e-2
+
+
+def _gram_residual_factor(G: np.ndarray, P: np.ndarray) -> np.ndarray | None:
+    """The k x k triangular R_e with R_e^T R_e = E^T E for Xt's residual
+    E = Xt - U P off span(U), from G = Xt^T Xt and P = U^T Xt; None when S =
+    G - P^T P lost too much to cancellation or its Cholesky factor fails
+    ``_well_conditioned_cholesky``."""
+    S = G - P.T @ P
+    if not np.trace(S) >= _RESIDUAL_MIN_TRACE * np.trace(G):
+        return None
+    L = _well_conditioned_cholesky(S)
+    return None if L is None else L.T
+
+
 class PreparedBase:
     """A base matrix X factored once, to score any number of candidates.
 
-    Holds the thin SVD of X, its numerical rank, its retained left singular
-    basis U and the squared norms ||X||_F^2 and ||X^T X||_F^2.
+    Holds the thin SVD of X, its numerical rank and its retained left
+    singular basis U; the squared norms ||X||_F^2 and ||X^T X||_F^2 that
+    only :meth:`report` reads are formed on its first call.
 
     A candidate Xt (n x k, k <= n) whose Gram matrix G = Xt^T Xt has a
     Cholesky factor L with cond(L) <= ``_GRAM_MAX_COND`` takes no SVD: Xt
@@ -256,13 +299,22 @@ class PreparedBase:
     C.  Any other candidate (rank-deficient, wider than tall, or ill
     conditioned) costs one SVD of Xt and uses its retained singular vectors.
 
-    The spectral deltas add two QRs and one small symmetric eigensolve: B =
+    The spectral deltas add one small QR and one small symmetric eigensolve
+    to the factor of Xt's residual described below: B =
     XX^T + lam I is diagonal in X's SVD, so B^{-1/2} is explicit, and the
     eigenvalues of B^{-1/2} (Xt Xt^T + lam I) B^{-1/2} - I are those of
     R J R^T, with R the triangular factor of
     [B^{-1/2} Xt | U diag(s^2/(s^2+lam))^{1/2}] and J = diag(I_k, -I_d),
-    plus 0 when n exceeds k+d.  R comes from the QR of Xt's n x k residual
-    off span(U) and of one (d+k) x (k+d) matrix.
+    plus 0 when n exceeds k+d.  R is the triangular factor of one
+    (d+k) x (k+d) matrix built from P, s and the R factor R_e of Xt's n x k
+    residual E = Xt - U P off span(U).  On the Gram path, with X of full
+    rank, R_e is the Cholesky factor of E^T E = G - P^T P, so no n x k pass
+    follows G and P.  It is refused, and R_e taken from the QR of an explicit
+    E, when the cancellation in G - P^T P leaves its trace below
+    ``_RESIDUAL_MIN_TRACE`` times that of G (PCA and near-lossless
+    candidates) or its factor fails ``_well_conditioned_cholesky``; SVD-path
+    candidates and rank-deficient bases always take the explicit E.  The two
+    agree to 1e-13 relative at the threshold (see ``_RESIDUAL_MIN_TRACE``).
     """
 
     def __init__(self, X):
@@ -270,12 +322,20 @@ class PreparedBase:
         self.svd = thin_svd(self.X)
         self.rank = self.svd.rank()
         self.U = _retained_basis(self.svd, "X")
-        self.sq_norm = sq_fro_norm(self.X)
-        self.sq_gram_norm = sq_fro_norm(self.X.T @ self.X)
+
+    @cached_property
+    def sq_norm(self) -> float:
+        """||X||_F^2, formed on first use: only :meth:`report` reads it."""
+        return sq_fro_norm(self.X)
+
+    @cached_property
+    def sq_gram_norm(self) -> float:
+        """||X^T X||_F^2, formed on first use: only :meth:`report` reads it."""
+        return sq_fro_norm(self.X.T @ self.X)
 
     def _candidate(self, Xt) -> _Candidate:
         """Xt validated against X, on the Gram path when it qualifies."""
-        _, Xt = _pair(self.X, Xt)
+        Xt = _rows_of(self.X, Xt)
         G = Xt.T @ Xt
         if Xt.shape[1] <= Xt.shape[0]:
             L = _well_conditioned_cholesky(G)
@@ -312,16 +372,17 @@ class PreparedBase:
         k = Xt.shape[1]
         lam = self.resolve_lambda(lam)
         # U^T Xt from the candidate step is the deltas' P when U is all of X's
-        # left singular vectors
-        P = c.P if c.P is not None and self.rank == self.svd.r else None
-        delta1, delta2, delta, delta_max = _deltas(self.svd, Xt, lam, P)
+        # left singular vectors; with G it gives their residual factor
+        full = c.P is not None and self.rank == self.svd.r
+        P, G = (c.P, c.G) if full else (None, None)
+        delta1, delta2, delta, delta_max = _deltas(self.svd, Xt, lam, P, G)
         C = X.T @ Xt
         # Ut^T X, or its Gram-path equal L^{-1} Xt^T X
         M = c.Ut.T @ X if c.L is None else np.linalg.solve(c.L, C.T)
         return QualityReport(
             eigenspace_overlap=self._overlap(c),
             pip_loss=_pip_from_blocks(self.sq_gram_norm, c.G, C),
-            reconstruction_error=reconstruction_error(X, Xt) if X.shape == Xt.shape else None,
+            reconstruction_error=math.sqrt(sq_fro_norm(X - Xt)) if X.shape == Xt.shape else None,
             projected_reconstruction_error=max(self.sq_norm - sq_fro_norm(M), 0.0),
             delta1=delta1,
             delta2=delta2,

@@ -398,13 +398,13 @@ def _cross_entropy(Z: np.ndarray, P: np.ndarray) -> np.ndarray:
     return loss
 
 
-def _fit_logistic_gd(X: np.ndarray, Y: np.ndarray, gd: GdConfig) -> np.ndarray:
+def _fit_logistic_gd(X: np.ndarray, Y: np.ndarray, gd: GdConfig, smax: float) -> np.ndarray:
     """Minimize the summed logistic loss for each column of Y; returns the
-    (d, T) weight block.  Shared adaptive step, per-column convergence."""
+    (d, T) weight block.  Shared adaptive step, per-column convergence.
+    ``smax`` is sigma_max(X), from the factors the caller already holds."""
     n, d = X.shape
     Y2 = Y if Y.ndim == 2 else Y[:, None]
     tol = gd.tol if gd.tol is not None else 1e-6 * n
-    smax = float(np.linalg.svd(X, compute_uv=False)[0])
     step = gd.step if gd.step is not None else 4.0 / smax**2
 
     P = _sigmoid(Y2)
@@ -458,8 +458,8 @@ def fit_linear_model(X, y, loss: str = "squared", gd: GdConfig | None = None) ->
         return least_squares_solve(X, y)
     if loss != "logistic":
         raise ValueError(f"unknown loss {loss!r}")
-    _require_full_rank(X, "X")
-    return _fit_logistic_gd(X, y, gd or GdConfig())[:, 0]
+    f = _require_full_rank(X, "X")
+    return _fit_logistic_gd(X, y, gd or GdConfig(), float(f.s[0]))[:, 0]
 
 
 def simulate_lipschitz_gap(
@@ -480,15 +480,15 @@ def simulate_lipschitz_gap(
     if not L > 0:
         raise ValueError(f"L must be positive, got {L}")
     rng = CounterRng(seed)
-    base, Xt, _ = _full_rank_pair(X, Xt, model)
+    base, Xt, ft = _full_rank_pair(X, Xt, model)
     X = base.X
     n, d = X.shape
     gd = gd or GdConfig()
     Ybar = _true_labels(base.svd, model, trials, rng)
     Y = Ybar + math.sqrt(model.sigma2(n, d)) * rng.substream(1).normal_block(trials, n).T
 
-    W = _fit_logistic_gd(X, Y, gd)
-    Wt = _fit_logistic_gd(Xt, Y, gd)
+    W = _fit_logistic_gd(X, Y, gd, float(base.svd.s[0]))
+    Wt = _fit_logistic_gd(Xt, Y, gd, float(ft.s[0]))
     P = _sigmoid(Ybar)
     test_x = np.mean(_cross_entropy(X @ W, P), axis=0)
     test_t = np.mean(_cross_entropy(Xt @ Wt, P), axis=0)

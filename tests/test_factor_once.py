@@ -124,3 +124,35 @@ def test_one_call_shortcuts_share_one_lapack_svd_of_x(monkeypatch):
     select_best(X, candidates, MeasureSpec.default("delta_max"))
     compress_pca(X, 3)
     assert sum(of_x) == 1
+
+
+def test_theorem2_takes_one_svd_of_each_design(monkeypatch, tmp_path):
+    # the GD fits take sigma_max from the factors the harness already holds:
+    # one SVD of X and one of Xt, where a value-only SVD per fit made four
+    cfg = tmp_path / "t2.json"
+    cfg.write_text(json.dumps({"n": 200, "d": 5, "c": 0.1, "trials": 20, "seed": 3}))
+    svd = np.linalg.svd
+    rows = []
+
+    def spy(a, *args, **kwargs):
+        rows.append(a.shape[0])
+        return svd(a, *args, **kwargs)
+
+    linalg._forget()
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    assert run(["simulate", "theorem2", "--config", str(cfg), "--out",
+                str(tmp_path / "t2.out.json")]) == 0
+    # the 5 x 5 SVDs are the Gram path's condition checks of Cholesky factors
+    assert [r for r in rows if r == 200] == [200, 200]
+
+
+def test_overlap_alone_never_forms_the_report_norms():
+    X = np.random.default_rng(4).normal(size=(80, 6))
+    candidates = _candidates(X)[:3]
+    prepared = measures.PreparedBase(X)
+    for C in candidates:
+        prepared.overlap(decompress(C))
+    assert "sq_norm" not in vars(prepared) and "sq_gram_norm" not in vars(prepared)
+    prepared.report(decompress(candidates[0]))
+    assert prepared.sq_norm == linalg.sq_fro_norm(X)
+    assert prepared.sq_gram_norm == linalg.sq_fro_norm(X.T @ X)

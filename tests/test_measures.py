@@ -322,7 +322,27 @@ def _column_decay_pairs():
         yield f"{n}x{d}-{decay:g}", S, stochastic_quantize_full_range(S, 4, seed % 4 + 1)
 
 
-@pytest.mark.parametrize("case", list(_column_decay_pairs()), ids=lambda c: c[0])
+def _explicit_residual_pencil_pairs():
+    # cases whose residual factor comes from the QR of an explicit E: a
+    # near-lossless candidate, whose G - P^T P cancels to below the trace
+    # threshold, and the scaled matrix as the candidate of its quantization,
+    # cond 1e6 and so on the SVD path
+    from embcompress.theory import (
+        gen_scaled_matrix,
+        gen_uniform_matrix,
+        stochastic_quantize_full_range,
+    )
+
+    X = gen_uniform_matrix(10, 3, seed=2)
+    yield "10x3-12bit-explicit", X, stochastic_quantize_full_range(X, 12, 3)
+    S = gen_scaled_matrix(8, 3, 1e-6, seed=0)
+    yield "8x3-1e-06-swapped-explicit", stochastic_quantize_full_range(S, 4, 1), S
+
+
+@pytest.mark.parametrize(
+    "case", list(_column_decay_pairs()) + list(_explicit_residual_pencil_pairs()),
+    ids=lambda c: c[0],
+)
 def test_deltas_match_the_exact_pencil(case):
     # columns scaled down to 1e-6 or 1e-8 and a 4-bit candidate at the default
     # lambda: cond(XX^T + lam I) reaches 1e16, delta2 is 1e10 to 5e14, and
@@ -340,6 +360,31 @@ def test_deltas_match_the_exact_pencil(case):
     rel = Fraction(1e-9)
     assert exact_positive_definite(exact_pencil((1 + rel) * mu_max, GB, 1, GA, lam))
     assert not exact_positive_definite(exact_pencil((1 - rel) * mu_max, GB, 1, GA, lam))
+
+
+def residual_qr_rows(prepared, Xt, lam, monkeypatch):
+    """(report, row counts of the matrices that report QRs)."""
+    rows = []
+    qr = np.linalg.qr
+
+    def spy(a, *args, **kwargs):
+        rows.append(a.shape[0])
+        return qr(a, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "qr", spy)
+        return prepared.report(Xt, lam), rows
+
+
+def test_exact_pencil_cases_take_both_residual_paths(monkeypatch):
+    # the quantized column-decay candidates are well conditioned, so their
+    # residual factor comes from G - P^T P and only the (d+k)-row matrix is
+    # QR'd; the others also QR the n x k residual
+    for name, X, Xt in itertools.chain(_column_decay_pairs(), _explicit_residual_pencil_pairs()):
+        prepared = PreparedBase(X)
+        _, rows = residual_qr_rows(prepared, Xt, prepared.resolve_lambda(), monkeypatch)
+        n, d, k = X.shape + Xt.shape[1:]
+        assert rows == ([n, d + k] if name.endswith("-explicit") else [d + k]), name
 
 
 def test_exact_positive_definite():
@@ -553,3 +598,95 @@ def test_fallback_takes_the_svd_and_its_values(case, candidate_svds):
     )
     assert rep.pip_loss == pip_loss(X, Xt)
     assert rep.rank_xt == ft.rank()
+
+
+def explicit_deltas(prepared, Xt, lam):
+    """The deltas with the residual formed explicitly, written out: E = Xt -
+    U P with one re-orthogonalisation pass, the QR of E, then the QR of the
+    small matrix and the eigenvalues of R J R^T."""
+    U, s = prepared.svd.U, prepared.svd.s
+    d, k = U.shape[1], Xt.shape[1]
+    P = U.T @ Xt
+    E = Xt - U @ P
+    C = U.T @ E
+    E -= U @ C
+    P += C
+    Re = np.linalg.qr(E, mode="r")
+    s2 = s * s
+    M = np.zeros((d + Re.shape[0], k + d))
+    M[:d, :k] = P / np.sqrt(s2 + lam)[:, None]
+    M[:d, k:] = np.diag(np.sqrt(s2 / (s2 + lam)))
+    M[d:, :k] = Re / math.sqrt(lam)
+    R = np.linalg.qr(M, mode="r")
+    J = np.concatenate([np.ones(k), -np.ones(d)])
+    eigs = np.linalg.eigvalsh((R * J) @ R.T)
+    lo, hi = float(eigs[0]), float(eigs[-1])
+    if Xt.shape[0] > R.shape[0]:
+        lo, hi = min(lo, 0.0), max(hi, 0.0)
+    delta1, delta2 = 0.0 - lo, hi + 0.0
+    delta_max = math.inf if delta1 >= 1.0 else max(1.0 / (1.0 - delta1), delta2)
+    return delta1, delta2, max(delta1, delta2), delta_max
+
+
+def report_deltas(rep):
+    return rep.delta1, rep.delta2, rep.delta, rep.delta_max
+
+
+@pytest.fixture(scope="module")
+def student_t_base():
+    from embcompress.theory import gen_student_t_matrix
+
+    X = gen_student_t_matrix(2000, 40, df=5.0, scale=1.0, seed=7)
+    return X, PreparedBase(X)
+
+
+class TestGramResidual:
+    """The residual factor from G - P^T P against the explicit residual."""
+
+    @pytest.mark.parametrize("rounding", ["deterministic", "stochastic"])
+    @pytest.mark.parametrize("bits", range(1, 9))
+    def test_matches_the_explicit_path(self, bits, rounding, student_t_base, monkeypatch):
+        from embcompress.compress import compress_uniform, decompress
+
+        X, prepared = student_t_base
+        Xt = decompress(compress_uniform(X, bits, rounding=rounding, seed=bits))
+        lam0 = prepared.resolve_lambda()
+        for lam in (lam0, lam0 / 10, lam0 / 100):
+            rep, rows = residual_qr_rows(prepared, Xt, lam, monkeypatch)
+            if bits <= 4:  # trace(G - P^T P) / trace(G) is above 3e-2 here
+                assert rows == [X.shape[1] + Xt.shape[1]]
+            got, want = report_deltas(rep), explicit_deltas(prepared, Xt, lam)
+            for g, w in zip(got[:3], want[:3]):
+                assert abs(g - w) <= 1e-12 * abs(w)
+            # delta_max = 1/(1 - delta1) amplifies an error in delta1 by delta_max
+            assert abs(got[3] - want[3]) <= 1e-12 * want[3] * max(want[3], 1.0)
+
+    def test_well_conditioned_candidate_qrs_only_the_small_matrix(self, monkeypatch):
+        from embcompress.compress import compress_uniform, decompress
+
+        X = RNG.normal(size=(500, 20))
+        Xt = decompress(compress_uniform(X, 4))
+        _, rows = residual_qr_rows(PreparedBase(X), Xt, 0.5, monkeypatch)
+        assert rows == [20 + 20]
+
+
+def _explicit_residual_pairs():
+    from embcompress.compress import compress_pca, compress_uniform, decompress
+
+    rng = np.random.default_rng(1618)
+    X = rng.normal(size=(300, 10))
+    yield "pca-keep-v", X, decompress(compress_pca(X, 4, keep_v=True))
+    yield "pca-narrow", X, decompress(compress_pca(X, 4))
+    yield "12-bit", X, decompress(compress_uniform(X, 12))
+    yield "rank-deficient-base", np.hstack([X[:, :9], X[:, :1]]), rng.normal(size=(300, 6))
+    yield "svd-path", X, _rotated_spectrum(300, 8, 1e5, seed=5)
+
+
+@pytest.mark.filterwarnings("ignore::embcompress.measures.RankDeficiencyWarning")
+@pytest.mark.parametrize("case", list(_explicit_residual_pairs()), ids=lambda c: c[0])
+def test_refused_residual_factor_keeps_the_explicit_path_bit_for_bit(case, monkeypatch):
+    _, X, Xt = case
+    prepared = PreparedBase(X)
+    rep, rows = residual_qr_rows(prepared, Xt, 1e-2, monkeypatch)
+    assert rows[0] == X.shape[0]
+    assert report_deltas(rep) == explicit_deltas(prepared, Xt, 1e-2)

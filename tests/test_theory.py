@@ -335,6 +335,11 @@ class TestFitLinearModel:
 
 
 
+def _smax(X):
+    """sigma_max(X) from the thin SVD, as the callers of the GD fit pass it."""
+    return float(thin_svd(X).s[0])
+
+
 def _reference_fit_logistic_gd(X, Y, gd):
     """The GD loop written plainly, kept as an oracle: each loss evaluation
     recomputes the target sigmoid and sums two softplus terms, and the
@@ -350,7 +355,7 @@ def _reference_fit_logistic_gd(X, Y, gd):
 
     n, d = X.shape
     tol = gd.tol if gd.tol is not None else 1e-6 * n
-    smax = float(np.linalg.svd(X, compute_uv=False)[0])
+    smax = _smax(X)
     step = gd.step if gd.step is not None else 4.0 / smax**2
     S_target = expit(Y)
     W = np.zeros((d, Y.shape[1]))
@@ -396,7 +401,7 @@ class TestLogisticGdOracle:
     def test_default_config_matches_reference(self, n, d, scale, seed):
         X, Y = _logit_fixture(n, d, scale, seed)
         W_ref, _ = _reference_fit_logistic_gd(X, Y, GdConfig())
-        assert np.array_equal(_fit_logistic_gd(X, Y, GdConfig()), W_ref)
+        assert np.array_equal(_fit_logistic_gd(X, Y, GdConfig(), _smax(X)), W_ref)
 
     def test_logits_beyond_100(self):
         X, Y = _logit_fixture(80, 4, 150.0, 4)
@@ -404,7 +409,7 @@ class TestLogisticGdOracle:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             W_ref, _ = _reference_fit_logistic_gd(X, Y, gd)
-            W = _fit_logistic_gd(X, Y, gd)
+            W = _fit_logistic_gd(X, Y, gd, _smax(X))
         assert np.max(np.abs(Y)) > 100.0 and np.max(np.abs(X @ W_ref)) > 100.0
         assert np.array_equal(W, W_ref)
 
@@ -413,7 +418,7 @@ class TestLogisticGdOracle:
         gd = GdConfig(step=50.0)
         W_ref, halvings = _reference_fit_logistic_gd(X, Y, gd)
         assert halvings > 0
-        assert np.array_equal(_fit_logistic_gd(X, Y, gd), W_ref)
+        assert np.array_equal(_fit_logistic_gd(X, Y, gd, _smax(X)), W_ref)
 
     def test_max_steps_warns_and_matches_reference(self):
         X, Y = _logit_fixture(60, 3, 4.0, 6)
@@ -421,7 +426,7 @@ class TestLogisticGdOracle:
         with pytest.warns(RuntimeWarning):
             W_ref, _ = _reference_fit_logistic_gd(X, Y, gd)
         with pytest.warns(RuntimeWarning, match="max_steps=7"):
-            W = _fit_logistic_gd(X, Y, gd)
+            W = _fit_logistic_gd(X, Y, gd, _smax(X))
         assert np.array_equal(W, W_ref)
 
 
@@ -475,7 +480,7 @@ class TestLogisticGdConvergence:
         from scipy.special import expit
 
         X, Y = _CONVERGENCE_FIXTURES[name]()
-        W = _fit_logistic_gd(X, Y, GdConfig())
+        W = _fit_logistic_gd(X, Y, GdConfig(), _smax(X))
         G = X.T @ (expit(X @ W) - expit(Y))
         assert np.max(np.linalg.norm(G, axis=0)) <= 1e-6 * X.shape[0]
         assert np.max(np.abs(X @ (W - _newton_logistic(X, Y)))) <= 1e-3
@@ -485,7 +490,7 @@ class TestLogisticGdConvergence:
         calls = []
         sigmoid = theory._sigmoid
         monkeypatch.setattr(theory, "_sigmoid", lambda z: calls.append(z) or sigmoid(z))
-        _fit_logistic_gd(X, Y, GdConfig())
+        _fit_logistic_gd(X, Y, GdConfig(), _smax(X))
         # one call for the targets, then one per gradient
         assert len(calls) - 1 <= 20
 
