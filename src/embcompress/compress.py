@@ -96,54 +96,134 @@ def _nearest_level(x, grid: QuantizationGrid) -> np.ndarray:
 
 
 _PREFIX_CHUNK = 1 << 16
+# _SortedScalars keeps one (hi, lo) column of each prefix-sum row per this
+# many sorted values, or closer where a lookup reads many runs
+_CHECKPOINT = 1 << 10
+# up to this many values every prefix is kept (at most 8 MB of rows), and a
+# lookup reads them with no recompute: below about 500k values the recompute
+# costs a clip search more time than building the full rows
+_FULL_PREFIX_MAX_N = 1 << 18
 
 
-def _prefix_sums(x: np.ndarray, power: int) -> np.ndarray:
-    """Compensated prefix sums of ``x**power`` (power 1 or 2), a
-    (2, len(x) + 1) array: row 0 is the sequential running sum and row 1 the
-    running sum of its rounding errors, each taken exactly with TwoSum
-    (Knuth, TAOCP vol. 2, 4.2.2).  The sum of a run ``i:j`` is then
+def _checkpoint_step(n: int, runs: int) -> int:
+    """Checkpoint spacing for lookups of ``runs`` runs of ``n`` values: 1 up
+    to ``_FULL_PREFIX_MAX_N`` values; else ``_CHECKPOINT`` up to 16 runs,
+    then closer, so that a lookup recomputes about 16k values, down to every
+    16th value (checkpoints a quarter the size of the sorted copy).  Lloyd
+    reads K runs up to 300 times: with checkpoints 1024 apart, 12-bit k-means
+    of a 10000 x 300 matrix took 29 s, against 1.4 s with every prefix kept
+    (2 cores)."""
+    if n <= _FULL_PREFIX_MAX_N:
+        return 1
+    return min(_CHECKPOINT, max(16, (1 << 14) // runs))
+
+
+def _chunk_prefix(hi0: np.ndarray, lo0: np.ndarray, v: np.ndarray):
+    """One chunk step of the compensated prefix sums, row by row: the rows of
+    ``v`` (m, L), with the running sums ``hi0`` and ``lo0`` (m,) carried in,
+    give (m, L + 1) rows ``hi`` (the sequential running sum) and ``lo`` (the
+    running sum of its rounding errors, each taken exactly with TwoSum;
+    Knuth, TAOCP vol. 2, 4.2.2).  ``np.cumsum`` adds in sequence along a
+    row, so a row's values do not depend on where the chunk starts."""
+    hi = np.cumsum(np.concatenate((hi0[:, None], v), axis=1), axis=1)
+    prev, total = hi[:, :-1], hi[:, 1:]
+    b = total - prev
+    err = total - b
+    np.subtract(prev, err, out=err)
+    np.subtract(v, b, out=b)
+    np.add(err, b, out=err)
+    lo = np.cumsum(np.concatenate((lo0[:, None], err), axis=1), axis=1)
+    return hi, lo
+
+
+def _prefix_sums(x: np.ndarray, power: int, every: int = 1) -> np.ndarray:
+    """Compensated prefix sums of ``x**power`` (power 1 or 2) as (hi, lo)
+    rows (:func:`_chunk_prefix`), kept at the indices 0, every, 2*every, ...
+    and, last, at ``len(x)``: a (2, len(x) // every + 1) array, one column
+    more when ``every`` does not divide ``len(x)``.  With ``every=1`` it
+    holds every prefix, and the sum of a run ``i:j`` is
     ``(p[0, j] - p[0, i]) + (p[1, j] - p[1, i])``, to a few ulps of that sum
-    rather than of the running total.  Chunked, so the temporaries stay
-    small; a chunk's running sums start from the carry, so both rows equal
-    one sequential ``cumsum``."""
-    p = np.zeros((2, x.size + 1))
-    hi, lo = p
-    for i in range(0, x.size, _PREFIX_CHUNK):
-        v = x[i : i + _PREFIX_CHUNK] if power == 1 else np.square(x[i : i + _PREFIX_CHUNK])
+    rather than of the running total.  Built in chunks of ``_PREFIX_CHUNK``
+    values, each carrying the running sums of the last, so both rows equal
+    one sequential pass."""
+    n = x.size
+    p = np.empty((2, n // every + 1 + (n % every > 0)))
+    hi = lo = np.zeros((1, 1))
+    for i in range(0, n, _PREFIX_CHUNK):
+        v = x[i : i + _PREFIX_CHUNK]
+        hi, lo = _chunk_prefix(hi[:, -1], lo[:, -1], (v if power == 1 else np.square(v))[None])
         j = i + v.size
-        np.cumsum(np.concatenate((hi[i : i + 1], v)), out=hi[i : j + 1])
-        prev, total = hi[i:j], hi[i + 1 : j + 1]
-        b = total - prev
-        err = total - b
-        np.subtract(prev, err, out=err)
-        np.subtract(v, b, out=b)
-        np.add(err, b, out=err)
-        np.cumsum(np.concatenate((lo[i : i + 1], err)), out=lo[i : j + 1])
+        # the kept indices in (i, j]: columns first .. last
+        first, last = i // every + 1, j // every
+        p[0, first : last + 1] = hi[0, first * every - i :: every]
+        p[1, first : last + 1] = lo[0, first * every - i :: every]
+    p[:, 0] = 0.0
+    p[:, -1] = hi[0, -1], lo[0, -1]
     return p
 
 
 @dataclass(frozen=True)
 class _SortedScalars:
-    """All scalars of an array in ascending order, ``x``, with the
-    compensated prefix sums (:func:`_prefix_sums`) of x and of x**2, so the
-    count, sum and sum of squares of any run ``x[i:j]`` take O(1)."""
+    """All scalars of an array in ascending order, ``x``, with checkpoints of
+    the compensated prefix sums of x and of x**2: :func:`_prefix_sums` kept
+    at every ``step``-th index and at the end, so ``s1[0, -1]`` and
+    ``s2[0, -1]`` are the totals.  Beside the sorted copy this holds only
+    about 4 * len(x) / step floats.  A run's count, sum and sum of squares
+    take O(step): the prefixes at its ends are read directly when ``step``
+    is 1, else recomputed from the checkpoints before them with the same
+    chunk step, so they equal the full rows' values bit for bit."""
 
     x: np.ndarray
+    step: int
     s1: np.ndarray
     s2: np.ndarray
 
     def segments(self, bounds: np.ndarray):
         """``(counts, sums, sums of squares)`` of the runs
-        ``x[bounds[t]:bounds[t + 1]]``."""
-        d1 = np.diff(self.s1[:, bounds])
-        d2 = np.diff(self.s2[:, bounds])
-        return np.diff(bounds), d1[0] + d1[1], d2[0] + d2[1]
+        ``x[bounds[t]:bounds[t + 1]]``, ``bounds`` ascending."""
+        d = np.diff(self._prefixes_at(np.asarray(bounds)))
+        return np.diff(bounds), d[0] + d[1], d[2] + d[3]
+
+    def _prefixes_at(self, bounds: np.ndarray) -> np.ndarray:
+        """(4, len(bounds)): the prefix sums hi and lo of x, then of x**2, at
+        each index of the ascending ``bounds``.  Each distinct checkpoint
+        gets one row of the values after it, up to the furthest bound it
+        serves, and one row of their squares; the rows go through
+        :func:`_chunk_prefix` about ``_PREFIX_CHUNK`` values at a time."""
+        n, step = self.x.size, self.step
+        if step == 1:
+            return np.concatenate((self.s1[:, bounds], self.s2[:, bounds]))
+        cp, off = np.divmod(bounds, step)
+        first = np.ones(cp.size, dtype=bool)
+        first[1:] = cp[1:] != cp[:-1]
+        starts, row = cp[first], np.cumsum(first) - 1
+        out = np.empty((4, cp.size))
+        per = max(1, _PREFIX_CHUNK // step)
+        for t in range(0, starts.size, per):
+            c = starts[t : t + per]
+            # the bounds served by rows t .. t + per - 1
+            i0, i1 = np.searchsorted(row, (t, t + per))
+            r, col = row[i0:i1] - t, off[i0:i1]
+            v = self.x.take(c[:, None] * step + np.arange(col.max()), mode="clip")
+            if (c[-1] + 1) * step > n:
+                # the last row ends at its own furthest bound; what lies past
+                # it is never read, and is zero so it cannot overflow
+                v[-1, n - c[-1] * step :] = 0.0
+            hi, lo = _chunk_prefix(
+                np.concatenate((self.s1[0, c], self.s2[0, c])),
+                np.concatenate((self.s1[1, c], self.s2[1, c])),
+                np.concatenate((v, np.square(v))),
+            )
+            out[:, i0:i1] = hi[r, col], lo[r, col], hi[c.size + r, col], lo[c.size + r, col]
+        return out
 
 
-def _sort_scalars(values) -> _SortedScalars:
+def _sort_scalars(values, runs: int) -> _SortedScalars:
+    """Sort ``values`` and checkpoint their prefix sums for lookups of
+    ``runs`` runs (:func:`_checkpoint_step`)."""
     x = np.sort(np.asarray(values, dtype=np.float64), axis=None)
-    return _SortedScalars(x, _prefix_sums(x, 1), _prefix_sums(x, 2))
+    step = _checkpoint_step(x.size, runs)
+    return _SortedScalars(x, step, _prefix_sums(x, 1, step), _prefix_sums(x, 2, step))
 
 
 def _level_starts(x: np.ndarray, grid: QuantizationGrid) -> np.ndarray:
@@ -175,15 +255,20 @@ def quantization_objective(X, bits: int):
     """Reconstruction error r -> ||quantize(clip(X, r)) - X||_F with
     deterministic rounding; the function minimized by the clip search.
 
-    The scalars are sorted once, when the objective is made.  Up to 8 bits
-    an evaluation then bisects each level's run of sorted values and reads
-    its error off the prefix sums, O(2**bits * log(n*d)); wider grids take
-    one pass over the sorted values.
+    The scalars are sorted once, when the objective is made, and their
+    prefix sums kept at checkpoints (:class:`_SortedScalars`): past 2**18
+    scalars the objective holds the sorted copy and about 4*n*d/1024 more
+    floats.  Up to 8 bits an
+    evaluation then bisects each level's run of sorted values and reads its
+    error off the prefix sums at the run ends, each recomputed over at most
+    1023 values, O(2**bits * (log(n*d) + 1024)); wider grids take one pass
+    over the sorted values.
     """
-    ss = _sort_scalars(as_matrix(X))
+    ss = _sort_scalars(as_matrix(X), 1 << min(bits, _MOMENT_MAX_BITS))
     row = ss.x.reshape(1, -1)
-    # entries beyond 1e154 overflow x^2, and inf - inf would turn the
-    # moment form into NaN where the direct sum reads inf
+    # entries beyond 1e154 overflow x^2 (the last checkpoint holds its
+    # total), and inf - inf would turn the moment form into NaN where the
+    # direct sum reads inf
     moments = bool(np.isfinite(ss.s2[0, -1]))
 
     def objective(r: float) -> float:
@@ -307,10 +392,33 @@ class CompressedEmbedding:
                 )
 
 
-def _row_chunks(n: int, threads: int):
-    threads = max(1, min(int(threads), n))
-    step = (n + threads - 1) // threads
-    return [(i, min(i + step, n)) for i in range(0, n, step)]
+# the encoders quantize and pack about this many scalars at a time
+_ENCODE_BLOCK = 1 << 16
+
+
+def _encode_blocks(X: np.ndarray, bits: int, codes_of, threads: int = 1) -> np.ndarray:
+    """Packed codes of X, made block by block: ``codes_of(i0, i1)`` gives
+    the codes of rows ``i0:i1`` and each block of about ``_ENCODE_BLOCK``
+    scalars is packed straight into the output, up to ``threads`` blocks at
+    a time.  A block is whole rows and :func:`bitpack.pack_codes` packs row
+    by row, so the bytes do not depend on the blocking."""
+    n, d = X.shape
+    rows = max(1, _ENCODE_BLOCK // d)
+    packed = np.empty((n, bitpack.row_bytes(d, bits)), dtype=np.uint8)
+
+    def encode(i0: int) -> None:
+        i1 = min(i0 + rows, n)
+        packed[i0:i1] = bitpack.pack_codes(codes_of(i0, i1), bits)
+
+    starts = range(0, n, rows)
+    workers = min(int(threads), len(starts))
+    if workers <= 1:
+        for i0 in starts:
+            encode(i0)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(encode, starts))  # re-raises a block's exception
+    return packed
 
 
 def compress_uniform(
@@ -326,26 +434,19 @@ def compress_uniform(
     Finds the clip threshold minimizing deterministic quantized
     reconstruction error, clips, then quantizes every entry with the chosen
     rounding mode.  The search always uses deterministic rounding so the
-    threshold does not depend on the stochastic coin flips.  Output is
-    byte-identical for any ``threads`` value.
+    threshold does not depend on the stochastic coin flips.  The entries are
+    encoded in row blocks of about 64k scalars, up to ``threads`` at a time;
+    the stochastic coins are keyed by row, so the output is byte-identical
+    for any ``threads`` value.
     """
     X = as_matrix(X)
     if rounding not in ROUNDINGS:
         raise ValueError(f"unknown rounding {rounding!r}")
     grid = QuantizationGrid(bits, find_clip_threshold(X, bits, tol=tol))
     rng = CounterRng(seed)
-
-    def encode(span):
-        i0, i1 = span
-        codes = quantize_codes(X[i0:i1], grid, rounding, rng, row0=i0)
-        return bitpack.pack_codes(codes, bits)
-
-    chunks = _row_chunks(X.shape[0], threads)
-    if len(chunks) == 1:
-        packed = encode(chunks[0])
-    else:
-        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-            packed = np.vstack(list(pool.map(encode, chunks)))
+    packed = _encode_blocks(
+        X, bits, lambda i0, i1: quantize_codes(X[i0:i1], grid, rounding, rng, row0=i0), threads
+    )
     return CompressedEmbedding(
         method=METHOD_UNIFORM,
         n=X.shape[0],
@@ -358,12 +459,12 @@ def compress_uniform(
     )
 
 
-def _optimal_contiguous_centroids(ss: _SortedScalars, K: int) -> np.ndarray:
-    """Exact 1-D k-means by dynamic programming over contiguous partitions of
-    the sorted values (the optimum always respects sorted order).  O(K n^2),
-    so only used as seeding for small inputs."""
-    n = ss.x.size
-    s, sq = ss.s1[0], ss.s2[0]
+def _optimal_contiguous_centroids(x: np.ndarray, K: int) -> np.ndarray:
+    """Exact 1-D k-means of the sorted values ``x`` by dynamic programming
+    over contiguous partitions (the optimum always respects sorted order).
+    O(K n^2) on every prefix sum, so only used as seeding for small inputs."""
+    n = x.size
+    s, sq = _prefix_sums(x, 1)[0], _prefix_sums(x, 2)[0]
     cost = np.full((K + 1, n + 1), np.inf)
     cut = np.zeros((K + 1, n + 1), dtype=np.int64)
     cost[0, 0] = 0.0
@@ -383,12 +484,52 @@ def _optimal_contiguous_centroids(ss: _SortedScalars, K: int) -> np.ndarray:
         bounds.append(j)
     bounds.reverse()
     return np.array(
-        [ss.x[bounds[t] : bounds[t + 1]].mean() for t in range(K)]
+        [x[bounds[t] : bounds[t + 1]].mean() for t in range(K)]
     )
 
 
 _EXACT_SEED_MAX_N = 1024
 _EXACT_SEED_MAX_K = 32
+
+
+def _kmeans_centroids(values, K: int, max_iter: int = 300, rel_tol: float = 1e-4) -> np.ndarray:
+    """The sorted centroids of :func:`kmeans_1d`, with no assignment array."""
+    values = np.asarray(values, dtype=np.float64).ravel()
+    if values.size == 0:
+        raise ValueError("values must be non-empty")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("values contain NaN or Inf entries")
+    if K < 1:
+        raise ValueError(f"K must be >= 1, got {K}")
+
+    if K < values.size and values.size <= _EXACT_SEED_MAX_N and K <= _EXACT_SEED_MAX_K:
+        centroids = _optimal_contiguous_centroids(np.sort(values), K)
+    else:
+        centroids = np.quantile(values, (np.arange(K) + 0.5) / K)
+    centroids.sort()
+    # after the seeding: np.quantile copies its input
+    ss = _sort_scalars(values, K)
+    prev_loss = None
+    for _ in range(max_iter):
+        mids = 0.5 * (centroids[:-1] + centroids[1:])
+        # the run of values with searchsorted(mids, v, side="left") == k
+        bounds = np.concatenate(([0], np.searchsorted(ss.x, mids, side="right"), [values.size]))
+        counts, sums, squares = ss.segments(bounds)
+        nonempty = counts > 0
+        centroids[nonempty] = sums[nonempty] / counts[nonempty]
+        centroids.sort()
+        # sum over run k of (v - centroids[k])^2, with the re-sorted centroids
+        loss = float(np.sum(squares - 2.0 * centroids * sums + counts * centroids * centroids))
+        if prev_loss is not None:
+            if prev_loss <= 0.0 or (prev_loss - loss) / prev_loss < rel_tol:
+                break
+        prev_loss = loss
+    return centroids
+
+
+def _nearest_centroid(values, centroids: np.ndarray) -> np.ndarray:
+    """Index of each value's nearest centroid, a midpoint going to the lower."""
+    return np.searchsorted(0.5 * (centroids[:-1] + centroids[1:]), values, side="left")
 
 
 def kmeans_1d(values, K: int, max_iter: int = 300, rel_tol: float = 1e-4):
@@ -407,62 +548,35 @@ def kmeans_1d(values, K: int, max_iter: int = 300, rel_tol: float = 1e-4):
 
     The values are sorted once: each cluster is then a run of the sorted
     values, found by K - 1 binary searches, and its centroid and loss come
-    from prefix sums, so an iteration costs O(K log n).
+    from the checkpointed prefix sums of :class:`_SortedScalars`.  An
+    iteration costs O(K log n) plus the recompute of about max(16k, 16 K)
+    values at the run ends, and holds no n-long array beside the sorted copy.
+    The n-long assignment array is made last; :func:`compress_kmeans` takes
+    the same centroids and assigns block by block instead.
     """
     values = np.asarray(values, dtype=np.float64).ravel()
-    if values.size == 0:
-        raise ValueError("values must be non-empty")
-    if not np.all(np.isfinite(values)):
-        raise ValueError("values contain NaN or Inf entries")
-    if K < 1:
-        raise ValueError(f"K must be >= 1, got {K}")
-
-    if K < values.size and values.size <= _EXACT_SEED_MAX_N and K <= _EXACT_SEED_MAX_K:
-        centroids = _optimal_contiguous_centroids(_sort_scalars(values), K)
-    else:
-        centroids = np.quantile(values, (np.arange(K) + 0.5) / K)
-    centroids.sort()
-    # after the seeding: np.quantile copies its input
-    ss = _sort_scalars(values)
-    prev_loss = None
-    for _ in range(max_iter):
-        mids = 0.5 * (centroids[:-1] + centroids[1:])
-        # the run of values with searchsorted(mids, v, side="left") == k
-        bounds = np.concatenate(([0], np.searchsorted(ss.x, mids, side="right"), [values.size]))
-        counts, sums, squares = ss.segments(bounds)
-        nonempty = counts > 0
-        centroids[nonempty] = sums[nonempty] / counts[nonempty]
-        centroids.sort()
-        # sum over run k of (v - centroids[k])^2, with the re-sorted centroids
-        loss = float(np.sum(squares - 2.0 * centroids * sums + counts * centroids * centroids))
-        if prev_loss is not None:
-            if prev_loss <= 0.0 or (prev_loss - loss) / prev_loss < rel_tol:
-                break
-        prev_loss = loss
-    del ss  # before the n-long assignment array
-    mids = 0.5 * (centroids[:-1] + centroids[1:])
-    assign = np.searchsorted(mids, values, side="left")
-    return centroids, assign
+    centroids = _kmeans_centroids(values, K, max_iter, rel_tol)
+    return centroids, _nearest_centroid(values, centroids)
 
 
 def compress_kmeans(X, bits: int, seed: int = 0) -> CompressedEmbedding:
     """Codebook compression: 1-D k-means over all scalars with K = 2**bits.
 
+    The codes are assigned and packed in row blocks of about 64k scalars.
     The quantile seeding makes the clustering deterministic; ``seed`` is
     recorded for provenance only.
     """
     X = as_matrix(X)
     if not 1 <= bits <= 16:
         raise ValueError(f"bits must be in [1, 16] for kmeans, got {bits}")
-    centroids, assign = kmeans_1d(X.ravel(), 1 << bits)
-    codes = assign.reshape(X.shape).astype(np.uint32)
+    centroids = _kmeans_centroids(X.ravel(), 1 << bits)
     return CompressedEmbedding(
         method=METHOD_KMEANS,
         n=X.shape[0],
         d_orig=X.shape[1],
         seed=seed,
         bits=bits,
-        codes=bitpack.pack_codes(codes, bits),
+        codes=_encode_blocks(X, bits, lambda i0, i1: _nearest_centroid(X[i0:i1], centroids)),
         codebook=centroids,
     )
 

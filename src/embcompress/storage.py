@@ -491,22 +491,48 @@ def read_report(path) -> dict:
     return doc
 
 
+def _csv_records(path, fh):
+    """``(lineno, row)`` for the records of ``fh``, a CSV file opened with
+    ``errors="surrogateescape"``; ``lineno`` is the line a record ends on.
+    A record the csv module rejects (a field over its size limit) or one
+    holding a byte that is not UTF-8 is a :class:`FormatError` naming that
+    line."""
+    reader = csv.reader(fh)
+    while True:
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            raise FormatError(f"{path}:{reader.line_num}: {exc}") from None
+        try:
+            "".join(row).encode("utf-8")
+        except UnicodeEncodeError as exc:
+            # surrogateescape decodes the bad byte b to the code point 0xDC00 + b
+            bad = ord(exc.object[exc.start]) - 0xDC00
+            raise FormatError(
+                f"{path}:{reader.line_num}: not valid UTF-8 at byte {bad:#04x}"
+            ) from None
+        yield reader.line_num, row
+
+
 def read_performance_csv(path) -> PerformanceTable:
     """Read a performance table with the exact header
     ``candidate_id,task,performance,seed``."""
     path = Path(path)
     rows = []
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise FormatError(f"{path}: empty CSV") from None
+    with path.open("r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
+        records = _csv_records(path, fh)
+        first = next(records, None)
+        if first is None:
+            raise FormatError(f"{path}: empty CSV")
+        lineno, header = first
         if [h.strip() for h in header] != ["candidate_id", "task", "performance", "seed"]:
             raise FormatError(
-                f"{path}:1: header must be 'candidate_id,task,performance,seed', got {header}"
+                f"{path}:{lineno}: header must be 'candidate_id,task,performance,seed', "
+                f"got {header}"
             )
-        for lineno, row in enumerate(reader, start=2):
+        for lineno, row in records:
             if not row:
                 continue
             if len(row) != 4:

@@ -258,6 +258,27 @@ def test_evaluate_rejects_nan_report_value(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        (b"b," + b"x" * 200_000 + b",0.5,0\n", "field larger than field limit (131072)"),
+        (b"b,t\xff,0.5,0\n", "not valid UTF-8 at byte 0xff"),
+    ],
+)
+def test_evaluate_rejects_a_hostile_perf_csv(tmp_path, capsys, line, message):
+    # a data error (exit 2) naming the file and line, not a traceback
+    rep_dir = tmp_path / "reports"
+    rep_dir.mkdir()
+    (rep_dir / "r.json").write_text('{"body": {"reports": {"a": {"eigenspace_overlap": 0.9}}}}\n')
+    perf = tmp_path / "perf.csv"
+    perf.write_bytes(b"candidate_id,task,performance,seed\na,t,0.9,0\n" + line)
+    out = tmp_path / "summary.json"
+    assert run(["evaluate", "--perf", str(perf), "--reports", str(rep_dir),
+                "--out", str(out)]) == 2
+    assert f"{perf}:3: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_evaluate_rejects_a_candidate_in_two_report_files(tmp_path, capsys):
     rep_dir = tmp_path / "reports"
     rep_dir.mkdir()

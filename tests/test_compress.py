@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -337,6 +338,93 @@ class TestPrefixSums:
             exact = sum(map(Fraction, v[i:j].tolist()), Fraction(0))
             got = (p[0, j] - p[0, i]) + (p[1, j] - p[1, i])
             assert abs(Fraction(got) - exact) <= 4 * eps * float(np.sum(np.abs(v[i:j])))
+
+
+class TestCheckpointedPrefixSums:
+    """``_SortedScalars`` keeps the prefix sums only at checkpoints; the run
+    sums it recomputes from them must equal, bit for bit, the differences of
+    the full :func:`_prefix_sums` rows."""
+
+    @pytest.mark.parametrize("chunk", [None, 13])
+    @pytest.mark.parametrize("step", [1, 7, None])
+    @pytest.mark.parametrize("n", [4096, 5000])
+    def test_segments_match_the_full_rows(self, n, step, chunk, monkeypatch):
+        from embcompress import compress as compress_mod
+
+        monkeypatch.setattr(compress_mod, "_FULL_PREFIX_MAX_N", 0)
+        if step is not None:
+            monkeypatch.setattr(compress_mod, "_CHECKPOINT", step)
+        if chunk is not None:  # many build chunks and many recompute batches
+            monkeypatch.setattr(compress_mod, "_PREFIX_CHUNK", chunk)
+        step = compress_mod._CHECKPOINT
+        x = np.sort(gen_student_t_matrix(1, n, df=3.0, scale=1.0, seed=8).ravel())
+        x[n // 2 :] += 1e4  # a large running total ahead of small runs
+        ss = compress_mod._sort_scalars(x, 1)
+        assert ss.s1.shape == (2, n // step + 1 + (n % step > 0))
+        marks = np.arange(0, n + 1, step)
+        rng = np.random.default_rng(n)
+        bounds = np.sort(np.clip(np.concatenate(
+            ([0, 0, n, n], marks, marks - 1, marks + 1, rng.integers(0, n + 1, 60))
+        ), 0, n))
+        counts, sums, squares = ss.segments(bounds)
+        np.testing.assert_array_equal(counts, np.diff(bounds))
+        for power, got in ((1, sums), (2, squares)):
+            d = np.diff(compress_mod._prefix_sums(x, power)[:, bounds])
+            assert got.tobytes() == (d[0] + d[1]).tobytes()
+        assert ss.s2[0, -1] == compress_mod._prefix_sums(x, 2)[0, -1]
+
+
+class TestBlockedEncoders:
+    """The encoders quantize or assign and pack about ``_ENCODE_BLOCK``
+    scalars at a time; any blocking and thread count gives the bytes of the
+    whole-matrix encoding."""
+
+    @pytest.fixture(scope="class")
+    def X(self):
+        # 75000 scalars: two blocks at the default size
+        return gen_student_t_matrix(2500, 30, 5, 1, seed=6)
+
+    @pytest.fixture(scope="class")
+    def whole(self, X):
+        """Each container's codes as one whole-matrix call packs them."""
+        from embcompress.bitpack import pack_codes
+
+        out = {}
+        for rounding in ("deterministic", "stochastic"):
+            C = compress_uniform(X, 3, rounding=rounding, seed=9)
+            out[rounding] = pack_codes(quantize_codes(X, C.grid, rounding, CounterRng(9)), 3)
+        _, assign = kmeans_1d(X.ravel(), 8)
+        out["kmeans"] = pack_codes(assign.reshape(X.shape), 3)
+        return out
+
+    # one row per block; 7 rows per block, which do not divide 2500
+    @pytest.mark.parametrize("block", [None, 1, 7 * 30 + 11])
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_any_blocking_gives_the_whole_matrix_bytes(self, X, whole, block, threads,
+                                                       monkeypatch):
+        from embcompress import compress as compress_mod
+
+        if block is not None:
+            monkeypatch.setattr(compress_mod, "_ENCODE_BLOCK", block)
+        for rounding in ("deterministic", "stochastic"):
+            C = compress_uniform(X, 3, rounding=rounding, seed=9, threads=threads)
+            assert C.codes.tobytes() == whole[rounding].tobytes()
+        assert compress_kmeans(X, 3).codes.tobytes() == whole["kmeans"].tobytes()
+
+    @pytest.mark.parametrize("encoder", ["deterministic", "stochastic", "kmeans"])
+    def test_peak_is_about_one_copy_of_x(self, encoder):
+        # the whole-matrix encoders and full prefix rows peaked near 5x X
+        X = np.random.default_rng(0).standard_t(5, size=(5000, 200))
+        tracemalloc.start()
+        try:
+            if encoder == "kmeans":
+                compress_kmeans(X, 3)
+            else:
+                compress_uniform(X, 4, rounding=encoder, seed=1, threads=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * X.nbytes + (4 << 20), peak / X.nbytes
 
 
 class TestClipObjectiveOracle:

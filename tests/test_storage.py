@@ -609,6 +609,26 @@ class TestPerformanceCsv:
         with pytest.raises(FormatError, match="duplicate"):
             read_performance_csv(p)
 
+    def test_field_over_the_csv_limit_names_line(self, tmp_path):
+        p = tmp_path / "perf.csv"
+        p.write_text("candidate_id,task,performance,seed\na,t,0.5,0\nb," + "x" * 200_000
+                     + ",0.5,0\n")
+        with pytest.raises(FormatError, match=r"perf\.csv:3: field larger than field limit"):
+            read_performance_csv(p)
+
+    def test_invalid_utf8_names_line_and_byte(self, tmp_path):
+        p = tmp_path / "perf.csv"
+        p.write_bytes(b"candidate_id,task,performance,seed\na,t,0.5,0\nb,t\xe9,0.5,0\n")
+        with pytest.raises(FormatError, match=r"perf\.csv:3: not valid UTF-8 at byte 0xe9"):
+            read_performance_csv(p)
+
+    def test_line_numbers_count_physical_lines(self, tmp_path):
+        # a quoted field may span lines; the error names the line the record ends on
+        p = tmp_path / "perf.csv"
+        p.write_text('candidate_id,task,performance,seed\n"a\nb",t,0.5,0\nc,t,oops,0\n')
+        with pytest.raises(FormatError, match=r"perf\.csv:4: bad numeric field"):
+            read_performance_csv(p)
+
     def test_write_table_csv(self, tmp_path):
         p = tmp_path / "t.csv"
         write_table_csv(
@@ -708,3 +728,78 @@ class TestReadCompressedFuzz:
         body = bytearray(raw[:-4])
         body[offset : offset + width] = struct.pack(fmt, value)
         _read_mutated(tmp_path, _with_crc(bytes(body)))
+
+
+_PERF_HEADER = b"candidate_id,task,performance,seed\n"
+
+_FUZZ_PERF_CSVS = st.builds(
+    lambda rows: _PERF_HEADER + b"".join(
+        f"{c},{t},{p!r},{s}\n".encode() for c, t, p, s in rows
+    ),
+    st.lists(st.tuples(st.sampled_from(["a", "b", "c", "d"]), st.sampled_from(["t", "u"]),
+                       st.floats(0, 1), st.integers(0, 3)), max_size=6),
+)
+
+
+def _read_csv_mutated(tmp_path, raw: bytes) -> None:
+    """Read ``raw`` as a performance CSV: it may parse, or fail with
+    StorageError or ValueError; any other exception escapes, and the peak
+    allocation stays within a small multiple of the file size."""
+    p = tmp_path / "fuzz.csv"
+    p.write_bytes(raw)
+    tracemalloc.start()
+    try:
+        read_performance_csv(p)
+    except (StorageError, ValueError):
+        pass
+    finally:
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+    assert peak <= 64 * len(raw) + (64 << 10), (len(raw), peak)
+
+
+class TestReadPerformanceCsvFuzz:
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(raw=_FUZZ_PERF_CSVS)
+    def test_truncation_at_every_length(self, tmp_path, raw):
+        for cut in range(len(raw)):
+            _read_csv_mutated(tmp_path, raw[:cut])
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(raw=_FUZZ_PERF_CSVS, data=st.data())
+    def test_byte_overwrites(self, tmp_path, raw, data):
+        body = bytearray(raw)
+        for _ in range(data.draw(st.integers(1, 3))):
+            body[data.draw(st.integers(0, len(body) - 1))] = data.draw(st.integers(0, 255))
+        _read_csv_mutated(tmp_path, bytes(body))
+
+    # NUL, lone continuation and lead bytes, an overlong form, an encoded
+    # surrogate, a truncated sequence, a quote and line breaks
+    _INSERTS = [b"\x00", b"\x80", b"\xff", b"\xc0\xaf", b"\xed\xa0\x80", b"\xe2\x82",
+                b'"', b"\r", b"\n", b",,"]
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(raw=_FUZZ_PERF_CSVS, data=st.data())
+    def test_inserted_bytes(self, tmp_path, raw, data):
+        body = bytearray(raw)
+        for _ in range(data.draw(st.integers(1, 3))):
+            at = data.draw(st.integers(0, len(body)))
+            body[at:at] = data.draw(st.sampled_from(self._INSERTS))
+        _read_csv_mutated(tmp_path, bytes(body))
+
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(raw=_FUZZ_PERF_CSVS, data=st.data())
+    def test_huge_fields(self, tmp_path, raw, data):
+        # around the csv module's 131072-character field limit, quoted or
+        # not, with or without a line break after it
+        size = data.draw(st.sampled_from([131_071, 131_072, 131_073, 400_000]))
+        field = data.draw(st.sampled_from([b"x", b"9", b"\xc3\xa9"])) * size
+        if data.draw(st.booleans()):
+            field = b'"' + field + b'"'
+        at = data.draw(st.integers(0, len(raw)))
+        tail = b"\n" if data.draw(st.booleans()) else b""
+        _read_csv_mutated(tmp_path, raw[:at] + field + tail + raw[at:])
