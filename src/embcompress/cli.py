@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import os
 import sys
 from pathlib import Path
 
@@ -125,14 +127,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _default_threads(value: int) -> int:
-    import os
-
-    if value and value > 0:
-        return value
-    return os.cpu_count() or 1
-
-
 def _candidate_ids(paths) -> list[str]:
     """Candidate ids: the file stems, which must be distinct."""
     ids = [Path(path).stem for path in paths]
@@ -151,17 +145,11 @@ def _cmd_compress(args) -> int:
     rounding = "deterministic" if args.rounding == "det" else "stochastic"
     if args.method == "pca":
         C = compress_pca(X, args.dim, keep_v=args.keep_v)
+    elif args.method == "uniform":
+        threads = args.threads if args.threads > 0 else os.cpu_count() or 1
+        C = compress_uniform(X, args.bits, rounding=rounding, seed=args.seed, threads=threads)
     else:
-        if args.method == "uniform":
-            C = compress_uniform(
-                X,
-                args.bits,
-                rounding=rounding,
-                seed=args.seed,
-                threads=_default_threads(args.threads),
-            )
-        else:
-            C = compress_kmeans(X, args.bits, seed=args.seed)
+        C = compress_kmeans(X, args.bits, seed=args.seed)
     storage.write_compressed(C, vocab, args.output)
     print(
         f"{args.output}: method={C.method} n={C.n} d={C.d_orig} "
@@ -219,7 +207,15 @@ def _cmd_evaluate(args) -> int:
     if not report_dir.is_dir():
         raise StorageError(f"{report_dir}: not a directory")
     for path in sorted(report_dir.glob("*.json")):
-        for cid, rep in storage.read_report(path)["body"].get("reports", {}).items():
+        body = storage.read_report(path)["body"]
+        if not isinstance(body, dict):
+            raise FormatError(f"{path}: 'body' must be a JSON object")
+        found = body.get("reports", {})
+        if not isinstance(found, dict):
+            raise FormatError(f"{path}: 'reports' must be a JSON object")
+        for cid, rep in found.items():
+            if not isinstance(rep, dict):
+                raise FormatError(f"{path}: the report of candidate {cid!r} must be a JSON object")
             if cid in source:
                 raise FormatError(
                     f"candidate {cid!r} is reported in both {source[cid]} and {path}"
@@ -315,14 +311,9 @@ def _simulate_theorem3(cfg: dict) -> dict:
 
 
 def _simulate_table4(cfg: dict) -> dict:
-    out = table4_perturbation(
-        cfg["spectrum"], int(cfg["n"]), int(cfg.get("seed", 0))
-    )
-    return {
-        "experiment": "top_singular_value_perturbation",
-        "measured": out["measured"],
-        "predicted": out["predicted"],
-    }
+    out = table4_perturbation(cfg["spectrum"], int(cfg["n"]), int(cfg.get("seed", 0)))
+    return {"experiment": "top_singular_value_perturbation",
+            "measured": out["measured"], "predicted": out["predicted"]}
 
 
 def _simulate_scaling(cfg: dict) -> dict:
@@ -363,6 +354,38 @@ _SIMULATIONS = {
 }
 # the simulations whose result holds the table rows that --csv writes
 _TABLE_KINDS = ("scaling", "clipping-curve")
+# per simulation: the keys its config must hold, and the keys that must be a
+# JSON object (dict) or array (list) where given
+_CONFIG_KEYS = {
+    "theorem1": (("n", "d"), {"compression": dict}),
+    "theorem2": (("n", "d"), {"compression": dict, "gd": dict}),
+    "theorem3": (("n", "d", "bits"), {"seeds": list}),
+    "table4": (("spectrum", "n"), {"spectrum": list}),
+    "scaling": (("axis", "levels"), {"levels": list, "base": dict, "seeds": list}),
+    "clipping-curve": (("n", "d"), {"bits": list, "rounding": list}),
+}
+
+
+def _check_config(kind: str, cfg, path: Path) -> None:
+    """Reject, before any work, a config that lacks a key the simulation
+    reads or holds one of the wrong JSON type: a :class:`FormatError` naming
+    the file and the key."""
+    if not isinstance(cfg, dict):
+        raise FormatError(f"{path}: the config must be a JSON object, not {type(cfg).__name__}")
+    required, types = _CONFIG_KEYS[kind]
+    missing = [key for key in required if key not in cfg]
+    if missing and not (kind == "clipping-curve" and "input" in cfg):
+        raise FormatError(f"{path}: a {kind} config needs the key {missing[0]!r}")
+    for key, json_type in types.items():
+        if not isinstance(cfg.get(key, json_type()), json_type):
+            name = "object" if json_type is dict else "array"
+            raise FormatError(f"{path}: the config key {key!r} must be a JSON {name}")
+    spec = cfg.get("compression")
+    if isinstance(spec, dict) and spec.get("method") == "pca" and "k" not in spec:
+        raise FormatError(f"{path}: the config key 'compression' needs 'k' for method 'pca'")
+    points = cfg.get("r_points", 1) if kind == "clipping-curve" else 1
+    if type(points) not in (int, float) or not 1 <= points < math.inf:
+        raise FormatError(f"{path}: the config key 'r_points' must be a finite number >= 1")
 
 
 def _cmd_simulate(args) -> int:
@@ -373,6 +396,7 @@ def _cmd_simulate(args) -> int:
         cfg = json.loads(cfg_path.read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise StorageError(f"{cfg_path}: cannot read config: {exc}") from exc
+    _check_config(args.kind, cfg, cfg_path)
     body = _SIMULATIONS[args.kind](cfg)
     storage.write_report(body, args.out, inputs={"config": args.config})
     if args.csv:

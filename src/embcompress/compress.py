@@ -105,19 +105,6 @@ _CHECKPOINT = 1 << 10
 _FULL_PREFIX_MAX_N = 1 << 18
 
 
-def _checkpoint_step(n: int, runs: int) -> int:
-    """Checkpoint spacing for lookups of ``runs`` runs of ``n`` values: 1 up
-    to ``_FULL_PREFIX_MAX_N`` values; else ``_CHECKPOINT`` up to 16 runs,
-    then closer, so that a lookup recomputes about 16k values, down to every
-    16th value (checkpoints a quarter the size of the sorted copy).  Lloyd
-    reads K runs up to 300 times: with checkpoints 1024 apart, 12-bit k-means
-    of a 10000 x 300 matrix took 29 s, against 1.4 s with every prefix kept
-    (2 cores)."""
-    if n <= _FULL_PREFIX_MAX_N:
-        return 1
-    return min(_CHECKPOINT, max(16, (1 << 14) // runs))
-
-
 def _chunk_prefix(hi0: np.ndarray, lo0: np.ndarray, v: np.ndarray):
     """One chunk step of the compensated prefix sums, row by row: the rows of
     ``v`` (m, L), with the running sums ``hi0`` and ``lo0`` (m,) carried in,
@@ -136,47 +123,42 @@ def _chunk_prefix(hi0: np.ndarray, lo0: np.ndarray, v: np.ndarray):
     return hi, lo
 
 
-def _prefix_sums(x: np.ndarray, power: int, every: int = 1) -> np.ndarray:
-    """Compensated prefix sums of ``x**power`` (power 1 or 2) as (hi, lo)
-    rows (:func:`_chunk_prefix`), kept at the indices 0, every, 2*every, ...
-    and, last, at ``len(x)``: a (2, len(x) // every + 1) array, one column
-    more when ``every`` does not divide ``len(x)``.  With ``every=1`` it
-    holds every prefix, and the sum of a run ``i:j`` is
-    ``(p[0, j] - p[0, i]) + (p[1, j] - p[1, i])``, to a few ulps of that sum
-    rather than of the running total.  Built in chunks of ``_PREFIX_CHUNK``
-    values, each carrying the running sums of the last, so both rows equal
-    one sequential pass."""
+def _prefix_sums(x: np.ndarray, every: int = 1) -> np.ndarray:
+    """Rows hi and lo (:func:`_chunk_prefix`) of the prefix sums of x, then of
+    x**2, at the indices 0, every, 2*every, ... and ``len(x)``.  With
+    ``every=1`` the sum of a run ``i:j`` is ``(p[0, j] - p[0, i]) + (p[1, j]
+    - p[1, i])``, to a few ulps of that sum rather than of the running total.
+    Each chunk of ``_PREFIX_CHUNK`` scalars (values and their squares) carries
+    the running sums of the last, so every row equals one sequential pass."""
     n = x.size
-    p = np.empty((2, n // every + 1 + (n % every > 0)))
-    hi = lo = np.zeros((1, 1))
-    for i in range(0, n, _PREFIX_CHUNK):
-        v = x[i : i + _PREFIX_CHUNK]
-        hi, lo = _chunk_prefix(hi[:, -1], lo[:, -1], (v if power == 1 else np.square(v))[None])
+    p = np.empty((4, n // every + 1 + (n % every > 0)))
+    hi = lo = np.zeros((2, 1))
+    chunk = max(1, _PREFIX_CHUNK // 2)
+    for i in range(0, n, chunk):
+        v = x[i : i + chunk]
+        hi, lo = _chunk_prefix(hi[:, -1], lo[:, -1], np.stack((v, np.square(v))))
         j = i + v.size
         # the kept indices in (i, j]: columns first .. last
         first, last = i // every + 1, j // every
-        p[0, first : last + 1] = hi[0, first * every - i :: every]
-        p[1, first : last + 1] = lo[0, first * every - i :: every]
+        p[0::2, first : last + 1] = hi[:, first * every - i :: every]
+        p[1::2, first : last + 1] = lo[:, first * every - i :: every]
     p[:, 0] = 0.0
-    p[:, -1] = hi[0, -1], lo[0, -1]
+    p[0::2, -1], p[1::2, -1] = hi[:, -1], lo[:, -1]
     return p
 
 
 @dataclass(frozen=True)
 class _SortedScalars:
-    """All scalars of an array in ascending order, ``x``, with checkpoints of
-    the compensated prefix sums of x and of x**2: :func:`_prefix_sums` kept
-    at every ``step``-th index and at the end, so ``s1[0, -1]`` and
-    ``s2[0, -1]`` are the totals.  Beside the sorted copy this holds only
+    """All scalars of an array in ascending order, ``x``, and ``p``, their
+    :func:`_prefix_sums` kept at every ``step``-th index and at the end:
     about 4 * len(x) / step floats.  A run's count, sum and sum of squares
-    take O(step): the prefixes at its ends are read directly when ``step``
-    is 1, else recomputed from the checkpoints before them with the same
-    chunk step, so they equal the full rows' values bit for bit."""
+    take O(step): the prefixes at its ends are read directly when ``step`` is
+    1, else recomputed from the checkpoints before them with the same chunk
+    step, so they equal the full rows' values bit for bit."""
 
     x: np.ndarray
     step: int
-    s1: np.ndarray
-    s2: np.ndarray
+    p: np.ndarray
 
     def segments(self, bounds: np.ndarray):
         """``(counts, sums, sums of squares)`` of the runs
@@ -185,45 +167,39 @@ class _SortedScalars:
         return np.diff(bounds), d[0] + d[1], d[2] + d[3]
 
     def _prefixes_at(self, bounds: np.ndarray) -> np.ndarray:
-        """(4, len(bounds)): the prefix sums hi and lo of x, then of x**2, at
-        each index of the ascending ``bounds``.  Each distinct checkpoint
-        gets one row of the values after it, up to the furthest bound it
-        serves, and one row of their squares; the rows go through
-        :func:`_chunk_prefix` about ``_PREFIX_CHUNK`` values at a time."""
-        n, step = self.x.size, self.step
+        """The rows of ``p`` at each index of ``bounds``.  Each bound gets a
+        row of the values from its checkpoint up to it, zero past it, and a
+        row of their squares, through :func:`_chunk_prefix` in batches of
+        about ``_PREFIX_CHUNK`` values."""
+        step = self.step
         if step == 1:
-            return np.concatenate((self.s1[:, bounds], self.s2[:, bounds]))
+            return self.p[:, bounds]
         cp, off = np.divmod(bounds, step)
-        first = np.ones(cp.size, dtype=bool)
-        first[1:] = cp[1:] != cp[:-1]
-        starts, row = cp[first], np.cumsum(first) - 1
-        out = np.empty((4, cp.size))
+        out = np.empty((4, bounds.size))
         per = max(1, _PREFIX_CHUNK // step)
-        for t in range(0, starts.size, per):
-            c = starts[t : t + per]
-            # the bounds served by rows t .. t + per - 1
-            i0, i1 = np.searchsorted(row, (t, t + per))
-            r, col = row[i0:i1] - t, off[i0:i1]
-            v = self.x.take(c[:, None] * step + np.arange(col.max()), mode="clip")
-            if (c[-1] + 1) * step > n:
-                # the last row ends at its own furthest bound; what lies past
-                # it is never read, and is zero so it cannot overflow
-                v[-1, n - c[-1] * step :] = 0.0
+        for t in range(0, bounds.size, per):
+            c, col = cp[t : t + per], off[t : t + per]
+            width = np.arange(col.max())
+            v = self.x.take(c[:, None] * step + width, mode="clip")
+            v[width >= col[:, None]] = 0.0
             hi, lo = _chunk_prefix(
-                np.concatenate((self.s1[0, c], self.s2[0, c])),
-                np.concatenate((self.s1[1, c], self.s2[1, c])),
-                np.concatenate((v, np.square(v))),
+                self.p[0::2, c].ravel(), self.p[1::2, c].ravel(), np.concatenate((v, np.square(v)))
             )
-            out[:, i0:i1] = hi[r, col], lo[r, col], hi[c.size + r, col], lo[c.size + r, col]
+            r = np.arange(c.size)
+            out[:, t : t + per] = hi[r, col], lo[r, col], hi[c.size + r, col], lo[c.size + r, col]
         return out
 
 
 def _sort_scalars(values, runs: int) -> _SortedScalars:
     """Sort ``values`` and checkpoint their prefix sums for lookups of
-    ``runs`` runs (:func:`_checkpoint_step`)."""
+    ``runs`` runs: past ``_FULL_PREFIX_MAX_N`` values, every
+    ``_CHECKPOINT``-th up to 16 runs, then closer so a lookup recomputes
+    about 16k values, down to every 16th.  Lloyd reads K
+    runs up to 300 times: 12-bit k-means of a 10000 x 300 matrix took 29 s
+    with checkpoints 1024 apart, against 1.4 s with every prefix kept."""
     x = np.sort(np.asarray(values, dtype=np.float64), axis=None)
-    step = _checkpoint_step(x.size, runs)
-    return _SortedScalars(x, step, _prefix_sums(x, 1, step), _prefix_sums(x, 2, step))
+    step = 1 if x.size <= _FULL_PREFIX_MAX_N else min(_CHECKPOINT, max(16, (1 << 14) // runs))
+    return _SortedScalars(x, step, _prefix_sums(x, step))
 
 
 def _level_starts(x: np.ndarray, grid: QuantizationGrid) -> np.ndarray:
@@ -255,21 +231,20 @@ def quantization_objective(X, bits: int):
     """Reconstruction error r -> ||quantize(clip(X, r)) - X||_F with
     deterministic rounding; the function minimized by the clip search.
 
-    The scalars are sorted once, when the objective is made, and their
-    prefix sums kept at checkpoints (:class:`_SortedScalars`): past 2**18
-    scalars the objective holds the sorted copy and about 4*n*d/1024 more
-    floats.  Up to 8 bits an
-    evaluation then bisects each level's run of sorted values and reads its
-    error off the prefix sums at the run ends, each recomputed over at most
-    1023 values, O(2**bits * (log(n*d) + 1024)); wider grids take one pass
-    over the sorted values.
+    The scalars are sorted once, when the objective is made, with their
+    prefix sums kept at checkpoints (:class:`_SortedScalars`), ``step`` =
+    1024 apart up to 4 bits and 2**(14 - bits) apart to 8 bits.  Up to 8
+    bits an evaluation then bisects each level's run of sorted values and
+    reads its error off the prefix sums at the run ends, each recomputed over
+    fewer than ``step`` values, O(2**bits * log(n*d) + 2**14) in all; wider
+    grids take one pass over the sorted values.
     """
     ss = _sort_scalars(as_matrix(X), 1 << min(bits, _MOMENT_MAX_BITS))
     row = ss.x.reshape(1, -1)
     # entries beyond 1e154 overflow x^2 (the last checkpoint holds its
     # total), and inf - inf would turn the moment form into NaN where the
     # direct sum reads inf
-    moments = bool(np.isfinite(ss.s2[0, -1]))
+    moments = bool(np.isfinite(ss.p[2, -1]))
 
     def objective(r: float) -> float:
         if r <= 0.0:
@@ -426,7 +401,6 @@ def compress_uniform(
     bits: int,
     rounding: str = ROUNDING_DETERMINISTIC,
     seed: int = 0,
-    tol: float = 0.01,
     threads: int = 1,
 ) -> CompressedEmbedding:
     """Clip-search uniform quantization.
@@ -442,7 +416,7 @@ def compress_uniform(
     X = as_matrix(X)
     if rounding not in ROUNDINGS:
         raise ValueError(f"unknown rounding {rounding!r}")
-    grid = QuantizationGrid(bits, find_clip_threshold(X, bits, tol=tol))
+    grid = QuantizationGrid(bits, find_clip_threshold(X, bits))
     rng = CounterRng(seed)
     packed = _encode_blocks(
         X, bits, lambda i0, i1: quantize_codes(X[i0:i1], grid, rounding, rng, row0=i0), threads
@@ -464,7 +438,7 @@ def _optimal_contiguous_centroids(x: np.ndarray, K: int) -> np.ndarray:
     over contiguous partitions (the optimum always respects sorted order).
     O(K n^2) on every prefix sum, so only used as seeding for small inputs."""
     n = x.size
-    s, sq = _prefix_sums(x, 1)[0], _prefix_sums(x, 2)[0]
+    s, _, sq, _ = _prefix_sums(x)
     cost = np.full((K + 1, n + 1), np.inf)
     cut = np.zeros((K + 1, n + 1), dtype=np.int64)
     cost[0, 0] = 0.0
@@ -483,16 +457,17 @@ def _optimal_contiguous_centroids(x: np.ndarray, K: int) -> np.ndarray:
         j = int(cut[k, j])
         bounds.append(j)
     bounds.reverse()
-    return np.array(
-        [x[bounds[t] : bounds[t + 1]].mean() for t in range(K)]
-    )
+    return np.array([x[bounds[t] : bounds[t + 1]].mean() for t in range(K)])
 
 
 _EXACT_SEED_MAX_N = 1024
 _EXACT_SEED_MAX_K = 32
+# Lloyd stops on a smaller relative fall of the loss, or after so many steps
+_KMEANS_REL_TOL = 1e-4
+_KMEANS_MAX_ITER = 300
 
 
-def _kmeans_centroids(values, K: int, max_iter: int = 300, rel_tol: float = 1e-4) -> np.ndarray:
+def _kmeans_centroids(values, K: int) -> np.ndarray:
     """The sorted centroids of :func:`kmeans_1d`, with no assignment array."""
     values = np.asarray(values, dtype=np.float64).ravel()
     if values.size == 0:
@@ -510,7 +485,7 @@ def _kmeans_centroids(values, K: int, max_iter: int = 300, rel_tol: float = 1e-4
     # after the seeding: np.quantile copies its input
     ss = _sort_scalars(values, K)
     prev_loss = None
-    for _ in range(max_iter):
+    for _ in range(_KMEANS_MAX_ITER):
         mids = 0.5 * (centroids[:-1] + centroids[1:])
         # the run of values with searchsorted(mids, v, side="left") == k
         bounds = np.concatenate(([0], np.searchsorted(ss.x, mids, side="right"), [values.size]))
@@ -521,7 +496,7 @@ def _kmeans_centroids(values, K: int, max_iter: int = 300, rel_tol: float = 1e-4
         # sum over run k of (v - centroids[k])^2, with the re-sorted centroids
         loss = float(np.sum(squares - 2.0 * centroids * sums + counts * centroids * centroids))
         if prev_loss is not None:
-            if prev_loss <= 0.0 or (prev_loss - loss) / prev_loss < rel_tol:
+            if prev_loss <= 0.0 or (prev_loss - loss) / prev_loss < _KMEANS_REL_TOL:
                 break
         prev_loss = loss
     return centroids
@@ -532,13 +507,13 @@ def _nearest_centroid(values, centroids: np.ndarray) -> np.ndarray:
     return np.searchsorted(0.5 * (centroids[:-1] + centroids[1:]), values, side="left")
 
 
-def kmeans_1d(values, K: int, max_iter: int = 300, rel_tol: float = 1e-4):
+def kmeans_1d(values, K: int):
     """Lloyd iterations on scalars with deterministic seeding.
 
     Returns ``(centroids, assignments)`` with centroids sorted ascending.
-    Stops when the relative loss decrease drops below ``rel_tol`` or after
-    ``max_iter`` iterations.  A cluster that loses all members keeps its
-    centroid for that iteration, so the loss stays monotone.
+    Stops when the loss falls by less than a relative 1e-4 or after 300
+    iterations.  A cluster that loses all members keeps its centroid for
+    that iteration, so the loss stays monotone.
 
     Seeding: small inputs get the exact contiguous-partition optimum (Lloyd
     then converges immediately, and the result is within any constant factor
@@ -555,7 +530,7 @@ def kmeans_1d(values, K: int, max_iter: int = 300, rel_tol: float = 1e-4):
     the same centroids and assigns block by block instead.
     """
     values = np.asarray(values, dtype=np.float64).ravel()
-    centroids = _kmeans_centroids(values, K, max_iter, rel_tol)
+    centroids = _kmeans_centroids(values, K)
     return centroids, _nearest_centroid(values, centroids)
 
 

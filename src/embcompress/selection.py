@@ -34,20 +34,18 @@ DEFAULT_ORIENTATIONS = {
 
 @dataclass(frozen=True)
 class MeasureSpec:
-    """A measure name plus the direction in which it prefers candidates."""
+    """A measure name; it prefers candidates in its ``DEFAULT_ORIENTATIONS``
+    direction."""
 
     name: str
-    orientation: str
 
     def __post_init__(self):
         if self.name not in MEASURE_NAMES:
             raise ValueError(f"unknown measure {self.name!r}")
-        if self.orientation not in (HIGHER_BETTER, LOWER_BETTER):
-            raise ValueError(f"unknown orientation {self.orientation!r}")
 
     @classmethod
     def default(cls, name: str) -> "MeasureSpec":
-        return cls(name, DEFAULT_ORIENTATIONS[name])
+        return cls(name)
 
 
 @dataclass(frozen=True)
@@ -98,14 +96,15 @@ class Ranking:
         return self.scored[0][0]
 
 
-def rank_candidates(base, candidates, measure: MeasureSpec, lam: float | None = None) -> Ranking:
+def rank_candidates(base, candidates, measure: MeasureSpec) -> Ranking:
     """Order an iterable of dense or :class:`CompressedEmbedding` candidates
     by one measure against the base matrix.  The base is factored once, and
     a candidate takes an SVD only when it leaves the Gram path (see
     :class:`PreparedBase`).  Ranking by overlap computes the overlap alone;
-    any other measure computes the candidate's full quality report."""
+    any other measure computes the candidate's full quality report at the
+    default lambda, resolved before any candidate is read."""
     prepared = PreparedBase(base)
-    lam = prepared.resolve_lambda(lam)
+    lam = prepared.resolve_lambda()
     scored, excluded = [], []
     for idx, cand in enumerate(candidates):
         Xt = decompress(cand) if isinstance(cand, CompressedEmbedding) else as_matrix(cand)
@@ -119,17 +118,19 @@ def rank_candidates(base, candidates, measure: MeasureSpec, lam: float | None = 
             scored.append((idx, val))
         del Xt  # freed before the next candidate is decompressed
     # a stable sort, also when reversed, keeps tied candidates in index order
-    scored.sort(key=lambda item: item[1], reverse=measure.orientation == HIGHER_BETTER)
+    higher = DEFAULT_ORIENTATIONS[measure.name] == HIGHER_BETTER
+    scored.sort(key=lambda item: item[1], reverse=higher)
     return Ranking(measure.name, tuple(scored), tuple(excluded))
 
 
-def select_best(base, candidates, measure: MeasureSpec, lam: float | None = None) -> int:
-    """Index of the candidate the measure prefers against the base matrix.
+def select_best(base, candidates, measure: MeasureSpec) -> int:
+    """Index of the candidate the measure prefers against the base matrix,
+    ranked by :func:`rank_candidates`.
 
     Candidates the measure cannot score (reconstruction error with mismatched
     widths) are excluded with a warning; ties go to the lowest index.
     """
-    ranking = rank_candidates(base, candidates, measure, lam)
+    ranking = rank_candidates(base, candidates, measure)
     for idx, shape in ranking.excluded:
         warnings.warn(
             f"candidate {idx} excluded: measure {measure.name!r} is not "
@@ -207,10 +208,10 @@ def spearman_rho(a, b) -> float:
     return det_sum(ra * rb) / math.sqrt(va * vb)
 
 
-def _report_value(report, name: str):
-    """One measure's value from a QualityReport or a report dict; None when
-    absent, and the strings "inf"/"-inf" of a serialized report as floats."""
-    val = report.get(name) if isinstance(report, dict) else report.value(name)
+def _report_value(report: dict, name: str):
+    """One measure's value from a report dict; None when absent, and the
+    strings "inf"/"-inf" of a serialized report as floats."""
+    val = report.get(name)
     return float(val) if isinstance(val, str) else val
 
 
@@ -223,23 +224,21 @@ def _or_none(statistic):
         return None
 
 
-def evaluate_measures(reports, perf: PerformanceTable, tasks=None, measures=None) -> dict:
+def evaluate_measures(reports, perf: PerformanceTable) -> dict:
     """Join quality reports with downstream performance and summarize each
     measure per task: |Spearman rho|, selection error rate, max regret.
 
-    ``reports`` maps candidate_id to a QualityReport or a plain dict of
-    measure values.  Per-seed performances are averaged per candidate before
-    ranking.  Candidates missing on either side are reported, not fatal.
-    A NaN measure value raises ValueError.
+    ``reports`` maps candidate_id to a dict of measure values.  There is a
+    row per task and measure of ``MEASURE_NAMES``.  Per-seed performances
+    are averaged per candidate before ranking.  Candidates missing on either
+    side are reported, not fatal.  A NaN measure value raises ValueError.
     """
-    tasks = list(tasks) if tasks is not None else perf.tasks()
-    measures = list(measures) if measures is not None else list(MEASURE_NAMES)
     performed = {row[0] for row in perf.rows}
     rows = []
-    for task in tasks:
+    for task in perf.tasks():
         per_candidate = perf.mean_performance(task)
         cids = sorted(cid for cid in per_candidate if cid in reports)
-        for name in measures:
+        for name in MEASURE_NAMES:
             values = {c: _report_value(reports[c], name) for c in cids}
             scored = [c for c in cids if values[c] is not None]
             row = {"task": task, "measure": name, "n_candidates": len(scored),

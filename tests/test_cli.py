@@ -296,6 +296,31 @@ def test_evaluate_rejects_a_candidate_in_two_report_files(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "body, message",
+    [
+        ('[1, 2]', "'body' must be a JSON object"),
+        ('{"reports": [1, 2]}', "'reports' must be a JSON object"),
+        ('{"reports": {"u1": {"eigenspace_overlap": 0.9}, "u2": 0.5}}',
+         "the report of candidate 'u2' must be a JSON object"),
+    ],
+    ids=["body-array", "reports-array", "entry-number"],
+)
+def test_evaluate_rejects_a_malformed_report_file(tmp_path, capsys, body, message):
+    # each once crashed with an AttributeError and exit 1
+    rep_dir = tmp_path / "reports"
+    rep_dir.mkdir()
+    report = rep_dir / "r.json"
+    report.write_text(f'{{"body": {body}}}\n')
+    perf = tmp_path / "perf.csv"
+    perf.write_text("candidate_id,task,performance,seed\nu1,t,0.9,0\nu2,t,0.6,0\n")
+    out = tmp_path / "summary.json"
+    assert run(["evaluate", "--perf", str(perf), "--reports", str(rep_dir),
+                "--out", str(out)]) == 2
+    assert f"{report}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "perf_rows, stdout, max_regret",
     [
         # one scored candidate: no pair, so every statistic is undefined
@@ -436,6 +461,37 @@ def test_simulate_rejects_full_range_without_stochastic_rounding(tmp_path, capsy
     assert f"full_range needs stochastic rounding, got rounding {rounding!r}" in (
         capsys.readouterr().err
     )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "kind, config, message",
+    [
+        ("theorem1", {"d": 5, "trials": 4}, "a theorem1 config needs the key 'n'"),
+        ("theorem1", [{"n": 80, "d": 6}], "the config must be a JSON object, not list"),
+        ("theorem1", {"n": 80, "d": 6, "trials": 4, "compression": "uniform"},
+         "the config key 'compression' must be a JSON object"),
+        ("theorem2", {"n": 80, "d": 6, "trials": 4, "compression": {"method": "pca"}},
+         "the config key 'compression' needs 'k' for method 'pca'"),
+        ("scaling", {"axis": "bits", "levels": 5}, "the config key 'levels' must be a JSON array"),
+        ("theorem3", {"n": 80, "d": 6, "bits": 2, "seeds": 3},
+         "the config key 'seeds' must be a JSON array"),
+        ("clipping-curve", {"n": 100, "d": 6, "bits": [1], "r_points": 0},
+         "the config key 'r_points' must be a finite number >= 1"),
+        ("clipping-curve", {"input": "vectors.txt", "r_points": "5"},
+         "the config key 'r_points' must be a finite number >= 1"),
+    ],
+    ids=["missing-n", "array", "compression-str", "pca-without-k", "levels-int",
+         "seeds-int", "r_points-0", "r_points-str"],
+)
+def test_simulate_rejects_a_malformed_config(tmp_path, capsys, kind, config, message):
+    # each once crashed with a KeyError, AttributeError, TypeError or
+    # ZeroDivisionError and exit 1
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out.json"
+    assert run(["simulate", kind, "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"{cfg}: {message}" in capsys.readouterr().err
     assert not out.exists()
 
 

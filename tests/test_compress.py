@@ -222,7 +222,13 @@ class TestQuantizerGolden:
 
     ``clipping_curve`` rows are hashed without their overlap: it comes from
     LAPACK, whose last digits depend on the BLAS build, while ``r`` and the
-    reconstruction error are fixed by the quantized matrix."""
+    reconstruction error are fixed by the quantized matrix.
+
+    ``KMEANS`` hashes codebook plus codes of :func:`compress_kmeans`, captured
+    before the checkpoint lookup took one row per bound: on 120000 scalars,
+    where every prefix sum is kept, and on 264060 (past 2**18, not a
+    multiple of any checkpoint spacing), where runs are recomputed from
+    checkpoints."""
 
     UNIFORM = {
         (1, "deterministic"): "8fcc2c616b6f5cd0ea4685d979388c732de069967c748e234ac05c6aaf5a0ccb",
@@ -235,6 +241,14 @@ class TestQuantizerGolden:
     CLIPPING = {
         "deterministic": "1221feff3d8ff90bd664f32ff9a696386bc55495b73b74908a12cd13eeeedaa0",
         "stochastic": "2861d801ceb9299469080a004e74230b0bb3eb241da70b0749e3227a5f2138c6",
+    }
+    KMEANS = {
+        ("small", 1): "f69e7b9e449887eb01007bbfe7d075291985516e6fa2aeb213bb39db6bbd7a1d",
+        ("small", 3): "5027ca6a7305c4bf5d5d1574856ba407e6163ea2d53d12261b8514a5517a8411",
+        ("small", 8): "4e212c6ba56dc3dd7e418425290083b7ad8d4318b0248ed9c04351454fd40c14",
+        ("large", 1): "8d6da68ec27657c715ca578e14fbb564093e381eda03f1f037dce85e04087b50",
+        ("large", 3): "77e5933420a3cf2396d88bfb2becf0f38a417306bfeba0426149cf7399049ad1",
+        ("large", 8): "43c86a05d870ba68903413a91353777076683998999490d47eeb66f687711852",
     }
     FULL_RANGE = {
         1: "4aa5e0490211b232bc306a3976f4f0141f5c5d9dc6d9eea3db0714771a6d8e24",
@@ -251,6 +265,17 @@ class TestQuantizerGolden:
         C = compress_uniform(X, bits, rounding=rounding, seed=11, threads=threads)
         blob = C.codes.tobytes() + struct.pack("<Bd", C.grid.bits, C.grid.clip)
         assert hashlib.sha256(blob).hexdigest() == self.UNIFORM[bits, rounding]
+
+    @pytest.mark.parametrize("size,bits", sorted(KMEANS))
+    def test_compress_kmeans(self, X, size, bits):
+        from embcompress import compress as compress_mod
+
+        if size == "large":
+            X = gen_student_t_matrix(4401, 60, 5, 1, seed=4)
+        assert (X.size > compress_mod._FULL_PREFIX_MAX_N) == (size == "large")
+        C = compress_kmeans(X, bits)
+        blob = C.codebook.tobytes() + C.codes.tobytes()
+        assert hashlib.sha256(blob).hexdigest() == self.KMEANS[size, bits]
 
     @pytest.mark.parametrize("rounding", sorted(CLIPPING))
     def test_clipping_curve(self, X, rounding):
@@ -329,7 +354,7 @@ class TestPrefixSums:
         x = np.sort(gen_student_t_matrix(1, 600, df=3.0, scale=1.0, seed=8).ravel())
         x[300:] += 1e4  # a large running total ahead of small runs
         v = x if power == 1 else x * x
-        p = compress_mod._prefix_sums(x, power)
+        p = compress_mod._prefix_sums(x)[2 * power - 2 : 2 * power]
         # row 0 is one sequential cumsum, whatever the chunking
         assert p[0].tobytes() == np.concatenate([[0.0], np.cumsum(v)]).tobytes()
         eps = np.finfo(float).eps
@@ -360,18 +385,70 @@ class TestCheckpointedPrefixSums:
         x = np.sort(gen_student_t_matrix(1, n, df=3.0, scale=1.0, seed=8).ravel())
         x[n // 2 :] += 1e4  # a large running total ahead of small runs
         ss = compress_mod._sort_scalars(x, 1)
-        assert ss.s1.shape == (2, n // step + 1 + (n % step > 0))
+        assert ss.p.shape == (4, n // step + 1 + (n % step > 0))
         marks = np.arange(0, n + 1, step)
         rng = np.random.default_rng(n)
         bounds = np.sort(np.clip(np.concatenate(
             ([0, 0, n, n], marks, marks - 1, marks + 1, rng.integers(0, n + 1, 60))
         ), 0, n))
+        self.assert_segments_match(ss, x, bounds)
+        assert ss.p[:, -1].tobytes() == compress_mod._prefix_sums(x)[:, -1].tobytes()
+
+    @staticmethod
+    def assert_segments_match(ss, x, bounds):
+        from embcompress import compress as compress_mod
+
         counts, sums, squares = ss.segments(bounds)
         np.testing.assert_array_equal(counts, np.diff(bounds))
-        for power, got in ((1, sums), (2, squares)):
-            d = np.diff(compress_mod._prefix_sums(x, power)[:, bounds])
-            assert got.tobytes() == (d[0] + d[1]).tobytes()
-        assert ss.s2[0, -1] == compress_mod._prefix_sums(x, 2)[0, -1]
+        d = np.diff(compress_mod._prefix_sums(x)[:, bounds])
+        assert sums.tobytes() == (d[0] + d[1]).tobytes()
+        assert squares.tobytes() == (d[2] + d[3]).tobytes()
+
+    @staticmethod
+    def checkpointed(x, monkeypatch):
+        from embcompress import compress as compress_mod
+
+        monkeypatch.setattr(compress_mod, "_FULL_PREFIX_MAX_N", 0)
+        ss = compress_mod._sort_scalars(x, 1)
+        assert ss.step == compress_mod._CHECKPOINT > 1
+        return ss
+
+    @pytest.mark.parametrize("n", [1, 5, 1023])
+    def test_fewer_values_than_the_step(self, n, monkeypatch):
+        x = np.sort(gen_student_t_matrix(1, n, df=3.0, scale=1.0, seed=n).ravel())
+        ss = self.checkpointed(x, monkeypatch)
+        assert ss.p.shape == (4, 2)  # the start and the end
+        bounds = np.unique(np.concatenate(([0, n, n // 2, n - 1], np.arange(0, n + 1, 97))))
+        self.assert_segments_match(ss, x, bounds)
+
+    def test_every_bound_on_a_checkpoint(self, monkeypatch):
+        # every row of the recompute has width 0: the checkpoints themselves
+        x = np.sort(gen_student_t_matrix(1, 5000, df=3.0, scale=1.0, seed=2).ravel())
+        ss = self.checkpointed(x, monkeypatch)
+        bounds = np.arange(0, x.size + 1, ss.step)
+        assert np.all(bounds % ss.step == 0)
+        self.assert_segments_match(ss, x, bounds)
+        np.testing.assert_array_equal(ss._prefixes_at(bounds), ss.p[:, : bounds.size])
+
+    def test_nothing_past_a_bound_is_summed(self, monkeypatch):
+        # x[-1]**2 is finite but two of it overflow: the recompute row of the
+        # last checkpoint must not run past n, nor any row past its bound
+        x = np.sort(gen_student_t_matrix(1, 5000, df=3.0, scale=1.0, seed=4).ravel())
+        x[-1] = 1e154
+        ss = self.checkpointed(x, monkeypatch)
+        bounds = np.array([0, 1023, 4097, 4999, 5000])
+        with np.errstate(over="raise", invalid="raise"):
+            self.assert_segments_match(ss, x, bounds)
+
+    def test_repeated_bounds_give_empty_runs(self, monkeypatch):
+        x = np.sort(gen_student_t_matrix(1, 5000, df=3.0, scale=1.0, seed=3).ravel())
+        ss = self.checkpointed(x, monkeypatch)
+        bounds = np.repeat([0, 1, 1500, 2048, 4999, 5000], 3)
+        counts, sums, squares = ss.segments(bounds)
+        empty = np.diff(bounds) == 0
+        assert np.all(counts[empty] == 0)
+        assert np.all(sums[empty] == 0.0) and np.all(squares[empty] == 0.0)
+        self.assert_segments_match(ss, x, bounds)
 
 
 class TestBlockedEncoders:

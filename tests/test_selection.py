@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from embcompress.compress import compress_pca, compress_uniform
+from embcompress.measures import MEASURE_NAMES
 from embcompress.selection import (
     DEFAULT_ORIENTATIONS,
     MeasureSpec,
@@ -79,15 +80,15 @@ NAN_CASES = [([0.5, np.nan, 0.2], [0.1, 0.2, 0.3]), ([0.5, 0.4, 0.2], [0.1, np.n
 
 class TestMeasureSpec:
     def test_defaults(self):
-        assert MeasureSpec.default("eigenspace_overlap").orientation == "higher_better"
+        assert DEFAULT_ORIENTATIONS["eigenspace_overlap"] == "higher_better"
         for name in ("pip_loss", "delta", "delta_max", "reconstruction_error"):
-            assert MeasureSpec.default(name).orientation == "lower_better"
+            assert DEFAULT_ORIENTATIONS[name] == "lower_better"
+        assert set(DEFAULT_ORIENTATIONS) == set(MEASURE_NAMES)
+        assert MeasureSpec.default("delta") == MeasureSpec("delta")
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            MeasureSpec("nope", "higher_better")
-        with pytest.raises(ValueError):
-            MeasureSpec("delta", "sideways")
+            MeasureSpec("nope")
 
 
 class TestSelectBest:
@@ -268,6 +269,12 @@ class TestPerformanceTable:
         assert table.mean_performance("t") == {"a": 0.5, "b": 0.9}
 
 
+def _row(summary, measure):
+    """The one summary row of ``measure`` (the tests use a single task)."""
+    (row,) = (r for r in summary["rows"] if r["measure"] == measure)
+    return row
+
+
 def _reports(values_by_measure):
     # turn {measure: {cid: value}} into {cid: {measure: value}}
     out = {}
@@ -285,8 +292,8 @@ class TestEvaluateMeasures:
         perf = PerformanceTable(
             (("a", "t", 0.9, 0), ("b", "t", 0.8, 0), ("c", "t", 0.7, 0))
         )
-        summary = evaluate_measures(reports, perf, measures=["eigenspace_overlap"])
-        row = summary["rows"][0]
+        summary = evaluate_measures(reports, perf)
+        row = _row(summary, "eigenspace_overlap")
         assert row["abs_spearman"] == pytest.approx(1.0)
         assert row["selection_error_rate"] == 0.0
         assert row["max_regret"] == 0.0
@@ -296,8 +303,8 @@ class TestEvaluateMeasures:
         perf = PerformanceTable(
             (("a", "t", 0.1, 0), ("b", "t", 0.2, 0), ("c", "t", 0.3, 0))
         )
-        summary = evaluate_measures(reports, perf, measures=["eigenspace_overlap"])
-        row = summary["rows"][0]
+        summary = evaluate_measures(reports, perf)
+        row = _row(summary, "eigenspace_overlap")
         assert row["selection_error_rate"] == 1.0
         assert row["abs_spearman"] == pytest.approx(1.0)  # |rho| of a perfect reversal
 
@@ -306,8 +313,8 @@ class TestEvaluateMeasures:
         perfs = {"a": 0.75, "b": 0.8, "c": 0.6, "d": 0.65, "e": 0.5, "f": 0.55}
         reports = _reports({"pip_loss": {c: 1 - s for c, s in scores.items()}})
         perf = PerformanceTable(tuple((c, "t", p, 0) for c, p in perfs.items()))
-        summary = evaluate_measures(reports, perf, measures=["pip_loss"])
-        row = summary["rows"][0]
+        summary = evaluate_measures(reports, perf)
+        row = _row(summary, "pip_loss")
         cids = sorted(scores)
         svec = [1 - scores[c] for c in cids]
         pvec = [perfs[c] for c in cids]
@@ -328,29 +335,29 @@ class TestEvaluateMeasures:
                 ("b", "t", 0.4, 0),
             )
         )
-        summary = evaluate_measures(reports, perf, measures=["eigenspace_overlap"])
-        assert summary["rows"][0]["selection_error_rate"] == 0.0
+        summary = evaluate_measures(reports, perf)
+        assert _row(summary, "eigenspace_overlap")["selection_error_rate"] == 0.0
 
     def test_missing_joins_reported_not_fatal(self):
         reports = _reports({"eigenspace_overlap": {"a": 0.9, "b": 0.5, "zzz": 0.1}})
         perf = PerformanceTable(
             (("a", "t", 0.9, 0), ("b", "t", 0.6, 0), ("ghost", "t", 0.5, 0))
         )
-        summary = evaluate_measures(reports, perf, measures=["eigenspace_overlap"])
+        summary = evaluate_measures(reports, perf)
         assert summary["missing_reports"] == ["ghost"]
         assert summary["missing_performance"] == ["zzz"]
-        assert summary["rows"][0]["n_candidates"] == 2
+        assert _row(summary, "eigenspace_overlap")["n_candidates"] == 2
 
     def test_nan_value_raises(self):
         # a NaN score fails loudly instead of being ranked as a preference
         reports = _reports({"pip_loss": {"a": 0.1, "b": float("nan"), "c": 0.3}})
         perf = PerformanceTable((("a", "t", 0.9, 0), ("b", "t", 0.8, 0), ("c", "t", 0.7, 0)))
         with pytest.raises(ValueError, match="NaN"):
-            evaluate_measures(reports, perf, measures=["pip_loss"])
+            evaluate_measures(reports, perf)
 
     def test_row_order_independent(self):
         reports = _reports({"delta": {"a": 0.9, "b": 0.5, "c": 0.7}})
         rows = (("a", "t", 0.5, 0), ("b", "t", 0.8, 0), ("c", "t", 0.6, 0))
-        s1 = evaluate_measures(reports, PerformanceTable(rows), measures=["delta"])
-        s2 = evaluate_measures(reports, PerformanceTable(rows[::-1]), measures=["delta"])
+        s1 = evaluate_measures(reports, PerformanceTable(rows))
+        s2 = evaluate_measures(reports, PerformanceTable(rows[::-1]))
         assert s1 == s2
