@@ -10,10 +10,12 @@ different BLAS thread count can change the last digits of LAPACK results
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
-import math
 import os
 import sys
+import types
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -28,10 +30,12 @@ from .storage import FormatError, StorageError, Vocabulary
 from .theory import (
     GdConfig,
     LabelModel,
+    SCALING_KEYS,
     clipping_curve,
     gen_student_t_matrix,
     gen_uniform_matrix,
     overlap_bound_experiment,
+    scaling_base,
     scaling_experiment,
     simulate_lipschitz_gap,
     simulate_regression_gap,
@@ -115,8 +119,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--csv", help="also write the summary rows as CSV")
 
     p = add_parser("simulate", help="run a synthetic theory experiment")
-    p.add_argument("kind", choices=("theorem1", "theorem2", "theorem3", "table4",
-                                    "scaling", "clipping-curve"))
+    p.add_argument("kind", choices=tuple(_SIMULATIONS))
     p.add_argument("--config", required=True, help="JSON experiment configuration")
     p.add_argument("--out", required=True)
     p.add_argument("--csv", help="also write tabular results as CSV (scaling/clipping-curve)")
@@ -239,108 +242,167 @@ def _cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
-def _make_compressed_variant(X, spec: dict, seed: int):
-    method = spec.get("method", "uniform")
-    if method == "uniform":
-        bits = int(spec.get("bits", 4))
-        rounding = spec.get("rounding", "stochastic")
-        if spec.get("full_range", rounding == "stochastic"):
-            if rounding != "stochastic":
-                raise ValueError(
-                    f"full_range needs stochastic rounding, got rounding {rounding!r}"
-                )
-            return stochastic_quantize_full_range(X, bits, seed)
-        return decompress(compress_uniform(X, bits, rounding=rounding, seed=seed))
+# the most entries of any array a config sizes (256 MiB of float64), and the
+# most entries of any config array and the most clip thresholds
+MAX_ENTRIES = 2**25
+MAX_LENGTH = 1000
+_JSON_NAMES = {int: "integer", float: "number", str: "string", bool: "boolean",
+               type(None): "null", list: "array"}
+
+
+def _bind(fn, cfg: dict, path, prefix: str = ""):
+    """Call ``fn`` with the JSON object ``cfg`` as keyword arguments: the one
+    place that reads a ``simulate`` config, so ``fn``'s signature is the one
+    place that states its keys, their JSON types (see :func:`_typed`) and
+    their defaults.  A missing or unknown key, a wrong type, or a ValueError
+    of the call is a :class:`FormatError` naming the file ``path`` and the
+    key path; ``prefix`` is that of ``cfg`` itself, ending in a dot."""
+    sig = inspect.signature(fn, eval_str=True)
+    try:
+        sig.bind(**cfg)
+    except TypeError as exc:
+        raise FormatError(f"{path}: {prefix[:-1] or 'the config'}: {exc}; "
+                          f"the keys are {', '.join(sig.parameters)}") from None
+    kwargs = {key: _typed(value, sig.parameters[key].annotation, path, prefix + key)
+              for key, value in cfg.items()}
+    try:
+        return fn(**kwargs)
+    except ValueError as exc:  # a range or size the callee checks
+        raise FormatError(f"{path}: {prefix[:-1] + ': ' if prefix else ''}{exc}") from exc
+
+
+def _typed(value, tp, path, key: str):
+    """``value``, the config's ``key``, checked against the annotation ``tp``:
+    ``int`` takes no boolean, ``float`` any finite number (passed on as a
+    float), ``list[T]`` at most MAX_LENGTH entries, and a function or
+    dataclass a JSON object bound to it by :func:`_bind`."""
+    arms = typing.get_args(tp) if typing.get_origin(tp) in (typing.Union, types.UnionType) \
+        else (tp,)
+    for arm in arms:
+        if typing.get_origin(arm) is list:
+            if isinstance(value, list) and len(value) <= MAX_LENGTH:
+                return [_typed(v, typing.get_args(arm)[0], path, f"{key}[{i}]")
+                        for i, v in enumerate(value)]
+        elif arm is float:
+            if type(value) in (int, float) and abs(value) <= sys.float_info.max:
+                return float(value)
+        elif type(value) is arm:
+            return value
+        elif isinstance(value, dict) and arm not in _JSON_NAMES:
+            return _bind(arm, value, path, key + ".")
+    expected = " or ".join(_JSON_NAMES.get(typing.get_origin(a) or a, "object") for a in arms)
+    raise FormatError(f"{path}: the config key {key!r} must be a JSON {expected}"
+                      f"{f' of at most {MAX_LENGTH} entries' if 'array' in expected else ''}, "
+                      f"got {json.dumps(value)[:60]}")
+
+
+def _cap(what: str, size: int) -> None:
+    """Reject, before any allocation, an array a config sizes above MAX_ENTRIES."""
+    if size > MAX_ENTRIES:
+        raise ValueError(f"{what} = {size} entries is above the cap of {MAX_ENTRIES}")
+
+
+def _compression(method: str = "uniform", bits: int = 4, rounding: str = "stochastic",
+                 full_range: bool = None, k: int | None = None):
+    """A theorem config's ``compression``: X's compressed variant as a function
+    of X and a seed.  Stochastic rounding takes the fixed interval [-1/sqrt(d),
+    1/sqrt(d)] unless ``full_range`` is false; other roundings clip-search."""
     if method == "pca":
-        return decompress(compress_pca(X, int(spec["k"])))
-    raise ValueError(f"unknown compression spec method {method!r}")
+        if k is None:
+            raise ValueError("method 'pca' needs the key 'k'")
+        return lambda X, seed: decompress(compress_pca(X, k))
+    if method != "uniform":
+        raise ValueError(f"unknown compression spec method {method!r}")
+    if full_range is None and rounding == "stochastic" or full_range:
+        if rounding != "stochastic":
+            raise ValueError(f"full_range needs stochastic rounding, got rounding {rounding!r}")
+        return lambda X, seed: stochastic_quantize_full_range(X, bits, seed)
+    return lambda X, seed: decompress(compress_uniform(X, bits, rounding=rounding, seed=seed))
 
 
-def _label_model(cfg: dict) -> LabelModel:
-    cov = cfg.get("covariance", "identity")
-    if cov == "identity":
-        cov_matrix = None
-    elif isinstance(cov, dict) and "diag" in cov:
-        cov_matrix = np.diag(np.asarray(cov["diag"], dtype=np.float64))
-    elif isinstance(cov, dict) and "matrix" in cov:
-        cov_matrix = np.asarray(cov["matrix"], dtype=np.float64)
-    else:
-        raise ValueError(f"bad covariance spec {cov!r}")
-    return LabelModel(covariance=cov_matrix, noise_ratio=float(cfg.get("c", 0.0)))
+def _covariance(diag: list[float] | None = None, matrix: list[list[float]] | None = None):
+    """An explicit ``covariance``: its diagonal or the whole matrix."""
+    if (diag is None) == (matrix is None):
+        raise ValueError("a covariance object needs exactly one of 'diag' and 'matrix'")
+    return np.diag(diag) if matrix is None else np.asarray(matrix, dtype=np.float64)
 
 
-def _theorem_pair(cfg: dict):
-    """(X, Xt, seed): a uniform matrix and its compressed variant."""
-    seed = int(cfg.get("seed", 0))
-    X = gen_uniform_matrix(int(cfg["n"]), int(cfg["d"]), seed)
-    Xt = _make_compressed_variant(X, cfg.get("compression", {"method": "uniform", "bits": 4}), seed + 1)
-    return X, Xt, seed
+def _theorem_inputs(n, d, seed, compression, covariance, c, trials):
+    """(X, Xt, model): a uniform matrix, its compressed variant and the label model."""
+    _cap("n*d", n * d)
+    _cap("n*trials", n * trials)
+    if isinstance(covariance, str) and covariance != "identity":
+        raise ValueError(f"bad covariance spec {covariance!r}")
+    X = gen_uniform_matrix(n, d, seed)
+    model = LabelModel(None if isinstance(covariance, str) else covariance, c)
+    return X, compression(X, seed + 1), model
 
 
-def _simulate_theorem1(cfg: dict) -> dict:
-    X, Xt, seed = _theorem_pair(cfg)
-    result = simulate_regression_gap(
-        X, Xt, _label_model(cfg), int(cfg.get("trials", 10_000)), seed + 2
-    )
+def _simulate_theorem1(n: int, d: int, seed: int = 0, compression: _compression = _compression(),
+                       covariance: typing.Union[str, _covariance] = "identity",
+                       c: float = LabelModel.noise_ratio, trials: int = 10_000) -> dict:
+    X, Xt, model = _theorem_inputs(n, d, seed, compression, covariance, c, trials)
+    result = simulate_regression_gap(X, Xt, model, trials, seed + 2)
     return {"experiment": "regression_gap", "result": result}
 
 
-def _simulate_theorem2(cfg: dict) -> dict:
-    X, Xt, seed = _theorem_pair(cfg)
-    gd_cfg = cfg.get("gd", {})
-    gd = GdConfig(
-        step=gd_cfg.get("step"),
-        tol=gd_cfg.get("tol"),
-        max_steps=gd_cfg.get("max_steps", 100_000),
-    )
-    result = simulate_lipschitz_gap(
-        X, Xt, _label_model(cfg), int(cfg.get("trials", 1000)), seed + 2,
-        gd=gd, L=float(cfg.get("L", 1.0)),
-    )
+def _simulate_theorem2(n: int, d: int, seed: int = 0, compression: _compression = _compression(),
+                       covariance: typing.Union[str, _covariance] = "identity",
+                       c: float = LabelModel.noise_ratio, trials: int = 1000,
+                       gd: GdConfig = GdConfig(),
+                       L: float = inspect.signature(simulate_lipschitz_gap).parameters["L"].default,
+                       ) -> dict:
+    X, Xt, model = _theorem_inputs(n, d, seed, compression, covariance, c, trials)
+    result = simulate_lipschitz_gap(X, Xt, model, trials, seed + 2, gd=gd, L=L)
     return {"experiment": "lipschitz_gap", "result": result}
 
 
-def _simulate_theorem3(cfg: dict) -> dict:
-    n, d = int(cfg["n"]), int(cfg["d"])
-    bits = int(cfg["bits"])
-    X = gen_uniform_matrix(n, d, int(cfg.get("seed", 0)))
-    a = float(cfg["a"]) if "a" in cfg else None
-    result = overlap_bound_experiment(X, bits, cfg.get("seeds", list(range(20))), a)
+def _simulate_theorem3(n: int, d: int, bits: int, seed: int = 0,
+                       seeds: list[int] = tuple(range(20)), a: float | None = None) -> dict:
+    _cap("n*d", n * d)
+    result = overlap_bound_experiment(gen_uniform_matrix(n, d, seed), bits, seeds, a)
     body = {"experiment": "quantization_overlap_bound", "n": n, "d": d, "bits": bits}
     return {**body, **result}
 
 
-def _simulate_table4(cfg: dict) -> dict:
-    out = table4_perturbation(cfg["spectrum"], int(cfg["n"]), int(cfg.get("seed", 0)))
+def _simulate_table4(spectrum: list[float], n: int, seed: int = 0) -> dict:
+    _cap("n*len(spectrum)", n * len(spectrum))
+    out = table4_perturbation(spectrum, n, seed)
     return {"experiment": "top_singular_value_perturbation",
             "measured": out["measured"], "predicted": out["predicted"]}
 
 
-def _simulate_scaling(cfg: dict) -> dict:
-    rows = scaling_experiment(
-        cfg["axis"], cfg["levels"], cfg.get("base", {}), cfg.get("seeds", [0, 1, 2, 3, 4])
-    )
-    return {"experiment": "scaling", "axis": cfg["axis"], "rows": rows}
+def _simulate_scaling(axis: str, levels: list[int | float], base: scaling_base = scaling_base(),
+                      seeds: list[int] = tuple(range(5))) -> dict:
+    for level in levels if axis in SCALING_KEYS else ():  # scaling_experiment rejects the rest
+        point = {**base, SCALING_KEYS[axis][0]: level}
+        _cap("n*d", point["n"] * point["d"])
+    rows = scaling_experiment(axis, levels, base, seeds)
+    return {"experiment": "scaling", "axis": axis, "rows": rows}
 
 
-def _simulate_clipping(cfg: dict) -> dict:
-    seed = int(cfg.get("seed", 0))
-    if "input" in cfg:
-        X, _ = storage.read_text_embedding(cfg["input"])
+def _simulate_clipping(n: int | None = None, d: int | None = None, input: str | None = None,
+                       df: float = 5.0, scale: float = 1.0, seed: int = 0,
+                       bits: list[int] = (1, 2, 4),
+                       rounding: list[str] = ("deterministic", "stochastic"),
+                       r_points: int = 100) -> dict:
+    if not 1 <= r_points <= MAX_LENGTH:
+        raise ValueError(f"the config key 'r_points' must be in [1, {MAX_LENGTH}], got {r_points}")
+    if input is not None:
+        X, _ = storage.read_text_embedding(input)
+    elif n is None or d is None:
+        raise ValueError("a clipping-curve config needs the keys 'n' and 'd', or 'input'")
     else:
-        X = gen_student_t_matrix(
-            int(cfg["n"]), int(cfg["d"]), float(cfg.get("df", 5.0)),
-            float(cfg.get("scale", 1.0)), seed,
-        )
+        _cap("n*d", n * d)
+        X = gen_student_t_matrix(n, d, df, scale, seed)
     xmax = float(np.max(np.abs(X)))
-    points = int(cfg.get("r_points", 100))
-    r_grid = np.linspace(xmax / points, xmax, points)
+    r_grid = np.linspace(xmax / r_points, xmax, r_points)
     base = PreparedBase(X)
     rows = []
-    for bits in cfg.get("bits", [1, 2, 4]):
-        for rounding in cfg.get("rounding", ["deterministic", "stochastic"]):
-            for row in clipping_curve(base, int(bits), rounding, r_grid, seed=seed):
-                rows.append({"bits": int(bits), "rounding": rounding, **row})
+    for b in bits:
+        for mode in rounding:
+            for row in clipping_curve(base, b, mode, r_grid, seed=seed):
+                rows.append({"bits": b, "rounding": mode, **row})
     return {"experiment": "clipping_curve", "rows": rows}
 
 
@@ -354,38 +416,6 @@ _SIMULATIONS = {
 }
 # the simulations whose result holds the table rows that --csv writes
 _TABLE_KINDS = ("scaling", "clipping-curve")
-# per simulation: the keys its config must hold, and the keys that must be a
-# JSON object (dict) or array (list) where given
-_CONFIG_KEYS = {
-    "theorem1": (("n", "d"), {"compression": dict}),
-    "theorem2": (("n", "d"), {"compression": dict, "gd": dict}),
-    "theorem3": (("n", "d", "bits"), {"seeds": list}),
-    "table4": (("spectrum", "n"), {"spectrum": list}),
-    "scaling": (("axis", "levels"), {"levels": list, "base": dict, "seeds": list}),
-    "clipping-curve": (("n", "d"), {"bits": list, "rounding": list}),
-}
-
-
-def _check_config(kind: str, cfg, path: Path) -> None:
-    """Reject, before any work, a config that lacks a key the simulation
-    reads or holds one of the wrong JSON type: a :class:`FormatError` naming
-    the file and the key."""
-    if not isinstance(cfg, dict):
-        raise FormatError(f"{path}: the config must be a JSON object, not {type(cfg).__name__}")
-    required, types = _CONFIG_KEYS[kind]
-    missing = [key for key in required if key not in cfg]
-    if missing and not (kind == "clipping-curve" and "input" in cfg):
-        raise FormatError(f"{path}: a {kind} config needs the key {missing[0]!r}")
-    for key, json_type in types.items():
-        if not isinstance(cfg.get(key, json_type()), json_type):
-            name = "object" if json_type is dict else "array"
-            raise FormatError(f"{path}: the config key {key!r} must be a JSON {name}")
-    spec = cfg.get("compression")
-    if isinstance(spec, dict) and spec.get("method") == "pca" and "k" not in spec:
-        raise FormatError(f"{path}: the config key 'compression' needs 'k' for method 'pca'")
-    points = cfg.get("r_points", 1) if kind == "clipping-curve" else 1
-    if type(points) not in (int, float) or not 1 <= points < math.inf:
-        raise FormatError(f"{path}: the config key 'r_points' must be a finite number >= 1")
 
 
 def _cmd_simulate(args) -> int:
@@ -394,10 +424,11 @@ def _cmd_simulate(args) -> int:
     cfg_path = Path(args.config)
     try:
         cfg = json.loads(cfg_path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise StorageError(f"{cfg_path}: cannot read config: {exc}") from exc
-    _check_config(args.kind, cfg, cfg_path)
-    body = _SIMULATIONS[args.kind](cfg)
+    if not isinstance(cfg, dict):
+        raise FormatError(f"{cfg_path}: the config must be a JSON object, not {type(cfg).__name__}")
+    body = _bind(_SIMULATIONS[args.kind], cfg, cfg_path)
     storage.write_report(body, args.out, inputs={"config": args.config})
     if args.csv:
         rows = body["rows"]

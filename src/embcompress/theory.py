@@ -500,15 +500,23 @@ def simulate_lipschitz_gap(
 # sweep experiments
 
 
-# the config key each sweep axis varies, and its type
-_SCALING_KEYS = {"bits": ("bits", int), "scalar": ("decay_min", float),
-                 "vocab": ("n", int), "dim": ("d", int)}
-SCALING_AXES = tuple(_SCALING_KEYS)
+# the base setting each sweep axis varies, and the kind of number its levels are
+SCALING_KEYS = {"bits": ("bits", Integral), "scalar": ("decay_min", Real),
+                "vocab": ("n", Integral), "dim": ("d", Integral)}
+SCALING_AXES = tuple(SCALING_KEYS)
+
+
+def scaling_base(n: int = 10_000, d: int = 10, bits: int = 2, decay_min: float = 1.0) -> dict:
+    """The settings a scaling sweep holds fixed: an n x d uniform matrix, its
+    columns decayed from 1 down to ``decay_min`` when that is below 1,
+    quantized to ``bits`` bits.  Each sweep axis varies one of them."""
+    return {"n": n, "d": d, "bits": bits, "decay_min": decay_min}
 
 
 def scaling_experiment(axis: str, levels, base_config: dict, seeds) -> list[dict]:
     """Overlap-shortfall sweep along one axis (bits, column-decay scalar,
-    vocabulary size, or dimension).
+    vocabulary size, or dimension), from the :func:`scaling_base` settings
+    that ``base_config`` leaves out.
 
     For each (level, seed): generate the matrix, stochastically quantize over
     the fixed full interval [-1/sqrt(d), 1/sqrt(d)] (the bound's setting, no
@@ -517,20 +525,22 @@ def scaling_experiment(axis: str, levels, base_config: dict, seeds) -> list[dict
     """
     if axis not in SCALING_AXES:
         raise ValueError(f"axis must be one of {SCALING_AXES}, got {axis!r}")
+    key, kind = SCALING_KEYS[axis]
     levels = list(levels)
     if not levels:
         raise ValueError("levels must be non-empty")
+    for level in levels:
+        if isinstance(level, bool) or not isinstance(level, kind):
+            raise ValueError(f"{axis} levels must be {kind.__name__.lower()} numbers, got {level!r}")
     seeds = list(seeds)
     if not seeds:
         raise ValueError("seeds must be non-empty")
-    base = {"n": 10_000, "d": 10, "bits": 2, "decay_min": 1.0}
-    base.update(base_config or {})
+    base = scaling_base(**(base_config or {}))
 
     rows = []
     for level in levels:
         for seed in seeds:
-            key, cast = _SCALING_KEYS[axis]
-            cfg = {**base, key: cast(level)}
+            cfg = {**base, key: level}
             n, d, bits = cfg["n"], cfg["d"], cfg["bits"]
             if cfg["decay_min"] < 1.0:
                 X = gen_scaled_matrix(n, d, cfg["decay_min"], seed)

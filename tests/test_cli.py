@@ -1,10 +1,15 @@
 import csv
+import dataclasses
+import inspect
 import json
 import math
 import os
 import struct
 import subprocess
 import sys
+import time
+import types
+import typing
 import zlib
 from pathlib import Path
 
@@ -12,7 +17,7 @@ import numpy as np
 import pytest
 
 import embcompress
-from embcompress.cli import run
+from embcompress.cli import _SIMULATIONS, run
 from embcompress.storage import (
     FORMAT_VERSION,
     MAGIC,
@@ -437,17 +442,21 @@ def test_simulate_rejects_an_unknown_rounding(tmp_path, capsys, rounding):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("gd", [
-    {"step": 0}, {"step": float("nan")}, {"tol": -1}, {"step": -1}, {"max_steps": 0},
-    {"step": "abc"},
+@pytest.mark.parametrize("gd, message", [
+    ({"step": 0}, "GdConfig.step must be"),
+    ({"step": float("nan")}, "the config key 'gd.step' must be a JSON number or null, got NaN"),
+    ({"tol": -1}, "GdConfig.tol must be"),
+    ({"step": -1}, "GdConfig.step must be"),
+    ({"max_steps": 0}, "GdConfig.max_steps must be"),
+    ({"step": "abc"}, "the config key 'gd.step' must be a JSON number or null, got \"abc\""),
 ], ids=["step-0", "step-nan", "tol-negative", "step-negative", "max_steps-0", "step-str"])
-def test_simulate_theorem2_rejects_an_invalid_gd_config(tmp_path, capsys, gd):
+def test_simulate_theorem2_rejects_an_invalid_gd_config(tmp_path, capsys, gd, message):
     # each of these once spun, diverged, fitted nothing or raised a traceback
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"n": 80, "d": 6, "trials": 4, "gd": gd}))
     out = tmp_path / "out.json"
     assert run(["simulate", "theorem2", "--config", str(cfg), "--out", str(out)]) == 2
-    assert f"GdConfig.{next(iter(gd))} must be" in capsys.readouterr().err
+    assert f"{cfg}: " in (err := capsys.readouterr().err) and message in err
     assert not out.exists()
 
 
@@ -467,31 +476,149 @@ def test_simulate_rejects_full_range_without_stochastic_rounding(tmp_path, capsy
 @pytest.mark.parametrize(
     "kind, config, message",
     [
-        ("theorem1", {"d": 5, "trials": 4}, "a theorem1 config needs the key 'n'"),
+        ("theorem1", {"d": 5, "trials": 4}, "the config: missing a required argument: 'n'"),
         ("theorem1", [{"n": 80, "d": 6}], "the config must be a JSON object, not list"),
         ("theorem1", {"n": 80, "d": 6, "trials": 4, "compression": "uniform"},
-         "the config key 'compression' must be a JSON object"),
+         "the config key 'compression' must be a JSON object, got \"uniform\""),
         ("theorem2", {"n": 80, "d": 6, "trials": 4, "compression": {"method": "pca"}},
-         "the config key 'compression' needs 'k' for method 'pca'"),
-        ("scaling", {"axis": "bits", "levels": 5}, "the config key 'levels' must be a JSON array"),
+         "compression: method 'pca' needs the key 'k'"),
+        ("scaling", {"axis": "bits", "levels": 5},
+         "the config key 'levels' must be a JSON array of at most 1000 entries, got 5"),
         ("theorem3", {"n": 80, "d": 6, "bits": 2, "seeds": 3},
-         "the config key 'seeds' must be a JSON array"),
+         "the config key 'seeds' must be a JSON array of at most 1000 entries, got 3"),
         ("clipping-curve", {"n": 100, "d": 6, "bits": [1], "r_points": 0},
-         "the config key 'r_points' must be a finite number >= 1"),
+         "the config key 'r_points' must be in [1, 1000], got 0"),
         ("clipping-curve", {"input": "vectors.txt", "r_points": "5"},
-         "the config key 'r_points' must be a finite number >= 1"),
+         "the config key 'r_points' must be a JSON integer, got \"5\""),
+        # a scalar of the wrong JSON type once raised a TypeError traceback
+        ("theorem1", {"n": None, "d": 6}, "the config key 'n' must be a JSON integer, got null"),
+        ("theorem2", {"n": 80, "d": 6, "trials": 4, "L": None},
+         "the config key 'L' must be a JSON number, got null"),
+        ("theorem3", {"n": 80, "d": 6, "bits": 2, "a": [1]},
+         "the config key 'a' must be a JSON number or null, got [1]"),
+        ("table4", {"spectrum": [2.0, 1.0], "n": {}},
+         "the config key 'n' must be a JSON integer, got {}"),
+        ("scaling", {"axis": "bits", "levels": [1], "base": {"n": "x"}},
+         "the config key 'base.n' must be a JSON integer, got \"x\""),
+        # and these once ran something the config did not ask for, with exit 0
+        ("theorem1", {"n": 80, "d": 6, "trails": 4},
+         "the config: got an unexpected keyword argument 'trails'; the keys are n, d, seed, "
+         "compression, covariance, c, trials"),
+        ("theorem1", {"n": 80, "d": 6, "trials": 4, "compression": {"bit": 2}},
+         "compression: got an unexpected keyword argument 'bit'; the keys are method, bits, "
+         "rounding, full_range, k"),
+        ("theorem2", {"n": 80, "d": 6, "trials": 4, "gd": {"stp": 1}},
+         "gd: got an unexpected keyword argument 'stp'; the keys are step, tol, max_steps"),
+        ("theorem1", {"n": 80, "d": 6, "trials": 4, "c": True},
+         "the config key 'c' must be a JSON number, got true"),
+        ("theorem1", {"n": 80.7, "d": 6, "trials": 4},
+         "the config key 'n' must be a JSON integer, got 80.7"),
+        ("theorem1", {"n": "80", "d": 6, "trials": 4},
+         "the config key 'n' must be a JSON integer, got \"80\""),
+        ("clipping-curve", {"n": 100, "d": 6, "bits": [1], "r_points": 2.5},
+         "the config key 'r_points' must be a JSON integer, got 2.5"),
+        ("scaling", {"axis": "bits", "levels": [2, 1.5]},
+         "bits levels must be integral numbers, got 1.5"),
     ],
     ids=["missing-n", "array", "compression-str", "pca-without-k", "levels-int",
-         "seeds-int", "r_points-0", "r_points-str"],
+         "seeds-int", "r_points-0", "r_points-str", "n-null", "L-null", "a-array", "n-object",
+         "base-n-str", "trails", "compression-bit", "gd-stp", "c-true", "n-float", "n-str",
+         "r_points-float", "bits-level-float"],
 )
 def test_simulate_rejects_a_malformed_config(tmp_path, capsys, kind, config, message):
-    # each once crashed with a KeyError, AttributeError, TypeError or
+    # the first eight once crashed with a KeyError, AttributeError, TypeError or
     # ZeroDivisionError and exit 1
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     out = tmp_path / "out.json"
     assert run(["simulate", kind, "--config", str(cfg), "--out", str(out)]) == 2
     assert f"{cfg}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_rejects_a_deeply_nested_config(tmp_path, capsys):
+    # json.loads raised RecursionError, a traceback with exit 1
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("[" * 100_000 + "]" * 100_000)
+    out = tmp_path / "out.json"
+    assert run(["simulate", "theorem1", "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"{cfg}: cannot read config" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind, config, message", [
+    ("clipping-curve", {"n": 100, "d": 6, "r_points": 1_000_000_000},
+     "the config key 'r_points' must be in [1, 1000], got 1000000000"),
+    ("theorem1", {"n": 1_000_000_000, "d": 5},
+     "n*d = 5000000000 entries is above the cap of 33554432"),
+    ("theorem1", {"n": 2001, "d": 5, "trials": 16_777}, "n*trials = 33570777 entries"),
+    ("table4", {"spectrum": [2.0, 1.0], "n": 2**24 + 1}, "n*len(spectrum) = 33554434 entries"),
+    ("scaling", {"axis": "vocab", "levels": [100, 2**23], "base": {"d": 5}},
+     "n*d = 41943040 entries"),
+    ("theorem3", {"n": 80, "d": 6, "bits": 2, "seeds": list(range(1001))},
+     "the config key 'seeds' must be a JSON array of at most 1000 entries, got [0, 1, 2"),
+], ids=["r_points", "theorem1-n", "n-trials", "table4-n", "scaling-level", "seeds"])
+def test_simulate_rejects_an_oversized_config_before_any_work(
+        tmp_path, capsys, kind, config, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out.json"
+    start = time.perf_counter()
+    assert run(["simulate", kind, "--config", str(cfg), "--out", str(out)]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert f"{cfg}: " in (err := capsys.readouterr().err) and message in err
+    assert not out.exists()
+
+
+def _arms(tp) -> tuple:
+    """The members of a union annotation, or the annotation alone."""
+    return typing.get_args(tp) if typing.get_origin(tp) in (typing.Union, types.UnionType) \
+        else (tp,)
+
+
+def _config_keys(fn, prefix=""):
+    """(key path, annotation) of every key a simulation takes, the keys of
+    its nested objects included, read off the signatures."""
+    for name, param in inspect.signature(fn, eval_str=True).parameters.items():
+        yield prefix + name, param.annotation
+        for arm in _arms(param.annotation):
+            if inspect.isfunction(arm) or dataclasses.is_dataclass(arm):
+                yield from _config_keys(arm, f"{prefix}{name}.")
+
+
+def _valid(tp):
+    """A value of the JSON type ``tp`` takes."""
+    arm = _arms(tp)[0]
+    if typing.get_origin(arm) is list:
+        return [_valid(typing.get_args(arm)[0])]
+    return {int: 1, float: 1.0, str: "x", bool: True}.get(arm, {})
+
+
+@pytest.mark.parametrize("kind, key, tp", [
+    pytest.param(kind, key, tp, id=f"{kind}:{key}")
+    for kind, fn in _SIMULATIONS.items() for key, tp in _config_keys(fn)
+])
+@pytest.mark.parametrize("wrong", ["scalar", "array"])
+def test_simulate_rejects_a_wrong_type_for_every_key(tmp_path, capsys, kind, key, tp, wrong):
+    # a value no annotation takes: an array of booleans, or a number or string
+    # the key does not take; every required key holds a value of its own type
+    params = inspect.signature(_SIMULATIONS[kind], eval_str=True).parameters
+    config = {name: _valid(p.annotation) for name, p in params.items()
+              if p.default is p.empty}
+    value = [True] if wrong == "array" else 0.5 if str in _arms(tp) else "x"
+    *outer, last = key.split(".")
+    node = config
+    for name in outer:
+        node = node.setdefault(name, {})
+    node[last] = value
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out.json"
+    assert run(["simulate", kind, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    # an array names its first entry: 'seeds[0]'
+    assert f"{cfg}: the config key '{key}" in err and "must be a JSON" in err
+    assert "Traceback" not in err
     assert not out.exists()
 
 

@@ -531,6 +531,13 @@ class TestScalingExperiment:
         with pytest.raises(ValueError, match="axis"):
             scaling_experiment("nope", [1], {}, [0])
 
+    @pytest.mark.parametrize("axis, level", [("bits", 2.0), ("vocab", 100.5), ("dim", True),
+                                             ("scalar", "0.5")])
+    def test_level_kind_validated(self, axis, level):
+        # a level the axis cannot take is rejected, not truncated
+        with pytest.raises(ValueError, match=f"{axis} levels must be"):
+            scaling_experiment(axis, [level], {"n": 50, "d": 4}, [0])
+
 
 class TestClippingCurve:
     def test_full_threshold_high_precision_recovers_matrix(self):
