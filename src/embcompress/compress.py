@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bitpack
-from .linalg import LinalgError, as_matrix, fro_norm, numerical_rank, thin_svd
+from .linalg import LinalgError, as_matrix, fro_norm, gram_eigh, numerical_rank, thin_svd
 from .rng import CounterRng
 
 METHOD_UNIFORM = "uniform"
@@ -557,24 +557,39 @@ def compress_kmeans(X, bits: int, seed: int = 0) -> CompressedEmbedding:
 
 
 def compress_pca(X, k: int, keep_v: bool = False) -> CompressedEmbedding:
-    """Rank-k truncation: keep the k leading left singular vectors scaled by
-    their singular values; with ``keep_v`` the right factor is stored too and
-    decompression returns an n x d_orig matrix."""
+    """Rank-k truncation: keep X V_k, the k leading left singular vectors
+    scaled by their singular values, for V_k the k leading right singular
+    vectors; with ``keep_v`` V_k is stored too and decompression returns an
+    n x d_orig matrix.
+
+    V_k comes from the factorization :class:`~embcompress.measures.PreparedBase`
+    takes: the symmetric eigensolve of X^T X (:func:`~embcompress.linalg.gram_eigh`)
+    when X is no wider than tall and cond(X) <= ``linalg.GRAM_MAX_COND``, and
+    X's thin SVD otherwise, which must then have numerical rank k or more.
+    Each kept column's sign follows the factorization that ran.
+    """
     X = as_matrix(X)
-    if not 1 <= k <= X.shape[1]:
-        raise ValueError(f"k must be in [1, {X.shape[1]}], got {k}")
-    f = thin_svd(X)
-    rank = numerical_rank(f.s, max(X.shape))
-    if k > rank:
-        raise LinalgError(f"requested k={k} exceeds the numerical rank {rank}")
-    reduced = f.U[:, :k] * f.s[:k]
+    n, d = X.shape
+    if not 1 <= k <= d:
+        raise ValueError(f"k must be in [1, {d}], got {k}")
+    eig = gram_eigh(X.T @ X) if d <= n else None
+    if eig is not None:
+        V = eig[1][:, :k]
+        reduced = X @ V
+    else:
+        f = thin_svd(X)
+        rank = numerical_rank(f.s, max(X.shape))
+        if k > rank:
+            raise LinalgError(f"requested k={k} exceeds the numerical rank {rank}")
+        V = f.V[:, :k]
+        reduced = f.U[:, :k] * f.s[:k]
     return CompressedEmbedding(
         method=METHOD_PCA,
-        n=X.shape[0],
-        d_orig=X.shape[1],
+        n=n,
+        d_orig=d,
         k=k,
         reduced=reduced,
-        basis_v=f.V[:, :k].copy() if keep_v else None,
+        basis_v=V.copy() if keep_v else None,
     )
 
 

@@ -8,7 +8,11 @@ produce bit-identical values.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import glob
 import hashlib
+import os
 import weakref
 from dataclasses import dataclass
 
@@ -139,6 +143,104 @@ def thin_svd(M) -> ThinSVD:
     _forget()
     _last = (key, f, weakref.finalize(M, _forget, key))
     return f
+
+
+# Largest condition number of a tall matrix M at which it is factored or
+# scored through its Gram matrix M^T M = L L^T instead of an SVD of M.
+# Forming M^T M squares the condition number, so results taken from it carry
+# errors that grow like cond(M)^2 * eps, the CholeskyQR bound (Yamamoto et
+# al., 2015).  Swept against the SVD path on 10000-row Student-t bases with
+# candidates whose singular values spread over cond(L) under a random
+# rotation, the overlap error was 2e-15 at cond 1e2, 2e-13 at 1e3, 2e-11 at
+# 1e4 and 2e-10 at 3e4.  1e3 keeps three decades below the 1e-10 the oracle
+# tests allow.  A base's cond(M) comes from the eigenvalues :func:`gram_eigh`
+# computes anyway; a candidate's cond(L) from LAPACK's 1-norm estimate
+# ``trcon``, confirmed by an SVD of L when it reads over the bound (see
+# :func:`well_conditioned_cholesky`).  Quantized and PCA candidates of
+# Student-t or uniform bases estimate at 1 to 15; a rank-deficient one (PCA
+# --keep-v, a zero column) fails the Cholesky or lands far above.
+GRAM_MAX_COND = 1e3
+
+
+@functools.cache
+def _lapacke_dtrcon():
+    """``LAPACKE_dtrcon`` of the ILP64 OpenBLAS bundled in numpy's wheel, or
+    None when this numpy build has none; it spares importing scipy.linalg
+    (about 0.25 s) for one call."""
+    import numpy
+
+    libs = os.path.join(os.path.dirname(os.path.dirname(numpy.__file__)), "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "*scipy_openblas64*")):
+        fn = getattr(ctypes.CDLL(path), "scipy_LAPACKE_dtrcon64_", None)
+        if fn is not None:
+            fn.restype = ctypes.c_int64
+            fn.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_char, ctypes.c_char,
+                           ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64,
+                           ctypes.POINTER(ctypes.c_double)]
+            return fn
+    return None
+
+
+def _lower_rcond(L: np.ndarray) -> float:
+    """LAPACK's estimate of 1 / cond_1(L) for a lower-triangular L."""
+    L = np.ascontiguousarray(L, dtype=np.float64)
+    k = L.shape[0]
+    fn = _lapacke_dtrcon()
+    if fn is None:
+        import scipy.linalg.lapack
+
+        rcond, info = scipy.linalg.lapack.dtrcon(L, norm="1", uplo="L", diag="N")
+    else:
+        out = ctypes.c_double()
+        # 101 is LAPACK_ROW_MAJOR: L is read in place as C-ordered
+        info = fn(101, b"1", b"L", b"N", k, L.ctypes.data, k, ctypes.byref(out))
+        rcond = out.value
+    if info != 0:
+        raise LinalgError(f"dtrcon failed with info={info} on a {k}x{k} factor")
+    return float(rcond)
+
+
+def well_conditioned_cholesky(G: np.ndarray) -> np.ndarray | None:
+    """The Cholesky factor L of G, or None when G is not numerically positive
+    definite or cond_2(L) exceeds ``GRAM_MAX_COND``.
+
+    cond(L) is first read from LAPACK's ``trcon`` estimate, about 0.2 ms at
+    k = 300; only when the estimate is over the bound does a k x k SVD of L
+    (about 11 ms) read cond_2(L) itself, so the estimate's overshoot never
+    refuses a factor that passes.
+    """
+    try:
+        L = np.linalg.cholesky(G)
+    except np.linalg.LinAlgError:
+        return None
+    if not _lower_rcond(L) * GRAM_MAX_COND >= 1.0:
+        sv = np.linalg.svd(L, compute_uv=False)
+        if not sv[-1] * GRAM_MAX_COND >= sv[0]:
+            return None
+    return L
+
+
+def gram_eigh(A: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """``(s, V)`` with ``s`` non-increasing and A = V diag(s^2) V^T, from the
+    symmetric eigensolve of the Gram matrix A = M^T M of an M no wider than
+    tall; None when cond(M) = s[0] / s[-1] exceeds ``GRAM_MAX_COND`` (M
+    ill conditioned or rank-deficient) or the eigensolve fails.
+
+    ``s`` and V are M's singular values and right singular vectors, with M's
+    left ones M V diag(1/s) never formed.  Each column of V is determined up
+    to its sign, which need not match an SVD's.  The eigenvalues carry an
+    absolute error of about eps * s[0]^2, far below the s[0]^2 / 1e6 the
+    test admits, so cond(M) is read exactly and no estimate is needed.
+    """
+    if not np.all(np.isfinite(A)):  # M^T M overflowed
+        return None
+    try:
+        w, V = np.linalg.eigh(A)
+    except np.linalg.LinAlgError:
+        return None
+    if not (w[0] > 0.0 and w[0] * GRAM_MAX_COND**2 >= w[-1]):
+        return None
+    return np.sqrt(w[::-1]), np.ascontiguousarray(V[:, ::-1])
 
 
 def numerical_rank(s, m: int) -> int:

@@ -18,7 +18,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import LinalgError, ThinSVD, as_matrix, sq_fro_norm, thin_svd
+from .linalg import (
+    LinalgError,
+    ThinSVD,
+    as_matrix,
+    gram_eigh,
+    sq_fro_norm,
+    thin_svd,
+    well_conditioned_cholesky,
+)
 
 
 class RankDeficiencyWarning(UserWarning):
@@ -153,7 +161,7 @@ def reconstruction_error(X, Xt) -> float:
     return math.sqrt(sq_fro_norm(X - Xt))
 
 
-def _deltas(f: ThinSVD, Xt: np.ndarray, lam: float, P: np.ndarray | None = None,
+def _deltas(base: PreparedBase, Xt: np.ndarray, lam: float, P: np.ndarray | None = None,
             G: np.ndarray | None = None):
     # B = XX^T + lam I is diagonal in X's SVD, so B^{-1/2} is written down
     # from U and s: no second factorization of X and no Cholesky of B, whose
@@ -170,16 +178,16 @@ def _deltas(f: ThinSVD, Xt: np.ndarray, lam: float, P: np.ndarray | None = None,
     # them.  With both, R_e is the Cholesky factor of E^T E = G - P^T P (see
     # ``_gram_residual_factor``) and no n x k matrix is touched; without
     # them, or when that factor is refused, R_e comes from the QR of E.
-    U, s = f.U, f.s
-    d, k = U.shape[1], Xt.shape[1]
+    s = base.s
+    d, k = s.shape[0], Xt.shape[1]
     s2 = s * s
     Re = None if G is None else _gram_residual_factor(G, P)
     if Re is None:
-        P = U.T @ Xt if P is None else P.copy()
-        E = Xt - U @ P
+        P = base._project(Xt) if P is None else P.copy()
+        E = Xt - base._lift(P)
         # one re-orthogonalisation pass keeps E orthogonal to U to working precision
-        C = U.T @ E
-        E -= U @ C
+        C = base._project(E)
+        E -= base._lift(C)
         P += C
         Re = np.linalg.qr(E, mode="r")
     M = np.zeros((d + Re.shape[0], k + d))
@@ -215,24 +223,12 @@ def quality_report(X, Xt, lam: float | None = None) -> QualityReport:
     return PreparedBase(X).report(Xt, lam)
 
 
-# Largest cond(L) = cond(Xt) at which a candidate is scored from its Gram
-# matrix G = Xt^T Xt = L L^T.  Forming G squares the condition number, so the
-# Gram-path measures carry errors that grow like cond(L)^2 * eps, the
-# CholeskyQR bound (Yamamoto et al., 2015).  Swept against the SVD path on
-# 10000-row Student-t bases with candidates whose singular values spread over
-# cond(L) under a random rotation, the overlap error was 2e-15 at cond 1e2,
-# 2e-13 at 1e3, 2e-11 at 1e4 and 2e-10 at 3e4.  1e3 keeps three decades
-# below the 1e-10 the oracle tests allow; quantized and PCA candidates sit
-# near cond 1 to 2, and a rank-deficient one (PCA --keep-v, a zero column)
-# fails the Cholesky or lands far above.
-_GRAM_MAX_COND = 1e3
-
-
 @dataclass(frozen=True)
 class _Candidate:
     """A candidate validated against the base, with the products its
     measures share.  On the Gram path ``L`` is the Cholesky factor of
-    G = Xt^T Xt and ``P`` = U^T Xt; on the SVD path ``Ut`` is Xt's retained
+    G = Xt^T Xt and ``P`` = U^T Xt, and on a Gram-path base ``C`` = X^T Xt,
+    which ``P`` was derived from; on the SVD path ``Ut`` is Xt's retained
     left singular basis."""
 
     Xt: np.ndarray
@@ -241,24 +237,12 @@ class _Candidate:
     L: np.ndarray | None = None
     P: np.ndarray | None = None
     Ut: np.ndarray | None = None
-
-
-def _well_conditioned_cholesky(G: np.ndarray) -> np.ndarray | None:
-    """The Cholesky factor L of G, or None when G is not numerically positive
-    definite or cond(L) exceeds ``_GRAM_MAX_COND``."""
-    try:
-        L = np.linalg.cholesky(G)
-    except np.linalg.LinAlgError:
-        return None
-    sv = np.linalg.svd(L, compute_uv=False)
-    if not sv[-1] * _GRAM_MAX_COND >= sv[0]:
-        return None
-    return L
+    C: np.ndarray | None = None
 
 
 # Smallest trace(S) / trace(G), for S = G - P^T P = E^T E, at which the
 # residual's R factor is the Cholesky factor of S; cond(L_S) must also stay
-# within ``_GRAM_MAX_COND``.  Forming S cancels the part of G inside span(U),
+# within ``GRAM_MAX_COND``.  Forming S cancels the part of G inside span(U),
 # so S carries an absolute error of about eps * trace(G), and the deltas a
 # relative one that grows like eps * trace(G) / trace(S).  Swept against the
 # explicit path on a 10000 x 100 Student-t base, with candidates U A + E
@@ -276,28 +260,43 @@ def _gram_residual_factor(G: np.ndarray, P: np.ndarray) -> np.ndarray | None:
     """The k x k triangular R_e with R_e^T R_e = E^T E for Xt's residual
     E = Xt - U P off span(U), from G = Xt^T Xt and P = U^T Xt; None when S =
     G - P^T P lost too much to cancellation or its Cholesky factor fails
-    ``_well_conditioned_cholesky``."""
+    ``well_conditioned_cholesky``."""
     S = G - P.T @ P
     if not np.trace(S) >= _RESIDUAL_MIN_TRACE * np.trace(G):
         return None
-    L = _well_conditioned_cholesky(S)
+    L = well_conditioned_cholesky(S)
     return None if L is None else L.T
 
 
 class PreparedBase:
     """A base matrix X factored once, to score any number of candidates.
 
-    Holds the thin SVD of X, its numerical rank and its retained left
-    singular basis U; the squared norms ||X||_F^2 and ||X^T X||_F^2 that
-    only :meth:`report` reads are formed on its first call.
+    Holds X's singular values ``s``, right singular vectors ``V`` and
+    numerical ``rank``, taken one of two ways:
+
+    * Gram path, when X is no wider than tall and cond(X) is within
+      ``GRAM_MAX_COND`` (see :func:`~embcompress.linalg.gram_eigh`): ``s``
+      and V come from the symmetric eigensolve of A = X^T X, the rank is d,
+      and X's left singular basis U = X V diag(1/s) is never formed; U^T Y
+      is read as diag(1/s) V^T (X^T Y) and U Z as X (V diag(1/s) Z).
+      ``svd`` and ``U`` are None.
+    * SVD path, for any other X (wider than tall, rank-deficient or ill
+      conditioned): ``svd`` is X's thin SVD and ``U`` its retained left
+      singular basis.
+
+    The squared norms ||X||_F^2 and ||X^T X||_F^2 that only :meth:`report`
+    reads are formed on its first call, the second from A when it was formed.
 
     A candidate Xt (n x k, k <= n) whose Gram matrix G = Xt^T Xt has a
-    Cholesky factor L with cond(L) <= ``_GRAM_MAX_COND`` takes no SVD: Xt
-    L^{-T} is an orthonormal basis of its span, so with P = U^T Xt and
-    C = X^T Xt the overlap is ||L^{-1} P^T||_F^2 / max(d, k) and the
-    projected error ||X||_F^2 - ||L^{-1} C^T||_F^2; PIP loss needs only G and
-    C.  Any other candidate (rank-deficient, wider than tall, or ill
-    conditioned) costs one SVD of Xt and uses its retained singular vectors.
+    Cholesky factor L that passes ``well_conditioned_cholesky`` (cond(L)
+    within ``GRAM_MAX_COND``) takes no SVD: Xt L^{-T} is an orthonormal
+    basis of its span, so with P = U^T Xt and C = X^T Xt the overlap is
+    ||L^{-1} P^T||_F^2 / max(d, k) and the projected error
+    ||X||_F^2 - ||L^{-1} C^T||_F^2; PIP loss needs only G and C.  On a
+    Gram-path base C is formed once and P = diag(1/s) V^T C, so a
+    report takes one n x d x k product with X.  Any other candidate
+    (rank-deficient, wider than tall, or ill conditioned) costs one SVD of
+    Xt and uses its retained singular vectors.
 
     The spectral deltas add one small QR and one small symmetric eigensolve
     to the factor of Xt's residual described below: B =
@@ -312,16 +311,27 @@ class PreparedBase:
     follows G and P.  It is refused, and R_e taken from the QR of an explicit
     E, when the cancellation in G - P^T P leaves its trace below
     ``_RESIDUAL_MIN_TRACE`` times that of G (PCA and near-lossless
-    candidates) or its factor fails ``_well_conditioned_cholesky``; SVD-path
-    candidates and rank-deficient bases always take the explicit E.  The two
-    agree to 1e-13 relative at the threshold (see ``_RESIDUAL_MIN_TRACE``).
+    candidates) or its factor fails ``well_conditioned_cholesky``; SVD-path
+    candidates and rank-deficient bases always take the explicit E, which
+    on a Gram-path base is Xt - X V diag(s^-2) V^T C, re-orthogonalised the
+    same way.  The two agree to 1e-13 relative at the threshold (see
+    ``_RESIDUAL_MIN_TRACE``).
     """
 
     def __init__(self, X):
-        self.X = as_matrix(X, "X")
-        self.svd = thin_svd(self.X)
-        self.rank = self.svd.rank()
-        self.U = _retained_basis(self.svd, "X")
+        self.X = X = as_matrix(X, "X")
+        n, d = X.shape
+        self._gram = X.T @ X if d <= n else None
+        eig = None if self._gram is None else gram_eigh(self._gram)
+        if eig is not None:
+            self.s, self.V = eig
+            self.rank = d
+            self.svd = self.U = None
+        else:
+            self.svd = thin_svd(X)
+            self.s, self.V = self.svd.s, self.svd.V
+            self.rank = self.svd.rank()
+            self.U = _retained_basis(self.svd, "X")
 
     @cached_property
     def sq_norm(self) -> float:
@@ -331,22 +341,45 @@ class PreparedBase:
     @cached_property
     def sq_gram_norm(self) -> float:
         """||X^T X||_F^2, formed on first use: only :meth:`report` reads it."""
-        return sq_fro_norm(self.X.T @ self.X)
+        return sq_fro_norm(self.X.T @ self.X if self._gram is None else self._gram)
+
+    def _from_cross(self, C: np.ndarray) -> np.ndarray:
+        """U^T Y from C = X^T Y, on the Gram path."""
+        return (self.V.T @ C) / self.s[:, None]
+
+    def _project(self, Y: np.ndarray) -> np.ndarray:
+        """U^T Y for all of X's left singular vectors U."""
+        if self.svd is not None:
+            return self.svd.U.T @ Y
+        return self._from_cross(self.X.T @ Y)
+
+    def _lift(self, Z: np.ndarray) -> np.ndarray:
+        """U Z for all of X's left singular vectors U."""
+        if self.svd is not None:
+            return self.svd.U @ Z
+        return self.X @ (self.V @ (Z / self.s[:, None]))
 
     def _candidate(self, Xt) -> _Candidate:
         """Xt validated against X, on the Gram path when it qualifies."""
         Xt = _rows_of(self.X, Xt)
         G = Xt.T @ Xt
         if Xt.shape[1] <= Xt.shape[0]:
-            L = _well_conditioned_cholesky(G)
+            L = well_conditioned_cholesky(G)
             if L is not None:
-                return _Candidate(Xt, Xt.shape[1], G, L=L, P=self.U.T @ Xt)
+                if self.svd is not None:
+                    return _Candidate(Xt, Xt.shape[1], G, L=L, P=self.U.T @ Xt)
+                C = self.X.T @ Xt
+                return _Candidate(Xt, Xt.shape[1], G, L=L, P=self._from_cross(C), C=C)
         ft = thin_svd(Xt)
         return _Candidate(Xt, ft.rank(), G, Ut=_retained_basis(ft, "Xt"))
 
     def _overlap(self, c: _Candidate) -> float:
-        # on the Gram path Xt L^{-T} is an orthonormal basis of span(Xt)
-        M = self.U.T @ c.Ut if c.L is None else np.linalg.solve(c.L, c.P.T)
+        # on the Gram path Xt L^{-T} is an orthonormal basis of span(Xt); on
+        # an SVD-path base U is the retained basis, on a Gram-path base all of it
+        if c.L is not None:
+            M = np.linalg.solve(c.L, c.P.T)
+        else:
+            M = self._project(c.Ut) if self.svd is None else self.U.T @ c.Ut
         return sq_fro_norm(M) / max(self.X.shape[1], c.Xt.shape[1])
 
     def resolve_lambda(self, lam: float | None = None) -> float:
@@ -354,7 +387,7 @@ class PreparedBase:
         if lam is None:
             if self.rank == 0:
                 raise ValueError("zero matrix has no nonzero Gram eigenvalue")
-            lam = self.svd.s[self.rank - 1] ** 2
+            lam = self.s[self.rank - 1] ** 2
         if not (np.isfinite(lam) and lam > 0):
             raise ValueError(f"lambda must be positive, got {lam}")
         return float(lam)
@@ -371,12 +404,18 @@ class PreparedBase:
         n, d = X.shape
         k = Xt.shape[1]
         lam = self.resolve_lambda(lam)
-        # U^T Xt from the candidate step is the deltas' P when U is all of X's
-        # left singular vectors; with G it gives their residual factor
-        full = c.P is not None and self.rank == self.svd.r
-        P, G = (c.P, c.G) if full else (None, None)
-        delta1, delta2, delta, delta_max = _deltas(self.svd, Xt, lam, P, G)
-        C = X.T @ Xt
+        if self.svd is None:
+            # full rank: U^T Xt is the deltas' P, from the one C = X^T Xt
+            C = X.T @ Xt if c.C is None else c.C
+            P = self._from_cross(C) if c.P is None else c.P
+            G = None if c.L is None else c.G
+        else:
+            # U^T Xt from the candidate step is the deltas' P when U is all
+            # of X's left singular vectors; with G it gives their residual factor
+            full = c.P is not None and self.rank == self.svd.r
+            P, G = (c.P, c.G) if full else (None, None)
+            C = X.T @ Xt
+        delta1, delta2, delta, delta_max = _deltas(self, Xt, lam, P, G)
         # Ut^T X, or its Gram-path equal L^{-1} Xt^T X
         M = c.Ut.T @ X if c.L is None else np.linalg.solve(c.L, C.T)
         return QualityReport(

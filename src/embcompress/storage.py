@@ -478,14 +478,19 @@ def write_report(body, path, inputs: dict | None = None) -> None:
 
 
 def read_report(path) -> dict:
-    """Read a JSON report; a bare NaN constant is a :class:`FormatError`."""
+    """Read a JSON report; invalid JSON, nesting too deep for the parser and a
+    bare NaN constant are each a :class:`FormatError` naming the file."""
 
     def constant(name):
         if name == "NaN":
             raise FormatError(f"{path}: NaN is not a valid report value")
         return float(name)
 
-    doc = json.loads(Path(path).read_text(encoding="utf-8"), parse_constant=constant)
+    text = Path(path).read_text(encoding="utf-8")
+    try:
+        doc = json.loads(text, parse_constant=constant)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise FormatError(f"{path}: not a valid JSON report: {exc}") from None
     if not isinstance(doc, dict) or "body" not in doc:
         raise FormatError(f"{path}: not a report file (missing 'body')")
     return doc

@@ -28,7 +28,7 @@ from .linalg import (
     sq_fro_norm,
     thin_svd,
 )
-from .measures import PreparedBase, RankDeficiencyWarning, _pair, pip_loss, quality_report
+from .measures import PreparedBase, _pair, pip_loss, quality_report
 from .rng import CounterRng
 
 
@@ -106,14 +106,15 @@ class ExperimentResult:
             raise ValueError("trials must be >= 1")
 
 
-def _require_full_rank(X: np.ndarray, name: str, f: ThinSVD | None = None) -> ThinSVD:
-    """The thin SVD of X (``f`` if already taken), checked for full rank."""
-    f = thin_svd(X) if f is None else f
-    rank = f.rank()
-    if rank < X.shape[1]:
-        raise LinalgError(
-            f"{name} is rank-deficient (numerical rank {rank} < {X.shape[1]} columns)"
-        )
+def _check_full_rank(rank: int, cols: int, name: str) -> None:
+    if rank < cols:
+        raise LinalgError(f"{name} is rank-deficient (numerical rank {rank} < {cols} columns)")
+
+
+def _require_full_rank(X: np.ndarray, name: str) -> ThinSVD:
+    """The thin SVD of X, checked for full rank."""
+    f = thin_svd(X)
+    _check_full_rank(f.rank(), X.shape[1], name)
     return f
 
 
@@ -141,28 +142,28 @@ def exact_expected_gap(X, Xt, model: LabelModel) -> float:
     a general covariance replaces the cross term with ||Ut^T U S||_F^2 for
     S the PSD square root.
     """
-    return _exact_gap(*_full_rank_pair(X, Xt, model), model)
+    _, _, fx, ft = _full_rank_pair(X, Xt, model)
+    return _exact_gap(fx, ft, model)
 
 
 def _full_rank_pair(X, Xt, model: LabelModel):
-    """(base, Xt, ft): both designs validated, with equal row counts, full
-    column rank and a label model sized to X; ``base`` is X's
-    :class:`PreparedBase` and ``ft`` the thin SVD of Xt."""
+    """(X, Xt, fx, ft): both designs validated, with equal row counts, full
+    column rank and a label model sized to X; ``fx`` and ``ft`` are their
+    thin SVDs, whose left singular vectors the labels and the exact gap read.
+    X is factored last, so that a :class:`PreparedBase` of X that takes the
+    SVD path finds its factors in the memo of ``thin_svd``."""
     X, Xt = _pair(X, Xt)
-    with warnings.catch_warnings():
-        # a rank-deficient X raises just below, with no warning first
-        warnings.simplefilter("ignore", RankDeficiencyWarning)
-        base = PreparedBase(X)
-    _require_full_rank(X, "X", base.svd)
-    ft = _require_full_rank(Xt, "Xt")
+    ft = thin_svd(Xt)
+    fx = _require_full_rank(X, "X")
+    _check_full_rank(ft.rank(), Xt.shape[1], "Xt")
     model.check_dim(X.shape[1])
-    return base, Xt, ft
+    return X, Xt, fx, ft
 
 
-def _exact_gap(base: PreparedBase, Xt, ft: ThinSVD, model: LabelModel) -> float:
-    n, d = base.X.shape
-    k = Xt.shape[1]
-    M = ft.U.T @ base.svd.U
+def _exact_gap(fx: ThinSVD, ft: ThinSVD, model: LabelModel) -> float:
+    n, d = fx.U.shape
+    k = ft.V.shape[0]
+    M = ft.U.T @ fx.U
     S = model.sqrt_factor()
     if S is not None:
         M = M @ S
@@ -225,7 +226,7 @@ def conditioning_scalar(X) -> float:
     """The scalar a with s_min(X) = a * sqrt(n/d).  ``X`` may be a
     :class:`PreparedBase`."""
     base = _prepared(X)
-    return float(base.svd.s[-1] / math.sqrt(base.X.shape[0] / base.X.shape[1]))
+    return float(base.s[-1] / math.sqrt(base.X.shape[0] / base.X.shape[1]))
 
 
 def davis_kahan_sample_bound(X, Xt) -> float:
@@ -237,8 +238,8 @@ def davis_kahan_sample_bound(X, Xt) -> float:
     X, Xt = base.X, as_matrix(Xt, "Xt")
     if X.shape != Xt.shape:
         raise ValueError(f"shape mismatch: {X.shape} vs {Xt.shape}")
-    f = _require_full_rank(X, "X", base.svd)
-    return pip_loss(X, Xt) ** 2 / (X.shape[1] * float(f.s[-1]) ** 4)
+    _check_full_rank(base.rank, X.shape[1], "X")
+    return pip_loss(X, Xt) ** 2 / (X.shape[1] * float(base.s[-1]) ** 4)
 
 
 # ---------------------------------------------------------------------------
@@ -307,8 +308,7 @@ def simulate_regression_gap(
     not depend on scheduling.
     """
     rng = CounterRng(seed)
-    base, Xt, ft = _full_rank_pair(X, Xt, model)
-    X, fx = base.X, base.svd
+    X, Xt, fx, ft = _full_rank_pair(X, Xt, model)
     n, d = X.shape
     k = Xt.shape[1]
     Ybar = _true_labels(fx, model, trials, rng)
@@ -320,7 +320,7 @@ def simulate_regression_gap(
         + (k - d) * model.sigma2(n, d)
     ) / n
     return _experiment_result(
-        gaps, _exact_gap(base, Xt, ft, model), "exact_identity", X, Xt, model, seed
+        gaps, _exact_gap(fx, ft, model), "exact_identity", X, Xt, model, seed
     )
 
 
@@ -480,19 +480,18 @@ def simulate_lipschitz_gap(
     if not L > 0:
         raise ValueError(f"L must be positive, got {L}")
     rng = CounterRng(seed)
-    base, Xt, ft = _full_rank_pair(X, Xt, model)
-    X = base.X
+    X, Xt, fx, ft = _full_rank_pair(X, Xt, model)
     n, d = X.shape
     gd = gd or GdConfig()
-    Ybar = _true_labels(base.svd, model, trials, rng)
+    Ybar = _true_labels(fx, model, trials, rng)
     Y = Ybar + math.sqrt(model.sigma2(n, d)) * rng.substream(1).normal_block(trials, n).T
 
-    W = _fit_logistic_gd(X, Y, gd, float(base.svd.s[0]))
+    W = _fit_logistic_gd(X, Y, gd, float(fx.s[0]))
     Wt = _fit_logistic_gd(Xt, Y, gd, float(ft.s[0]))
     P = _sigmoid(Ybar)
     test_x = np.mean(_cross_entropy(X @ W, P), axis=0)
     test_t = np.mean(_cross_entropy(Xt @ Wt, P), axis=0)
-    bound = lipschitz_gap_bound(base, Xt, L, model)
+    bound = lipschitz_gap_bound(X, Xt, L, model)
     return _experiment_result(test_t - test_x, bound, "upper_bound", X, Xt, model, seed, L=L)
 
 
@@ -569,9 +568,12 @@ def overlap_bound_experiment(X, bits: int, seeds, a: float | None = None) -> dic
     to the per-sample Davis-Kahan bound.  The overlap bound uses ``a``, or
     the measured conditioning scalar capped at 1.  X is factored once.
     """
+    seeds = list(seeds)
+    if not seeds:
+        raise ValueError("seeds must be non-empty")
     prepared = PreparedBase(X)
     X = prepared.X
-    _require_full_rank(X, "X", prepared.svd)
+    _check_full_rank(prepared.rank, X.shape[1], "X")
     a = min(conditioning_scalar(prepared), 1.0) if a is None else a
     bound = uniform_overlap_bound(bits, a)
     per_seed = []

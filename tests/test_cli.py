@@ -10,6 +10,7 @@ import sys
 import time
 import types
 import typing
+import warnings
 import zlib
 from pathlib import Path
 
@@ -325,6 +326,21 @@ def test_evaluate_rejects_a_malformed_report_file(tmp_path, capsys, body, messag
     assert not out.exists()
 
 
+def test_evaluate_rejects_a_deeply_nested_report_file(tmp_path, capsys):
+    # json.loads once raised RecursionError here: a traceback and exit 1
+    rep_dir = tmp_path / "reports"
+    rep_dir.mkdir()
+    report = rep_dir / "r.json"
+    report.write_text("[" * 200_000 + "]" * 200_000)
+    perf = tmp_path / "perf.csv"
+    perf.write_text("candidate_id,task,performance,seed\nu1,t,0.9,0\n")
+    out = tmp_path / "summary.json"
+    assert run(["evaluate", "--perf", str(perf), "--reports", str(rep_dir),
+                "--out", str(out)]) == 2
+    assert f"{report}: not a valid JSON report: maximum recursion depth" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "perf_rows, stdout, max_regret",
     [
@@ -371,6 +387,20 @@ def test_simulate_theorem3_bound_value(tmp_path):
     assert body["bound"] == pytest.approx(0.08889, abs=5e-6)
     assert not body["vacuous"]
     assert len(body["per_seed"]) == 3
+
+
+def test_simulate_theorem3_rejects_empty_seeds(tmp_path, capsys):
+    # it once factored X, warned "Mean of empty slice" and failed only when
+    # writing the NaN mean
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 50, "d": 3, "bits": 2, "seeds": []}))
+    out = tmp_path / "out.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(["simulate", "theorem3", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert f"{cfg}: " in (err := capsys.readouterr().err) and "seeds must be non-empty" in err
+    assert not out.exists()
 
 
 def test_simulate_theorem1_and_theorem2(tmp_path):

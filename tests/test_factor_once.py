@@ -1,10 +1,14 @@
-"""Each base matrix is factored once per call, and a candidate takes an SVD
-only when it leaves the Gram path.
+"""Each base matrix is factored once per call: a well-conditioned base by the
+symmetric eigensolve of X^T X, with no SVD of X at all, and any other base by
+one thin SVD.  A candidate takes an SVD only when it leaves the Gram path.
 
-Calls to ``thin_svd`` are counted through the module bindings that
-``measures`` and ``theory`` call it by.  Across calls, ``thin_svd``
-remembers the last factorization, so the one-call shortcuts take one LAPACK
-SVD of an unchanged base between them.
+``calls`` counts ``thin_svd`` calls, and ``gram_eigh`` calls that return
+factors, through the module bindings that ``measures``, ``compress`` and
+``theory`` call them by.  ``lapack_svds`` records every matrix handed to
+``np.linalg.svd``, so a test can count the SVDs taken of X itself.  Across
+calls, ``thin_svd`` remembers the last factorization, so the one-call
+shortcuts take one LAPACK SVD of an unchanged ill-conditioned base between
+them.
 """
 
 import json
@@ -12,29 +16,70 @@ import json
 import numpy as np
 import pytest
 
-from embcompress import linalg, measures, theory
+from embcompress import compress, linalg, measures, theory
 from embcompress.cli import run
 from embcompress.compress import compress_pca, compress_uniform, decompress
 from embcompress.selection import MeasureSpec, select_best
-from embcompress.storage import Vocabulary, write_compressed, write_text_embedding
+from embcompress.storage import (
+    Vocabulary,
+    read_text_embedding,
+    write_compressed,
+    write_text_embedding,
+)
 
 
 @pytest.fixture()
 def calls(monkeypatch):
-    counts = {"svd": 0}
+    counts = {"svd": 0, "gram": 0}
 
-    def counted(*args, **kwargs):
+    def counted_svd(*args, **kwargs):
         counts["svd"] += 1
         return linalg.thin_svd(*args, **kwargs)
 
-    for mod in (measures, theory):
-        monkeypatch.setattr(mod, "thin_svd", counted)
+    def counted_gram(A):
+        eig = linalg.gram_eigh(A)
+        counts["gram"] += eig is not None
+        return eig
+
+    for mod in (measures, compress, theory):
+        monkeypatch.setattr(mod, "thin_svd", counted_svd)
+    for mod in (measures, compress):
+        monkeypatch.setattr(mod, "gram_eigh", counted_gram)
     return counts
+
+
+@pytest.fixture()
+def lapack_svds(monkeypatch):
+    """Copies of the matrices handed to np.linalg.svd from here on, with
+    the memo of ``thin_svd`` emptied first."""
+    seen = []
+    svd = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        seen.append(np.array(a))
+        return svd(a, *args, **kwargs)
+
+    linalg._forget()
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    return seen
+
+
+def svds_of(seen, X) -> int:
+    return sum(a.shape == X.shape and np.array_equal(a, X) for a in seen)
+
+
+# (id, base, LAPACK SVDs of it per call): cond(X) is about 3 for the normal
+# matrix and 1e4 for the scaled one, which fails the Gram guard
+BASES = [
+    ("well-conditioned", np.random.default_rng(1).normal(size=(80, 6)), 0),
+    ("ill-conditioned", theory.gen_scaled_matrix(80, 6, 1e-4, 0), 1),
+]
+by_base = pytest.mark.parametrize("X, of_x", [b[1:] for b in BASES], ids=[b[0] for b in BASES])
 
 
 def _candidates(X):
     """Three full-rank candidates and one rank-deficient one (PCA --keep-v),
-    which alone takes the SVD fallback."""
+    which alone takes the SVD fallback on the well-conditioned base."""
     return [compress_uniform(X, 1), compress_uniform(X, 2), compress_pca(X, 3),
             compress_pca(X, 3, keep_v=True)]
 
@@ -42,49 +87,87 @@ def _candidates(X):
 FALLBACKS = 1
 
 
-def test_select_best_by_overlap_factors_base_once(calls):
-    X = np.random.default_rng(1).normal(size=(80, 6))
-    candidates = _candidates(X)
-    calls.update(svd=0)
-    with pytest.warns(measures.RankDeficiencyWarning):
-        select_best(X, candidates, MeasureSpec.default("eigenspace_overlap"))
-    assert calls == {"svd": 1 + FALLBACKS}
-
-
-def test_cli_measure_factors_base_once(calls, tmp_path):
-    X = np.random.default_rng(2).normal(size=(80, 6))
+def _write_inputs(X, tmp_path):
+    """The base as a text file, the candidates as containers, and X as read
+    back from the text."""
     base = tmp_path / "base.txt"
-    write_text_embedding(X, Vocabulary(tuple(f"w{i}" for i in range(80))), base)
+    write_text_embedding(X, Vocabulary(tuple(f"w{i}" for i in range(X.shape[0]))), base)
     paths = []
     for i, C in enumerate(_candidates(X)):
         paths.append(str(tmp_path / f"c{i}.eqc"))
         write_compressed(C, None, paths[-1])
-    calls.update(svd=0)
+    return str(base), paths, read_text_embedding(base)[0]
+
+
+@by_base
+def test_select_best_by_overlap_factors_base_once(X, of_x, lapack_svds):
+    candidates = _candidates(X)
+    del lapack_svds[:]
+    linalg._forget()  # compress_pca above left an ill-conditioned X's factors in the memo
     with pytest.warns(measures.RankDeficiencyWarning):
-        assert run(["measure", "--out", str(tmp_path / "r.json"), str(base), *paths]) == 0
-    assert calls == {"svd": 1 + FALLBACKS}
+        select_best(X, candidates, MeasureSpec.default("eigenspace_overlap"))
+    assert svds_of(lapack_svds, X) == of_x
+    if of_x == 0:
+        assert len(lapack_svds) == FALLBACKS
 
 
-def test_clipping_curve_factors_base_once(calls, tmp_path):
-    # four curves of seven quantized candidates each, all on the Gram path
+@by_base
+@pytest.mark.parametrize("command", ["measure", "select"])
+def test_cli_scoring_factors_base_once(X, of_x, command, lapack_svds, tmp_path):
+    base, paths, X_read = _write_inputs(X, tmp_path)
+    del lapack_svds[:]
+    linalg._forget()
+    argv = ["measure", "--out", str(tmp_path / "r.json")] if command == "measure" else ["select"]
+    with pytest.warns(measures.RankDeficiencyWarning):
+        assert run([*argv, base, *paths]) == 0
+    assert svds_of(lapack_svds, X_read) == of_x
+    if of_x == 0:
+        assert len(lapack_svds) == FALLBACKS
+
+
+@by_base
+def test_cli_compress_pca_factors_base_once(X, of_x, lapack_svds, tmp_path):
+    base, _, X_read = _write_inputs(X, tmp_path)
+    del lapack_svds[:]
+    linalg._forget()
+    assert run(["compress", "--method", "pca", "--dim", "3", base,
+                str(tmp_path / "p.eqc")]) == 0
+    assert svds_of(lapack_svds, X_read) == of_x
+    assert len(lapack_svds) == of_x
+
+
+@by_base
+def test_clipping_curve_factors_base_once(X, of_x, lapack_svds, calls, tmp_path):
+    # four curves of seven quantized candidates each
+    base, _, X_read = _write_inputs(X, tmp_path)
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"n": 200, "d": 5, "df": 5.0, "r_points": 7, "bits": [1, 2],
+    cfg.write_text(json.dumps({"input": base, "r_points": 7, "bits": [1, 2],
                                "rounding": ["deterministic", "stochastic"]}))
     out = tmp_path / "out.json"
+    del lapack_svds[:]
+    calls.update(svd=0, gram=0)
+    linalg._forget()
     assert run(["simulate", "clipping-curve", "--config", str(cfg), "--out", str(out)]) == 0
-    assert calls == {"svd": 1}
+    assert svds_of(lapack_svds, X_read) == of_x
+    if of_x == 0:
+        assert calls == {"svd": 0, "gram": 1}
     assert len(json.loads(out.read_text())["body"]["rows"]) == 4 * 7
 
 
-def test_scaling_factors_each_matrix_once(calls):
-    rows = theory.scaling_experiment("dim", [3, 5], {"n": 200}, [0, 1])
-    assert calls["svd"] == len(rows)
+def test_scaling_factors_each_matrix_once(lapack_svds, calls):
+    # decay_min 1 draws a uniform matrix, 1e-4 one with cond(X) about 1e4
+    rows = theory.scaling_experiment("scalar", [1.0, 1e-4], {"n": 200, "d": 5}, [0, 1])
+    assert len(rows) == 4
+    for decay_min, seed in [(1.0, 0), (1.0, 1), (1e-4, 0), (1e-4, 1)]:
+        X = theory.gen_scaled_matrix(200, 5, decay_min, seed)
+        assert svds_of(lapack_svds, X) == (0 if decay_min == 1.0 else 1)
+    assert calls == {"svd": 2, "gram": 2}
 
 
 def test_overlap_bound_experiment_factors_base_once(calls):
     X = theory.gen_uniform_matrix(200, 5, seed=0)
     theory.overlap_bound_experiment(X, 4, range(6))
-    assert calls == {"svd": 1}
+    assert calls == {"svd": 0, "gram": 1}
 
 
 @pytest.mark.parametrize("prepared", [False, True])
@@ -92,58 +175,45 @@ def test_bounds_factor_a_plain_matrix_once_and_a_prepared_base_never(calls, prep
     X = theory.gen_uniform_matrix(200, 5, seed=0)
     Xt = theory.stochastic_quantize_full_range(X, 4, 1)  # on the Gram path
     arg = measures.PreparedBase(X) if prepared else X
-    calls.update(svd=0)
+    calls.update(svd=0, gram=0)
     theory.conditioning_scalar(arg)
     theory.davis_kahan_sample_bound(arg, Xt)
     theory.lipschitz_gap_bound(arg, Xt, 1.0, theory.LabelModel())
     theory.expected_gap_upper_bound(arg, Xt, theory.LabelModel())
-    assert calls == {"svd": 0 if prepared else 4}
+    assert calls == {"svd": 0, "gram": 0 if prepared else 4}
 
 
 def test_theorem2_factors_each_design_once(calls):
+    # the labels and the GD steps read the thin SVDs of X and Xt; the
+    # bound's overlap takes X's Gram path
     X = theory.gen_uniform_matrix(120, 4, seed=0)
     Xt = compress_pca(X, 2).reduced
+    calls.update(svd=0, gram=0)
     theory.simulate_lipschitz_gap(X, Xt, theory.LabelModel(noise_ratio=0.1), 4, seed=1)
-    assert calls == {"svd": 2}
+    assert calls == {"svd": 2, "gram": 1}
 
 
-def test_one_call_shortcuts_share_one_lapack_svd_of_x(monkeypatch):
-    X = np.random.default_rng(3).normal(size=(120, 8))
+def test_one_call_shortcuts_share_one_lapack_svd_of_x(lapack_svds):
+    X = theory.gen_scaled_matrix(120, 8, 1e-4, 0)
     candidates = [compress_uniform(X, b) for b in (1, 2, 3, 4)] + [compress_pca(X, 5)]
-    svd = np.linalg.svd
-    of_x = []
-
-    def spy(a, *args, **kwargs):
-        of_x.append(a.shape == X.shape and np.array_equal(a, X))
-        return svd(a, *args, **kwargs)
-
+    del lapack_svds[:]
     linalg._forget()  # compress_pca above left X's factors in the memo
-    monkeypatch.setattr(linalg.np.linalg, "svd", spy)
     for C in candidates:
         measures.quality_report(X, decompress(C))
     select_best(X, candidates, MeasureSpec.default("delta_max"))
     compress_pca(X, 3)
-    assert sum(of_x) == 1
+    assert svds_of(lapack_svds, X) == 1
 
 
-def test_theorem2_takes_one_svd_of_each_design(monkeypatch, tmp_path):
+def test_theorem2_takes_one_svd_of_each_design(lapack_svds, tmp_path):
     # the GD fits take sigma_max from the factors the harness already holds:
-    # one SVD of X and one of Xt, where a value-only SVD per fit made four
+    # one SVD of X and one of Xt, where a value-only SVD per fit made four;
+    # the Gram path's condition checks read trcon and take none
     cfg = tmp_path / "t2.json"
     cfg.write_text(json.dumps({"n": 200, "d": 5, "c": 0.1, "trials": 20, "seed": 3}))
-    svd = np.linalg.svd
-    rows = []
-
-    def spy(a, *args, **kwargs):
-        rows.append(a.shape[0])
-        return svd(a, *args, **kwargs)
-
-    linalg._forget()
-    monkeypatch.setattr(np.linalg, "svd", spy)
     assert run(["simulate", "theorem2", "--config", str(cfg), "--out",
                 str(tmp_path / "t2.out.json")]) == 0
-    # the 5 x 5 SVDs are the Gram path's condition checks of Cholesky factors
-    assert [r for r in rows if r == 200] == [200, 200]
+    assert [a.shape[0] for a in lapack_svds] == [200, 200]
 
 
 def test_overlap_alone_never_forms_the_report_norms():

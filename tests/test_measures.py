@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from embcompress import measures
+from embcompress import linalg, measures
 from embcompress.linalg import LinalgError, least_squares_solve, sq_fro_norm, thin_svd
 from embcompress.measures import (
     PreparedBase,
@@ -505,7 +505,7 @@ def candidate_svds(monkeypatch):
 def svd_path_report(prepared, Xt, lam, monkeypatch):
     """The report with every candidate sent down the SVD path."""
     with monkeypatch.context() as m:
-        m.setattr(measures, "_GRAM_MAX_COND", 0.0)
+        m.setattr(linalg, "GRAM_MAX_COND", 0.0)
         return prepared.report(Xt, lam)
 
 
@@ -558,7 +558,7 @@ class TestGramPath:
         prepared = PreparedBase(X)
         del candidate_svds[:]
         rep = prepared.report(Xt, 0.5)
-        assert len(candidate_svds) == (0 if cond <= measures._GRAM_MAX_COND else 1)
+        assert len(candidate_svds) == (0 if cond <= linalg.GRAM_MAX_COND else 1)
         assert_paths_agree(rep, svd_path_report(prepared, Xt, 0.5, monkeypatch), prepared)
 
 
@@ -591,8 +591,9 @@ def test_fallback_takes_the_svd_and_its_values(case, candidate_svds):
     assert prepared.overlap(Xt) == rep.eigenspace_overlap
     ft = thin_svd(Xt)
     Ut = ft.U[:, : ft.rank()]
-    U = prepared.U
-    assert rep.eigenspace_overlap == sq_fro_norm(U.T @ Ut) / max(X.shape[1], Xt.shape[1])
+    # U^T Ut: the retained U of an SVD-path base, all of X's U on the Gram path
+    M = basis_ops(prepared)[0](Ut) if prepared.svd is None else prepared.U.T @ Ut
+    assert rep.eigenspace_overlap == sq_fro_norm(M) / max(X.shape[1], Xt.shape[1])
     assert rep.projected_reconstruction_error == max(
         sq_fro_norm(X) - sq_fro_norm(Ut.T @ X), 0.0
     )
@@ -600,16 +601,28 @@ def test_fallback_takes_the_svd_and_its_values(case, candidate_svds):
     assert rep.rank_xt == ft.rank()
 
 
+def basis_ops(prepared):
+    """(Y -> U^T Y, Z -> U Z) for all of X's left singular vectors U, read as
+    the base's path reads them: the SVD's U, or U = X V diag(1/s) unformed on
+    the Gram path."""
+    if prepared.svd is not None:
+        U = prepared.svd.U
+        return (lambda Y: U.T @ Y), (lambda Z: U @ Z)
+    X, V, s = prepared.X, prepared.V, prepared.s
+    return (lambda Y: (V.T @ (X.T @ Y)) / s[:, None]), (lambda Z: X @ (V @ (Z / s[:, None])))
+
+
 def explicit_deltas(prepared, Xt, lam):
     """The deltas with the residual formed explicitly, written out: E = Xt -
     U P with one re-orthogonalisation pass, the QR of E, then the QR of the
     small matrix and the eigenvalues of R J R^T."""
-    U, s = prepared.svd.U, prepared.svd.s
-    d, k = U.shape[1], Xt.shape[1]
-    P = U.T @ Xt
-    E = Xt - U @ P
-    C = U.T @ E
-    E -= U @ C
+    project, lift = basis_ops(prepared)
+    s = prepared.s
+    d, k = s.shape[0], Xt.shape[1]
+    P = project(Xt)
+    E = Xt - lift(P)
+    C = project(E)
+    E -= lift(C)
     P += C
     Re = np.linalg.qr(E, mode="r")
     s2 = s * s
@@ -690,3 +703,172 @@ def test_refused_residual_factor_keeps_the_explicit_path_bit_for_bit(case, monke
     rep, rows = residual_qr_rows(prepared, Xt, 1e-2, monkeypatch)
     assert rows[0] == X.shape[0]
     assert report_deltas(rep) == explicit_deltas(prepared, Xt, 1e-2)
+
+
+def _power_law(n, d, cond, seed):
+    """n x d with singular values s_i = i^-alpha, alpha set so that
+    s_1 / s_d = cond, under random rotations on both sides."""
+    rng = np.random.default_rng(seed)
+    Q = np.linalg.qr(rng.normal(size=(n, d)))[0]
+    W = np.linalg.qr(rng.normal(size=(d, d)))[0]
+    return (Q * np.arange(1, d + 1) ** -(math.log(cond) / math.log(d))) @ W.T
+
+
+def svd_base(X, monkeypatch):
+    """X's PreparedBase with the Gram path refused: the SVD-path reference."""
+    with monkeypatch.context() as m:
+        m.setattr(measures, "gram_eigh", lambda A: None)
+        return PreparedBase(X)
+
+
+def _power_law_candidates(X):
+    from embcompress.compress import compress_kmeans, compress_pca, compress_uniform, decompress
+
+    yield "uniform-1bit", decompress(compress_uniform(X, 1))
+    yield "uniform-4bit", decompress(compress_uniform(X, 4))
+    yield "kmeans-3bit", decompress(compress_kmeans(X, 3))
+    yield "pca", decompress(compress_pca(X, 20))
+    # rank 20 in 60 columns: an SVD-path candidate of a Gram-path base
+    yield "pca-keep-v", decompress(compress_pca(X, 20, keep_v=True))
+
+
+# (cond(X), takes the Gram path): two well inside the guard, one on each side
+POWER_LAW_CONDS = [pytest.param(cond, cond <= 1e3, id=f"cond-{cond:g}")
+                   for cond in (2e1, 3e2, 9e2, 1.1e3)]
+
+# Largest relative differences the Gram-path base may show against the SVD
+# path, set from eps * cond(X)^2 = 2e-10 at the guard.  On these bases the
+# overlap moved by at most 6e-14, lambda and the deltas by 2e-12.  PIP loss,
+# the reconstruction errors, ranks and shapes come from the same blocks on
+# both paths and must match exactly.
+OVERLAP_RTOL = 1e-12
+SPECTRAL_RTOL = 1e-10
+
+
+@pytest.mark.filterwarnings("ignore::embcompress.measures.RankDeficiencyWarning")
+@pytest.mark.parametrize("cond, gram", POWER_LAW_CONDS)
+def test_gram_base_matches_the_svd_base(cond, gram, monkeypatch):
+    X = _power_law(3000, 60, cond, seed=int(cond))
+    prepared, reference = PreparedBase(X), svd_base(X, monkeypatch)
+    assert (prepared.svd is None) == gram and prepared.rank == reference.rank == 60
+    for name, Xt in _power_law_candidates(X):
+        got, want = prepared.report(Xt), reference.report(Xt)
+        if not gram:
+            assert got == want, name
+            continue
+        assert abs(got.eigenspace_overlap - want.eigenspace_overlap) <= (
+            OVERLAP_RTOL * want.eigenspace_overlap), name
+        assert abs(got.lambda_used - want.lambda_used) <= SPECTRAL_RTOL * want.lambda_used
+        for field in ("delta1", "delta2", "delta", "delta_max"):
+            g, w = getattr(got, field), getattr(want, field)
+            # PCA's delta2 is 0 up to rounding: below 1 the tolerance is absolute
+            assert abs(g - w) <= SPECTRAL_RTOL * max(abs(w), 1.0), (name, field)
+        for field in ("pip_loss", "reconstruction_error", "projected_reconstruction_error",
+                      "rank_x", "rank_xt", "n", "d", "k"):
+            assert getattr(got, field) == getattr(want, field), (name, field)
+        assert prepared.overlap(Xt) == got.eigenspace_overlap
+
+
+def _svd_path_bases():
+    X = np.random.default_rng(99).normal(size=(200, 12))
+    yield "rank-deficient", np.hstack([X[:, :11], X[:, :1]]), X[:, :7]
+    yield "wide", X[:10].copy(), np.random.default_rng(5).normal(size=(10, 4))
+    yield "over-threshold", _power_law(200, 12, 1.1e3, seed=3), X[:, :5]
+
+
+@pytest.mark.filterwarnings("ignore::embcompress.measures.RankDeficiencyWarning")
+@pytest.mark.parametrize("case", list(_svd_path_bases()), ids=lambda c: c[0])
+def test_other_bases_keep_the_svd_path(case, monkeypatch):
+    _, X, Xt = case
+    prepared = PreparedBase(X)
+    assert prepared.svd is not None and prepared.U is not None
+    assert prepared.report(Xt, 0.5) == svd_base(X, monkeypatch).report(Xt, 0.5)
+
+
+@pytest.mark.parametrize("k", [10, 100, 300])
+def test_condition_estimate_admits_exactly_what_cond2_admits(k, monkeypatch):
+    # the trcon estimate reads 2 to 50 times above cond_2(L) on rotated
+    # factors; a factor it puts over the bound is decided by an SVD of L, so
+    # the path is cond_2's choice, and each admitted candidate meets the
+    # overlap tolerance against the SVD path
+    X = RNG.normal(size=(2000, k))
+    prepared = PreparedBase(X)
+    svd_calls = []
+    svd = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        svd_calls.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    for cond in (3.0, 3e2, 9e2, 1.1e3, 3e3):
+        Xt = _rotated_spectrum(2000, k, cond, seed=k + int(cond))
+        L = np.linalg.cholesky(Xt.T @ Xt)
+        sv = np.linalg.svd(L, compute_uv=False)
+        estimate = 1.0 / linalg._lower_rcond(L)
+        assert estimate >= sv[0] / sv[-1]
+        del svd_calls[:]
+        with monkeypatch.context() as m:
+            m.setattr(np.linalg, "svd", spy)
+            admitted = linalg.well_conditioned_cholesky(Xt.T @ Xt) is not None
+        assert admitted == (sv[0] / sv[-1] <= linalg.GRAM_MAX_COND), cond
+        # the k x k SVD runs only to confirm an estimate over the bound
+        assert svd_calls == ([] if estimate <= linalg.GRAM_MAX_COND else [(k, k)]), cond
+        if admitted:
+            gram = prepared.overlap(Xt)
+            with monkeypatch.context() as m:
+                m.setattr(linalg, "GRAM_MAX_COND", 0.0)
+                assert abs(gram - prepared.overlap(Xt)) <= 1e-10
+
+
+def _parent_rule(G) -> bool:
+    """The guard before the estimate: a Cholesky factor with cond_2 <= 1e3."""
+    try:
+        L = np.linalg.cholesky(G)
+    except np.linalg.LinAlgError:
+        return False
+    sv = np.linalg.svd(L, compute_uv=False)
+    return bool(sv[-1] * linalg.GRAM_MAX_COND >= sv[0])
+
+
+def _benchmark_and_ci_case(name):
+    """A base and its candidates from the benchmark's lib and cli workloads
+    (at seed 0) or from the CI smoke test."""
+    from embcompress.compress import compress_kmeans, compress_pca, compress_uniform
+    from embcompress.theory import gen_scaled_matrix, gen_student_t_matrix, gen_uniform_matrix
+
+    if name == "lib":
+        X = gen_student_t_matrix(10_000, 300, df=5.0, scale=1.0, seed=0)
+        return X, [compress_uniform(X, 1), compress_uniform(X, 4),
+                   compress_uniform(X, 4, rounding="stochastic"), compress_kmeans(X, 3),
+                   compress_pca(X, 75)]
+    if name == "cli":
+        X = gen_uniform_matrix(10_000, 100, 0)
+        return X, [compress_uniform(X, 1), compress_uniform(X, 4, rounding="stochastic"),
+                   compress_kmeans(X, 2), compress_pca(X, 25, keep_v=True)]
+    if name == "ci":
+        X = gen_uniform_matrix(200, 16, 0)
+        return X, [compress_uniform(X, 2), compress_uniform(X, 2, rounding="stochastic"),
+                   compress_pca(X, 4, keep_v=True)]
+    if name == "ci-15":
+        X = gen_uniform_matrix(200, 15, 1)
+        return X, [compress_uniform(X, 3), compress_kmeans(X, 3)]
+    X = gen_scaled_matrix(200, 16, 1e-4, 0)
+    return X, [compress_pca(X, 4)]
+
+
+@pytest.mark.parametrize("name", ["lib", "cli", "ci", "ci-15", "ci-ill"])
+def test_benchmark_and_ci_candidates_keep_their_paths(name):
+    from embcompress.compress import decompress
+
+    X, containers = _benchmark_and_ci_case(name)
+    # the bases change path: the well-conditioned ones leave the SVD
+    assert (PreparedBase(X).svd is None) == (name != "ci-ill")
+    U = thin_svd(X).U
+    for C in containers:
+        Xt = decompress(C)
+        G = Xt.T @ Xt
+        assert (linalg.well_conditioned_cholesky(G) is not None) == _parent_rule(G)
+        P = U.T @ Xt
+        S = G - P.T @ P
+        if np.trace(S) >= measures._RESIDUAL_MIN_TRACE * np.trace(G):
+            assert (linalg.well_conditioned_cholesky(S) is not None) == _parent_rule(S)
