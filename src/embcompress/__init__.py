@@ -12,7 +12,6 @@ from .compress import (
     compress_uniform,
     decompress,
     find_clip_threshold,
-    kmeans_1d,
     quantize_codes,
 )
 from .linalg import (
@@ -27,7 +26,6 @@ from .measures import (
     QualityReport,
     RankDeficiencyWarning,
     eigenspace_overlap,
-    pip_loss,
     quality_report,
     reconstruction_error,
 )

@@ -3,8 +3,9 @@
 Exit codes: 0 success, 1 usage error, 2 data or file-format error,
 3 numerical failure.  Given the same arguments, inputs, and seed, and the
 same BLAS thread count, every subcommand writes byte-identical outputs; a
-different BLAS thread count can change the last digits of LAPACK results
-(PCA factors, measure values).
+different BLAS thread count can change the last digits of anything made from
+BLAS products or LAPACK (every measure value, PCA factors), but not uniform
+or k-means containers.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from . import storage
-from .compress import compress_kmeans, compress_pca, compress_uniform, decompress
+from .compress import SEED_LIMIT, compress_kmeans, compress_pca, compress_uniform, decompress
 from .linalg import LinalgError
 from .measures import MEASURE_NAMES, PreparedBase
 from .selection import MeasureSpec, evaluate_measures, rank_candidates
@@ -58,14 +59,25 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
+def _seed(text: str) -> int:
+    """A --seed value: an integer a container can record."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if not 0 <= seed < SEED_LIMIT:
+        raise argparse.ArgumentTypeError(f"seed must be in [0, 2**64), got {seed}")
+    return seed
+
+
 def _add_global_flags(parser, trailing: bool) -> None:
     """The global flags are accepted both before and after the subcommand;
     the trailing copies use SUPPRESS defaults so they only override the
     leading values when actually given."""
     suppress = {"default": argparse.SUPPRESS} if trailing else {}
     parser.add_argument(
-        "--seed", type=int, **(suppress or {"default": 0}),
-        help="global RNG seed (default 0)",
+        "--seed", type=_seed, **(suppress or {"default": 0}),
+        help="global RNG seed, in [0, 2**64) (default 0)",
     )
     parser.add_argument(
         "--threads", type=int, **(suppress or {"default": 0}),

@@ -25,6 +25,8 @@ METHODS = (METHOD_UNIFORM, METHOD_KMEANS, METHOD_PCA)
 ROUNDING_DETERMINISTIC = "deterministic"
 ROUNDING_STOCHASTIC = "stochastic"
 ROUNDINGS = (ROUNDING_DETERMINISTIC, ROUNDING_STOCHASTIC)
+# a container records its seed as an unsigned 64-bit integer
+SEED_LIMIT = 1 << 64
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -325,6 +327,8 @@ class CompressedEmbedding:
             raise ValueError(f"unknown rounding {self.rounding!r}")
         if self.n < 1 or self.d_orig < 1:
             raise ValueError("n and d_orig must be positive")
+        if not 0 <= self.seed < SEED_LIMIT:
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
         if self.method in (METHOD_UNIFORM, METHOD_KMEANS):
             if self.bits is None or self.codes is None:
                 raise ValueError(f"{self.method} requires bits and codes")
@@ -468,7 +472,26 @@ _KMEANS_MAX_ITER = 300
 
 
 def _kmeans_centroids(values, K: int) -> np.ndarray:
-    """The sorted centroids of :func:`kmeans_1d`, with no assignment array."""
+    """Lloyd iterations on scalars with deterministic seeding; returns the
+    K centroids sorted ascending, which :func:`_nearest_centroid` assigns
+    values to.
+
+    Stops when the loss falls by less than a relative 1e-4 or after 300
+    iterations.  A cluster that loses all members keeps its centroid for
+    that iteration, so the loss stays monotone.
+
+    Seeding: small inputs get the exact contiguous-partition optimum (Lloyd
+    then converges immediately, and the result is within any constant factor
+    of optimal); larger inputs are seeded at the ((j+0.5)/K)-quantiles, where
+    the dense value distribution makes Lloyd reliable.  Both seeds are
+    deterministic functions of the data.
+
+    The values are sorted once: each cluster is then a run of the sorted
+    values, found by K - 1 binary searches, and its centroid and loss come
+    from the checkpointed prefix sums of :class:`_SortedScalars`.  An
+    iteration costs O(K log n) plus the recompute of about max(16k, 16 K)
+    values at the run ends, and holds no n-long array beside the sorted copy.
+    """
     values = np.asarray(values, dtype=np.float64).ravel()
     if values.size == 0:
         raise ValueError("values must be non-empty")
@@ -505,33 +528,6 @@ def _kmeans_centroids(values, K: int) -> np.ndarray:
 def _nearest_centroid(values, centroids: np.ndarray) -> np.ndarray:
     """Index of each value's nearest centroid, a midpoint going to the lower."""
     return np.searchsorted(0.5 * (centroids[:-1] + centroids[1:]), values, side="left")
-
-
-def kmeans_1d(values, K: int):
-    """Lloyd iterations on scalars with deterministic seeding.
-
-    Returns ``(centroids, assignments)`` with centroids sorted ascending.
-    Stops when the loss falls by less than a relative 1e-4 or after 300
-    iterations.  A cluster that loses all members keeps its centroid for
-    that iteration, so the loss stays monotone.
-
-    Seeding: small inputs get the exact contiguous-partition optimum (Lloyd
-    then converges immediately, and the result is within any constant factor
-    of optimal); larger inputs are seeded at the ((j+0.5)/K)-quantiles, where
-    the dense value distribution makes Lloyd reliable.  Both seeds are
-    deterministic functions of the data.
-
-    The values are sorted once: each cluster is then a run of the sorted
-    values, found by K - 1 binary searches, and its centroid and loss come
-    from the checkpointed prefix sums of :class:`_SortedScalars`.  An
-    iteration costs O(K log n) plus the recompute of about max(16k, 16 K)
-    values at the run ends, and holds no n-long array beside the sorted copy.
-    The n-long assignment array is made last; :func:`compress_kmeans` takes
-    the same centroids and assigns block by block instead.
-    """
-    values = np.asarray(values, dtype=np.float64).ravel()
-    centroids = _kmeans_centroids(values, K)
-    return centroids, _nearest_centroid(values, centroids)
 
 
 def compress_kmeans(X, bits: int, seed: int = 0) -> CompressedEmbedding:

@@ -11,9 +11,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import glob
-import hashlib
 import os
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,22 +84,6 @@ class ThinSVD:
         return numerical_rank(self.s, max(self.U.shape[0], self.V.shape[0]))
 
 
-# The last factorization: (key, factors, finalizer on the matrix it came
-# from).  Each update is one assignment of an immutable tuple, so a race
-# between threads or with a finalizer can only cost a miss, never pair a key
-# with the wrong factors.
-_last = None
-
-
-def _forget(key=None) -> None:
-    """Drop the remembered factorization; with ``key``, only if it is that entry's."""
-    global _last
-    entry = _last
-    if entry is not None and (key is None or entry[0] is key):
-        _last = None
-        entry[2].detach()
-
-
 def thin_svd(M) -> ThinSVD:
     """Thin SVD of a dense matrix.
 
@@ -109,20 +91,11 @@ def thin_svd(M) -> ThinSVD:
     converge, scipy's QR-iteration driver (gesvd), slower but more robust,
     runs instead.  Raises :class:`LinalgError` only when both fail.
 
-    The last factorization is remembered, keyed by the shape and the sha256
-    of the float64 C-order bytes, so a caller that factors an unchanged
-    matrix again gets the same factors back without a second SVD; a changed
-    byte is a miss.  The factors are read-only, and the one entry holds them
-    and not the matrix.  It is dropped when the matrix it was computed from
-    is collected, so a temporary (such as a float32 input converted here) is
-    never reused.
+    Each call factors its input afresh: code that needs one matrix's factors
+    more than once holds the :class:`ThinSVD` (or a
+    :class:`~embcompress.measures.PreparedBase`) instead of calling again.
     """
-    global _last
     M = as_matrix(M)
-    key = (M.shape, hashlib.sha256(np.ascontiguousarray(M)).digest())
-    entry = _last
-    if entry is not None and entry[0] == key:
-        return entry[1]
     try:
         U, s, Vt = np.linalg.svd(M, full_matrices=False)
     except np.linalg.LinAlgError as gesdd_exc:
@@ -137,12 +110,7 @@ def thin_svd(M) -> ThinSVD:
                 f"SVD failed to converge for {M.shape[0]}x{M.shape[1]} matrix with "
                 f"gesdd ({gesdd_exc}) and gesvd ({exc})"
             ) from exc
-    for a in (U, s, Vt):
-        a.flags.writeable = False
-    f = ThinSVD(U=U, s=s, V=Vt.T)
-    _forget()
-    _last = (key, f, weakref.finalize(M, _forget, key))
-    return f
+    return ThinSVD(U=U, s=s, V=Vt.T)
 
 
 # Largest condition number of a tall matrix M at which it is factored or

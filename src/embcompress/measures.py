@@ -82,12 +82,6 @@ MEASURE_NAMES = (
 )
 
 
-def _pair(X, Xt):
-    """X and Xt as validated matrices with equal row counts."""
-    X = as_matrix(X, "X")
-    return X, _rows_of(X, Xt)
-
-
 def _rows_of(X: np.ndarray, Xt) -> np.ndarray:
     """Xt as a validated matrix with the row count of the validated X."""
     Xt = as_matrix(Xt, "Xt")
@@ -133,19 +127,10 @@ def eigenspace_overlap(X, Xt) -> float:
     return PreparedBase(X).overlap(Xt)
 
 
-def pip_loss(X, Xt) -> float:
-    """Frobenius distance of the Gram matrices, ||X X^T - Xt Xt^T||_F.
-
-    Computed from the small cross-Gram blocks so the n x n matrices are never
-    materialized: ||XX^T||_F^2 = ||X^T X||_F^2 and the cross term is
-    ||X^T Xt||_F^2.
-    """
-    X, Xt = _pair(X, Xt)
-    return _pip_from_blocks(sq_fro_norm(X.T @ X), Xt.T @ Xt, X.T @ Xt)
-
-
 def _pip_from_blocks(sq_gram_x: float, G: np.ndarray, C: np.ndarray) -> float:
-    """PIP loss from ||X^T X||_F^2, G = Xt^T Xt and C = X^T Xt."""
+    """PIP loss ||X X^T - Xt Xt^T||_F from ||X^T X||_F^2, G = Xt^T Xt and
+    C = X^T Xt, so the n x n Gram matrices are never formed: ||X X^T||_F^2 =
+    ||X^T X||_F^2 and the cross term is ||X^T Xt||_F^2."""
     sq = sq_gram_x + sq_fro_norm(G) - 2.0 * sq_fro_norm(C)
     return math.sqrt(max(sq, 0.0))
 
@@ -284,8 +269,9 @@ class PreparedBase:
       conditioned): ``svd`` is X's thin SVD and ``U`` its retained left
       singular basis.
 
-    The squared norms ||X||_F^2 and ||X^T X||_F^2 that only :meth:`report`
-    reads are formed on its first call, the second from A when it was formed.
+    The squared norms ||X||_F^2 and ||X^T X||_F^2 that :meth:`report` reads
+    (and the second, :func:`~embcompress.theory.davis_kahan_sample_bound`)
+    are formed on first use, the second from A when it was formed.
 
     A candidate Xt (n x k, k <= n) whose Gram matrix G = Xt^T Xt has a
     Cholesky factor L that passes ``well_conditioned_cholesky`` (cond(L)
@@ -340,7 +326,8 @@ class PreparedBase:
 
     @cached_property
     def sq_gram_norm(self) -> float:
-        """||X^T X||_F^2, formed on first use: only :meth:`report` reads it."""
+        """||X^T X||_F^2, formed on first use: :meth:`report` and the
+        Davis-Kahan bound read it."""
         return sq_fro_norm(self.X.T @ self.X if self._gram is None else self._gram)
 
     def _from_cross(self, C: np.ndarray) -> np.ndarray:

@@ -28,7 +28,7 @@ from .linalg import (
     sq_fro_norm,
     thin_svd,
 )
-from .measures import PreparedBase, _pair, pip_loss, quality_report
+from .measures import PreparedBase, _pip_from_blocks, _rows_of, quality_report
 from .rng import CounterRng
 
 
@@ -149,12 +149,11 @@ def exact_expected_gap(X, Xt, model: LabelModel) -> float:
 def _full_rank_pair(X, Xt, model: LabelModel):
     """(X, Xt, fx, ft): both designs validated, with equal row counts, full
     column rank and a label model sized to X; ``fx`` and ``ft`` are their
-    thin SVDs, whose left singular vectors the labels and the exact gap read.
-    X is factored last, so that a :class:`PreparedBase` of X that takes the
-    SVD path finds its factors in the memo of ``thin_svd``."""
-    X, Xt = _pair(X, Xt)
-    ft = thin_svd(Xt)
+    thin SVDs, whose left singular vectors the labels and the exact gap read."""
+    X = as_matrix(X, "X")
+    Xt = _rows_of(X, Xt)
     fx = _require_full_rank(X, "X")
+    ft = thin_svd(Xt)
     _check_full_rank(ft.rank(), Xt.shape[1], "Xt")
     model.check_dim(X.shape[1])
     return X, Xt, fx, ft
@@ -233,13 +232,15 @@ def davis_kahan_sample_bound(X, Xt) -> float:
     """Per-sample perturbation bound on the overlap shortfall:
     ||Xt Xt^T - X X^T||_F^2 / (d * s_min(X)^4), valid under the eigenvalue
     separation conditions of the sin-theta inequality.  ``X`` may be a
-    :class:`PreparedBase`."""
+    :class:`PreparedBase`, whose ||X^T X||_F^2 is then formed once for all
+    candidates."""
     base = _prepared(X)
     X, Xt = base.X, as_matrix(Xt, "Xt")
     if X.shape != Xt.shape:
         raise ValueError(f"shape mismatch: {X.shape} vs {Xt.shape}")
     _check_full_rank(base.rank, X.shape[1], "X")
-    return pip_loss(X, Xt) ** 2 / (X.shape[1] * float(base.s[-1]) ** 4)
+    pip = _pip_from_blocks(base.sq_gram_norm, Xt.T @ Xt, X.T @ Xt)
+    return pip**2 / (X.shape[1] * float(base.s[-1]) ** 4)
 
 
 # ---------------------------------------------------------------------------

@@ -17,12 +17,13 @@ import pytest
 from embcompress.bitpack import pack_codes, unpack_codes
 from embcompress.compress import (
     QuantizationGrid,
+    _kmeans_centroids,
+    _nearest_centroid,
     compress_kmeans,
     compress_pca,
     compress_uniform,
     decompress,
     find_clip_threshold,
-    kmeans_1d,
     quantization_objective,
     quantize_codes,
 )
@@ -30,7 +31,6 @@ from embcompress.linalg import sq_fro_norm, thin_svd
 from embcompress.measures import (
     PreparedBase,
     eigenspace_overlap,
-    pip_loss,
     quality_report,
 )
 from embcompress.rng import CounterRng
@@ -305,7 +305,7 @@ def test_criterion_7_oracles():
         X = rng.normal(size=(n, 8))
         Xt = X + 0.2 * rng.normal(size=(n, 8))
         dense = float(np.linalg.norm(X @ X.T - Xt @ Xt.T, "fro"))
-        assert abs(pip_loss(X, Xt) - dense) <= 1e-7
+        assert abs(quality_report(X, Xt).pip_loss - dense) <= 1e-7
 
     # scalar k-means vs exhaustive contiguous-partition optimum
     for case in range(30):
@@ -313,7 +313,8 @@ def test_criterion_7_oracles():
         n = int(crng.integers(3, 13))
         K = int(crng.integers(1, 4))
         values = crng.normal(size=n)
-        centroids, assign = kmeans_1d(values, K)
+        centroids = _kmeans_centroids(values, K)
+        assign = _nearest_centroid(values, centroids)
         assert kmeans_loss(values, centroids, assign) <= (
             1.05 * contiguous_partition_optimum(values, K) + 1e-12
         )

@@ -129,6 +129,18 @@ def test_compress_determinism_across_runs_and_threads(base_embedding, tmp_path):
     assert a.read_bytes() == b.read_bytes() == c.read_bytes()
 
 
+@pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
+@pytest.mark.parametrize("method", ["uniform", "kmeans"])
+def test_seed_outside_the_recorded_range_is_a_usage_error(tmp_path, capsys, method, seed):
+    # exit 1, not the 2 of a missing input: the seed is refused before any file is read
+    out = tmp_path / "o.eqc"
+    argv = ["compress", "--method", method, "--bits", "2", "--seed", seed,
+            str(tmp_path / "missing.txt"), str(out)]
+    assert run(argv) == 1
+    assert not out.exists()
+    assert f"seed must be in [0, 2**64), got {seed}" in capsys.readouterr().err
+
+
 def test_global_flags_accepted_after_subcommand(base_embedding, tmp_path):
     base, _ = base_embedding
     before, after = tmp_path / "before.eqc", tmp_path / "after.eqc"

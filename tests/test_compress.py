@@ -10,12 +10,13 @@ import pytest
 from embcompress.compress import (
     CompressedEmbedding,
     QuantizationGrid,
+    _kmeans_centroids,
+    _nearest_centroid,
     compress_kmeans,
     compress_pca,
     compress_uniform,
     decompress,
     find_clip_threshold,
-    kmeans_1d,
     quantization_objective,
     quantize_codes,
 )
@@ -59,6 +60,13 @@ def plain_objective(X, bits, r):
     the norm of the difference."""
     g = QuantizationGrid(bits, r)
     return float(np.linalg.norm(g.values_for(quantize_codes(X, g)) - X))
+
+
+def lloyd(values, K):
+    """(centroids, assignments) of the scalar k-means that compress_kmeans runs."""
+    values = np.asarray(values, dtype=np.float64).ravel()
+    centroids = _kmeans_centroids(values, K)
+    return centroids, _nearest_centroid(values, centroids)
 
 
 def bincount_lloyd(values, K, max_iter=300, rel_tol=1e-4):
@@ -470,7 +478,7 @@ class TestBlockedEncoders:
         for rounding in ("deterministic", "stochastic"):
             C = compress_uniform(X, 3, rounding=rounding, seed=9)
             out[rounding] = pack_codes(quantize_codes(X, C.grid, rounding, CounterRng(9)), 3)
-        _, assign = kmeans_1d(X.ravel(), 8)
+        _, assign = lloyd(X.ravel(), 8)
         out["kmeans"] = pack_codes(assign.reshape(X.shape), 3)
         return out
 
@@ -623,13 +631,13 @@ class TestUniformCompression:
 
 class TestKmeans1D:
     def test_two_clusters_exact(self):
-        centroids, assign = kmeans_1d([0.0, 0.0, 1.0, 1.0], 2)
+        centroids, assign = lloyd([0.0, 0.0, 1.0, 1.0], 2)
         np.testing.assert_allclose(centroids, [0.0, 1.0])
         assert kmeans_loss([0.0, 0.0, 1.0, 1.0], centroids, assign) == 0.0
 
     def test_three_points_two_clusters(self):
         values = [0.0, 0.4, 1.0]
-        centroids, assign = kmeans_1d(values, 2)
+        centroids, assign = lloyd(values, 2)
         # exhaustive contiguous-partition oracle gives loss 0.08 at (0.2, 1)
         assert contiguous_partition_optimum(values, 2) == pytest.approx(0.08)
         np.testing.assert_allclose(centroids, [0.2, 1.0])
@@ -637,12 +645,12 @@ class TestKmeans1D:
 
     def test_single_cluster_is_mean(self):
         values = RNG.normal(size=17)
-        centroids, assign = kmeans_1d(values, 1)
+        centroids, assign = lloyd(values, 1)
         assert centroids[0] == pytest.approx(values.mean())
         assert np.all(assign == 0)
 
     def test_more_clusters_than_distinct_values(self):
-        centroids, assign = kmeans_1d([1.0, 1.0, 2.0], 4)
+        centroids, assign = lloyd([1.0, 1.0, 2.0], 4)
         assert centroids.shape == (4,)
         assert kmeans_loss([1.0, 1.0, 2.0], centroids, assign) == pytest.approx(0.0)
 
@@ -652,19 +660,20 @@ class TestKmeans1D:
         n = int(rng.integers(4, 13))
         K = int(rng.integers(2, 4))
         values = rng.normal(size=n)
-        centroids, assign = kmeans_1d(values, K)
+        centroids, assign = lloyd(values, K)
         loss = kmeans_loss(values, centroids, assign)
         opt = contiguous_partition_optimum(values, K)
         assert loss <= 1.05 * opt + 1e-12
 
     def test_centroids_sorted(self):
-        centroids, _ = kmeans_1d(RNG.normal(size=500), 16)
+        centroids, _ = lloyd(RNG.normal(size=500), 16)
         assert np.all(np.diff(centroids) >= 0)
 
 
 class TestKmeansLloydOracle:
-    """kmeans_1d against :func:`bincount_lloyd` on inputs seeded at quantiles
-    (more than 1024 values, or K at least the number of values)."""
+    """The k-means of compress_kmeans against :func:`bincount_lloyd` on inputs
+    seeded at quantiles (more than 1024 values, or K at least the number of
+    values)."""
 
     CASES = {
         "student_t_k8": (gen_student_t_matrix(40, 50, df=4.0, scale=1.0, seed=2).ravel(), 8),
@@ -688,7 +697,7 @@ class TestKmeansLloydOracle:
             return segments(self, bounds)
 
         monkeypatch.setattr(compress_mod._SortedScalars, "segments", counted)
-        centroids, assign = kmeans_1d(values, K)
+        centroids, assign = lloyd(values, K)
         ref_c, ref_a, iterations = bincount_lloyd(values, K)
         np.testing.assert_array_equal(assign, ref_a)
         assert len(calls) == iterations  # one run lookup per Lloyd iteration
@@ -766,6 +775,20 @@ class TestCompressedEmbedding:
             CompressedEmbedding(method="uniform", n=2, d_orig=2, bits=2, codes=None)
         with pytest.raises(ValueError):
             CompressedEmbedding(method="nope", n=2, d_orig=2)
+
+    @pytest.mark.parametrize("seed", [-1, 1 << 64])
+    def test_seed_outside_the_recorded_range_is_rejected(self, seed):
+        X = np.random.default_rng(0).normal(size=(5, 3))
+        for make in (compress_uniform, compress_kmeans):
+            with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
+                make(X, 2, seed=seed)
+
+    def test_largest_seed_is_recorded(self, tmp_path):
+        from embcompress.storage import read_compressed, write_compressed
+
+        X = np.random.default_rng(0).normal(size=(5, 3))
+        write_compressed(compress_uniform(X, 2, seed=(1 << 64) - 1), None, tmp_path / "c.eqc")
+        assert read_compressed(tmp_path / "c.eqc")[0].seed == (1 << 64) - 1
 
     def test_codes_stay_below_level_count(self):
         X = RNG.normal(size=(40, 11))

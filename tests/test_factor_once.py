@@ -5,10 +5,9 @@ one thin SVD.  A candidate takes an SVD only when it leaves the Gram path.
 ``calls`` counts ``thin_svd`` calls, and ``gram_eigh`` calls that return
 factors, through the module bindings that ``measures``, ``compress`` and
 ``theory`` call them by.  ``lapack_svds`` records every matrix handed to
-``np.linalg.svd``, so a test can count the SVDs taken of X itself.  Across
-calls, ``thin_svd`` remembers the last factorization, so the one-call
-shortcuts take one LAPACK SVD of an unchanged ill-conditioned base between
-them.
+``np.linalg.svd``, so a test can count the SVDs taken of X itself.
+``thin_svd`` keeps nothing between calls: factors are shared by holding the
+:class:`~embcompress.measures.PreparedBase` that took them.
 """
 
 import json
@@ -50,8 +49,7 @@ def calls(monkeypatch):
 
 @pytest.fixture()
 def lapack_svds(monkeypatch):
-    """Copies of the matrices handed to np.linalg.svd from here on, with
-    the memo of ``thin_svd`` emptied first."""
+    """Copies of the matrices handed to np.linalg.svd from here on."""
     seen = []
     svd = np.linalg.svd
 
@@ -59,7 +57,6 @@ def lapack_svds(monkeypatch):
         seen.append(np.array(a))
         return svd(a, *args, **kwargs)
 
-    linalg._forget()
     monkeypatch.setattr(np.linalg, "svd", spy)
     return seen
 
@@ -103,7 +100,6 @@ def _write_inputs(X, tmp_path):
 def test_select_best_by_overlap_factors_base_once(X, of_x, lapack_svds):
     candidates = _candidates(X)
     del lapack_svds[:]
-    linalg._forget()  # compress_pca above left an ill-conditioned X's factors in the memo
     with pytest.warns(measures.RankDeficiencyWarning):
         select_best(X, candidates, MeasureSpec.default("eigenspace_overlap"))
     assert svds_of(lapack_svds, X) == of_x
@@ -116,7 +112,6 @@ def test_select_best_by_overlap_factors_base_once(X, of_x, lapack_svds):
 def test_cli_scoring_factors_base_once(X, of_x, command, lapack_svds, tmp_path):
     base, paths, X_read = _write_inputs(X, tmp_path)
     del lapack_svds[:]
-    linalg._forget()
     argv = ["measure", "--out", str(tmp_path / "r.json")] if command == "measure" else ["select"]
     with pytest.warns(measures.RankDeficiencyWarning):
         assert run([*argv, base, *paths]) == 0
@@ -129,7 +124,6 @@ def test_cli_scoring_factors_base_once(X, of_x, command, lapack_svds, tmp_path):
 def test_cli_compress_pca_factors_base_once(X, of_x, lapack_svds, tmp_path):
     base, _, X_read = _write_inputs(X, tmp_path)
     del lapack_svds[:]
-    linalg._forget()
     assert run(["compress", "--method", "pca", "--dim", "3", base,
                 str(tmp_path / "p.eqc")]) == 0
     assert svds_of(lapack_svds, X_read) == of_x
@@ -146,7 +140,6 @@ def test_clipping_curve_factors_base_once(X, of_x, lapack_svds, calls, tmp_path)
     out = tmp_path / "out.json"
     del lapack_svds[:]
     calls.update(svd=0, gram=0)
-    linalg._forget()
     assert run(["simulate", "clipping-curve", "--config", str(cfg), "--out", str(out)]) == 0
     assert svds_of(lapack_svds, X_read) == of_x
     if of_x == 0:
@@ -193,16 +186,18 @@ def test_theorem2_factors_each_design_once(calls):
     assert calls == {"svd": 2, "gram": 1}
 
 
-def test_one_call_shortcuts_share_one_lapack_svd_of_x(lapack_svds):
+def test_a_held_base_factors_x_once_and_each_shortcut_once(lapack_svds):
     X = theory.gen_scaled_matrix(120, 8, 1e-4, 0)
-    candidates = [compress_uniform(X, b) for b in (1, 2, 3, 4)] + [compress_pca(X, 5)]
+    Xts = [decompress(C) for C in [compress_uniform(X, b) for b in (1, 2, 3, 4)]
+           + [compress_pca(X, 5)]]
     del lapack_svds[:]
-    linalg._forget()  # compress_pca above left X's factors in the memo
-    for C in candidates:
-        measures.quality_report(X, decompress(C))
-    select_best(X, candidates, MeasureSpec.default("delta_max"))
-    compress_pca(X, 3)
+    prepared = measures.PreparedBase(X)
+    for Xt in Xts:
+        prepared.report(Xt)
     assert svds_of(lapack_svds, X) == 1
+    for i, Xt in enumerate(Xts, start=2):
+        measures.quality_report(X, Xt)
+        assert svds_of(lapack_svds, X) == i
 
 
 def test_theorem2_takes_one_svd_of_each_design(lapack_svds, tmp_path):

@@ -1,5 +1,3 @@
-import gc
-
 import numpy as np
 import pytest
 import scipy.linalg
@@ -69,15 +67,6 @@ def _no_convergence(*args, **kwargs):
 
 
 @pytest.fixture()
-def empty_memo():
-    """Start from no remembered factorization, so a cached entry cannot
-    stand in for the path under test."""
-    linalg._forget()
-    yield
-    linalg._forget()
-
-
-@pytest.fixture()
 def lapack_calls(monkeypatch):
     calls = []
     svd = np.linalg.svd
@@ -90,64 +79,15 @@ def lapack_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.usefixtures("empty_memo")
-class TestThinSVDMemo:
-    def test_hit_returns_the_fresh_factors_bit_for_bit(self, lapack_calls):
-        X = RNG.normal(size=(300, 20))
-        first = thin_svd(X)
-        again = thin_svd(X.copy())  # same bytes, another array
-        assert again is first
-        assert lapack_calls == [X.shape]
-        U, s, Vt = np.linalg.svd(X.copy(), full_matrices=False)
-        assert np.array_equal(again.U, U)
-        assert np.array_equal(again.s, s)
-        assert np.array_equal(again.V, Vt.T)
-
-    def test_in_place_edit_factors_again(self, lapack_calls):
-        X = RNG.normal(size=(40, 6))
-        first = thin_svd(X)
-        X[3, 2] += 1.0
-        second = thin_svd(X)
-        assert second is not first and len(lapack_calls) == 2
-        assert np.array_equal(second.s, np.linalg.svd(X.copy(), full_matrices=False)[1])
-        # -0.0 and +0.0 differ in their bytes, so they do not share an entry
-        Z = np.zeros((3, 2))
-        first = thin_svd(Z)
-        Z[0, 0] = -0.0
-        assert thin_svd(Z) is not first
-
-    def test_factors_are_read_only(self):
-        f = thin_svd(RNG.normal(size=(12, 4)))
-        for a in (f.U, f.s, f.V):
-            with pytest.raises(ValueError, match="read-only"):
-                a[0] = 0.0
-
-    def test_entry_is_freed_with_its_matrix(self):
-        X = RNG.normal(size=(30, 5))
-        thin_svd(X)
-        assert linalg._last is not None
-        del X
-        gc.collect()
-        assert linalg._last is None
-
-    def test_converted_input_is_not_reused(self, lapack_calls):
-        X = RNG.normal(size=(30, 5)).astype(np.float32)
-        thin_svd(X)
-        thin_svd(X)
-        assert linalg._last is None and len(lapack_calls) == 2
-
-    def test_one_entry_and_one_live_finalizer(self, lapack_calls):
-        A = RNG.normal(size=(20, 4))
-        B = RNG.normal(size=(20, 4))
-        thin_svd(A)
-        first = linalg._last
-        thin_svd(B)
-        assert not first[2].alive and linalg._last[2].alive
-        thin_svd(A)
-        assert len(lapack_calls) == 3
+def test_thin_svd_keeps_no_state(lapack_calls):
+    X = RNG.normal(size=(300, 20))
+    first = thin_svd(X)
+    again = thin_svd(X.copy())  # same bytes, another array
+    assert lapack_calls == [X.shape, X.shape]
+    for a, b in zip((first.U, first.s, first.V), (again.U, again.s, again.V)):
+        assert a is not b and np.array_equal(a, b)
 
 
-@pytest.mark.usefixtures("empty_memo")
 class TestThinSVDFallback:
     def test_gesvd_runs_when_gesdd_fails(self, monkeypatch):
         M = RNG.normal(size=(40, 7))

@@ -12,7 +12,6 @@ from embcompress.measures import (
     PreparedBase,
     RankDeficiencyWarning,
     eigenspace_overlap,
-    pip_loss,
     quality_report,
     reconstruction_error,
 )
@@ -128,23 +127,23 @@ class TestEigenspaceOverlap:
 class TestPipLoss:
     def test_zero_for_identical_and_negated(self):
         X = RNG.normal(size=(20, 4))
-        assert pip_loss(X, X) == 0.0
-        assert pip_loss(X, -X) == 0.0
+        assert quality_report(X, X).pip_loss == 0.0
+        assert quality_report(X, -X).pip_loss == 0.0
 
     def test_scaled_column(self):
         X = np.array([[1.0], [0.0]])
-        assert pip_loss(X, 2.0 * X) == pytest.approx(3.0, abs=1e-12)
+        assert quality_report(X, 2.0 * X).pip_loss == pytest.approx(3.0, abs=1e-12)
 
     @pytest.mark.parametrize("n", [20, 100, 200])
     def test_matches_dense_gram_difference(self, n):
         X = RNG.normal(size=(n, 7))
         Xt = X + 0.1 * RNG.normal(size=(n, 7))
-        assert pip_loss(X, Xt) == pytest.approx(dense_pip(X, Xt), abs=1e-7)
+        assert quality_report(X, Xt).pip_loss == pytest.approx(dense_pip(X, Xt), abs=1e-7)
 
     def test_different_widths_allowed(self):
         X = RNG.normal(size=(30, 6))
         Xt = RNG.normal(size=(30, 2))
-        assert pip_loss(X, Xt) == pytest.approx(dense_pip(X, Xt), abs=1e-7)
+        assert quality_report(X, Xt).pip_loss == pytest.approx(dense_pip(X, Xt), abs=1e-7)
 
 
 class TestReconstructionError:
@@ -597,7 +596,9 @@ def test_fallback_takes_the_svd_and_its_values(case, candidate_svds):
     assert rep.projected_reconstruction_error == max(
         sq_fro_norm(X) - sq_fro_norm(Ut.T @ X), 0.0
     )
-    assert rep.pip_loss == pip_loss(X, Xt)
+    assert rep.pip_loss == math.sqrt(max(
+        sq_fro_norm(X.T @ X) + sq_fro_norm(Xt.T @ Xt) - 2.0 * sq_fro_norm(X.T @ Xt), 0.0
+    ))
     assert rep.rank_xt == ft.rank()
 
 

@@ -258,6 +258,16 @@ class TestBoundsOnPreparedBase:
         assert davis_kahan_sample_bound(base, Xt) == davis_kahan_sample_bound(X, Xt)
         assert conditioning_scalar(base) == conditioning_scalar(X)
 
+    @pytest.mark.parametrize("decay_min", [1.0, 1e-4], ids=["gram-path", "svd-path"])
+    def test_davis_kahan_matches_a_fresh_gram_bit_for_bit(self, decay_min):
+        X = gen_scaled_matrix(200, 6, decay_min, seed=4)
+        base = PreparedBase(X)
+        for seed in range(3):
+            Xt = stochastic_quantize_full_range(X, 4, seed)
+            sq = sq_fro_norm(X.T @ X) + sq_fro_norm(Xt.T @ Xt) - 2.0 * sq_fro_norm(X.T @ Xt)
+            want = math.sqrt(max(sq, 0.0)) ** 2 / (X.shape[1] * float(base.s[-1]) ** 4)
+            assert davis_kahan_sample_bound(base, Xt) == want
+
     @pytest.mark.filterwarnings("ignore::embcompress.measures.RankDeficiencyWarning")
     def test_same_errors_as_plain_matrix(self):
         X = gen_uniform_matrix(40, 4, seed=3)
