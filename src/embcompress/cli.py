@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from . import storage
 from .compress import SEED_LIMIT, compress_kmeans, compress_pca, compress_uniform, decompress
-from .linalg import LinalgError
+from .linalg import LinalgError, max_abs
 from .measures import MEASURE_NAMES, PreparedBase
 from .selection import MeasureSpec, evaluate_measures, rank_candidates
 from .storage import FormatError, StorageError, Vocabulary
@@ -407,7 +407,7 @@ def _simulate_clipping(n: int | None = None, d: int | None = None, input: str | 
     else:
         _cap("n*d", n * d)
         X = gen_student_t_matrix(n, d, df, scale, seed)
-    xmax = float(np.max(np.abs(X)))
+    xmax = max_abs(X)
     r_grid = np.linspace(xmax / r_points, xmax, r_points)
     base = PreparedBase(X)
     rows = []

@@ -14,7 +14,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bitpack
-from .linalg import LinalgError, as_matrix, fro_norm, gram_eigh, numerical_rank, thin_svd
+from .linalg import (
+    LinalgError,
+    as_matrix,
+    fro_norm,
+    gram_eigh,
+    max_abs,
+    numerical_rank,
+    thin_svd,
+)
 from .rng import CounterRng
 
 METHOD_UNIFORM = "uniform"
@@ -271,7 +279,7 @@ def find_clip_threshold(X, bits: int, tol: float = 0.01) -> float:
     X = as_matrix(X)
     if not (np.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be positive, got {tol}")
-    xmax = float(np.max(np.abs(X)))
+    xmax = max_abs(X)
     if xmax == 0.0:
         raise ValueError("all-zero matrix has no meaningful clip threshold")
     f = quantization_objective(X, bits)
@@ -371,32 +379,39 @@ class CompressedEmbedding:
                 )
 
 
-# the encoders quantize and pack about this many scalars at a time
+# the encoders and the theory lab's generators quantize, pack and generate
+# about this many scalars at a time
 _ENCODE_BLOCK = 1 << 16
+
+
+def _row_blocks(n: int, d: int) -> list[tuple[int, int]]:
+    """``(i0, i1)`` of the blocks of whole rows, about ``_ENCODE_BLOCK``
+    scalars each, that cover an n x d array."""
+    rows = max(1, _ENCODE_BLOCK // d)
+    return [(i0, min(i0 + rows, n)) for i0 in range(0, n, rows)]
 
 
 def _encode_blocks(X: np.ndarray, bits: int, codes_of, threads: int = 1) -> np.ndarray:
     """Packed codes of X, made block by block: ``codes_of(i0, i1)`` gives
-    the codes of rows ``i0:i1`` and each block of about ``_ENCODE_BLOCK``
-    scalars is packed straight into the output, up to ``threads`` blocks at
-    a time.  A block is whole rows and :func:`bitpack.pack_codes` packs row
-    by row, so the bytes do not depend on the blocking."""
+    the codes of rows ``i0:i1`` and each block of :func:`_row_blocks` is
+    packed straight into the output, up to ``threads`` blocks at a time.
+    :func:`bitpack.pack_codes` packs row by row, so the bytes do not depend
+    on the blocking."""
     n, d = X.shape
-    rows = max(1, _ENCODE_BLOCK // d)
     packed = np.empty((n, bitpack.row_bytes(d, bits)), dtype=np.uint8)
 
-    def encode(i0: int) -> None:
-        i1 = min(i0 + rows, n)
+    def encode(block: tuple[int, int]) -> None:
+        i0, i1 = block
         packed[i0:i1] = bitpack.pack_codes(codes_of(i0, i1), bits)
 
-    starts = range(0, n, rows)
-    workers = min(int(threads), len(starts))
+    blocks = _row_blocks(n, d)
+    workers = min(int(threads), len(blocks))
     if workers <= 1:
-        for i0 in starts:
-            encode(i0)
+        for block in blocks:
+            encode(block)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(encode, starts))  # re-raises a block's exception
+            list(pool.map(encode, blocks))  # re-raises a block's exception
     return packed
 
 

@@ -66,6 +66,12 @@ def fro_norm(a) -> float:
     return float(np.sqrt(sq_fro_norm(a)))
 
 
+def max_abs(a) -> float:
+    """max |a_ij| of a non-empty, all-finite array, read from its largest and
+    smallest entries: no |a| temporary."""
+    return float(max(np.max(a), -np.min(a)))
+
+
 @dataclass(frozen=True)
 class ThinSVD:
     """Thin SVD factors: ``U`` (n, r) and ``V`` (d, r) have orthonormal

@@ -18,10 +18,17 @@ _COL_SALT = np.uint64(0xC2B2AE3D27D4EB4F)
 _TWO53 = float(2**53)
 
 
-def _mix64(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * _M1
-    z = (z ^ (z >> np.uint64(27))) * _M2
-    return z ^ (z >> np.uint64(31))
+def _mix64(z: np.ndarray, tmp: np.ndarray | None = None) -> np.ndarray:
+    """The splitmix64 finalizer of the uint64 array ``z``, in place: the same
+    shifts, xors and wrapping products as a fresh array per step, with
+    ``tmp`` (z's shape, made when not given) the only scratch."""
+    z = np.asarray(z)
+    tmp = np.empty_like(z) if tmp is None else tmp
+    for shift, mult in ((30, _M1), (27, _M2)):
+        z ^= np.right_shift(z, np.uint64(shift), out=tmp)
+        z *= mult
+    z ^= np.right_shift(z, np.uint64(31), out=tmp)
+    return z
 
 
 class CounterRng:
@@ -49,8 +56,12 @@ class CounterRng:
         c = np.asarray(col, dtype=np.uint64)
         with np.errstate(over="ignore"):
             h = _mix64(self._base ^ (r * _GOLDEN))
-            h = _mix64(h ^ (c * _COL_SALT))
-        u = ((h >> np.uint64(11)).astype(np.float64) + 0.5) / _TWO53
+            h = np.asarray(h ^ (c * _COL_SALT))
+            u = np.empty(h.shape)
+            _mix64(h, u.view(np.uint64))  # the result's storage is the scratch
+        h >>= np.uint64(11)
+        np.add(h, 0.5, out=u)
+        u /= _TWO53
         return u if u.ndim else float(u)
 
     def uniform_block(self, rows: int, cols: int, row0: int = 0) -> np.ndarray:

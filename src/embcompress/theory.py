@@ -17,7 +17,7 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .compress import ROUNDING_STOCHASTIC, QuantizationGrid, quantize_codes
+from .compress import ROUNDING_STOCHASTIC, QuantizationGrid, _row_blocks, quantize_codes
 from .linalg import (
     LinalgError,
     ThinSVD,
@@ -25,10 +25,17 @@ from .linalg import (
     as_vector,
     det_sum,
     least_squares_solve,
+    max_abs,
     sq_fro_norm,
     thin_svd,
 )
-from .measures import PreparedBase, _pip_from_blocks, _rows_of, quality_report
+from .measures import (
+    PreparedBase,
+    RankDeficiencyWarning,
+    _pip_from_blocks,
+    _rows_of,
+    quality_report,
+)
 from .rng import CounterRng
 
 
@@ -146,13 +153,15 @@ def exact_expected_gap(X, Xt, model: LabelModel) -> float:
     return _exact_gap(fx, ft, model)
 
 
-def _full_rank_pair(X, Xt, model: LabelModel):
+def _full_rank_pair(X, Xt, model: LabelModel, fx: ThinSVD | None = None):
     """(X, Xt, fx, ft): both designs validated, with equal row counts, full
     column rank and a label model sized to X; ``fx`` and ``ft`` are their
-    thin SVDs, whose left singular vectors the labels and the exact gap read."""
+    thin SVDs, whose left singular vectors the labels and the exact gap read.
+    ``fx`` is taken here unless the caller already holds it."""
     X = as_matrix(X, "X")
     Xt = _rows_of(X, Xt)
-    fx = _require_full_rank(X, "X")
+    fx = thin_svd(X) if fx is None else fx
+    _check_full_rank(fx.rank(), X.shape[1], "X")
     ft = thin_svd(Xt)
     _check_full_rank(ft.rank(), Xt.shape[1], "Xt")
     model.check_dim(X.shape[1])
@@ -247,13 +256,32 @@ def davis_kahan_sample_bound(X, Xt) -> float:
 # matrix generators
 
 
+def _by_row_blocks(n: int, d: int, fill) -> np.ndarray:
+    """An n x d matrix written in the row blocks of
+    :func:`~embcompress.compress._row_blocks`: ``fill(i0, i1, out)`` writes
+    rows i0:i1 into ``out``.  The generators and the quantizer below key
+    their counters by row, so the result does not depend on the blocking,
+    and no temporary outgrows one block."""
+    X = np.empty((n, d))
+    for i0, i1 in _row_blocks(n, d):
+        fill(i0, i1, X[i0:i1])
+    return X
+
+
 def gen_uniform_matrix(n: int, d: int, seed: int) -> np.ndarray:
     """n x d matrix with i.i.d. entries uniform on [-1/sqrt(d), 1/sqrt(d)],
     reproducible from the seed alone."""
     if n < 1 or d < 1:
         raise ValueError("n and d must be >= 1")
-    u = CounterRng(seed).uniform_block(n, d)
-    return (2.0 * u - 1.0) / math.sqrt(d)
+    rng = CounterRng(seed)
+    root_d = math.sqrt(d)
+
+    def fill(i0, i1, out):
+        np.multiply(rng.uniform_block(i1 - i0, d, row0=i0), 2.0, out=out)
+        out -= 1.0
+        out /= root_d
+
+    return _by_row_blocks(n, d, fill)
 
 
 def gen_scaled_matrix(n: int, d: int, decay_min: float, seed: int) -> np.ndarray:
@@ -261,8 +289,9 @@ def gen_scaled_matrix(n: int, d: int, decay_min: float, seed: int) -> np.ndarray
     to ``decay_min``, producing progressively worse-conditioned designs."""
     if not 0 < decay_min <= 1:
         raise ValueError(f"decay_min must be in (0, 1], got {decay_min}")
-    g = np.logspace(0.0, math.log10(decay_min), d)
-    return gen_uniform_matrix(n, d, seed) * g
+    X = gen_uniform_matrix(n, d, seed)
+    X *= np.logspace(0.0, math.log10(decay_min), d)
+    return X
 
 
 def gen_student_t_matrix(n: int, d: int, df: float, scale: float, seed: int) -> np.ndarray:
@@ -274,8 +303,13 @@ def gen_student_t_matrix(n: int, d: int, df: float, scale: float, seed: int) -> 
         raise ValueError("df and scale must be positive")
     import scipy.special
 
-    u = CounterRng(seed).uniform_block(n, d)
-    return scale * scipy.special.stdtrit(df, u)
+    rng = CounterRng(seed)
+
+    def fill(i0, i1, out):
+        scipy.special.stdtrit(df, rng.uniform_block(i1 - i0, d, row0=i0), out=out)
+        out *= scale
+
+    return _by_row_blocks(n, d, fill)
 
 
 def stochastic_quantize_full_range(X, bits: int, seed: int) -> np.ndarray:
@@ -287,14 +321,49 @@ def stochastic_quantize_full_range(X, bits: int, seed: int) -> np.ndarray:
     """
     X = as_matrix(X, "X")
     r = 1.0 / math.sqrt(X.shape[1])
-    if float(np.max(np.abs(X))) > r:
+    if max_abs(X) > r:
         raise ValueError("entries exceed 1/sqrt(d); this quantizer is for bounded matrices")
     grid = QuantizationGrid(bits, r)
-    return grid.values_for(quantize_codes(X, grid, ROUNDING_STOCHASTIC, CounterRng(seed)))
+    rng = CounterRng(seed)
+
+    def fill(i0, i1, out):
+        out[...] = grid.values_for(
+            quantize_codes(X[i0:i1], grid, ROUNDING_STOCHASTIC, rng, row0=i0))
+
+    return _by_row_blocks(*X.shape, fill)
 
 
 # ---------------------------------------------------------------------------
 # Monte-Carlo harnesses
+
+
+# simulate_regression_gap forms the labels of about this many scalars at a time
+_LABEL_BLOCK = 1 << 20
+
+
+def _trial_block(n: int, trials: int) -> int:
+    """Trials per label block of :func:`simulate_regression_gap`: about
+    ``_LABEL_BLOCK / n``, rounded down to a multiple of 64 and at least 64,
+    or all of them.  A multiple of 64 starts each block where the GEMM
+    kernels of the whole n x trials product start a column tile, so every
+    gap keeps the sums of that product bit for bit; blocks of 7 or 500
+    trials moved gaps in their last digits (2e-14 relative at n = 2000,
+    d = 50; OpenBLAS, 1 and 2 threads)."""
+    return min(trials, max(64, _LABEL_BLOCK // n // 64 * 64))
+
+
+def _check_trials(trials: int) -> None:
+    if trials < 2:
+        raise ValueError(f"trials must be >= 2, got {trials}")
+
+
+def _label_coefficients(rng: CounterRng, S: np.ndarray | None, rows: int, d: int,
+                        row0: int = 0) -> np.ndarray:
+    """(rows, d) coefficient draws z of trials row0..row0+rows-1, keyed by
+    trial: S g for standard normal g, or g when S (the model's
+    :meth:`~LabelModel.sqrt_factor`) is None."""
+    Z = rng.normal_block(rows, d, row0=row0)
+    return Z if S is None else Z @ S  # S symmetric, so rows become S g
 
 
 def simulate_regression_gap(
@@ -306,34 +375,30 @@ def simulate_regression_gap(
     span of X, and evaluates the closed-form risks of both designs; the noise
     average is already integrated into the closed form, so no noise draws are
     needed.  Trials are keyed by (seed, trial) counters, so the estimate does
-    not depend on scheduling.
+    not depend on scheduling.  The labels are formed one block of trials at
+    a time (:func:`_trial_block`), so memory grows with n times the block,
+    not with n times ``trials``.
     """
-    rng = CounterRng(seed)
+    _check_trials(trials)
+    rng = CounterRng(seed).substream(0)
     X, Xt, fx, ft = _full_rank_pair(X, Xt, model)
     n, d = X.shape
     k = Xt.shape[1]
-    Ybar = _true_labels(fx, model, trials, rng)
-    proj_x = fx.U.T @ Ybar
-    proj_t = ft.U.T @ Ybar
-    gaps = (
-        np.sum(proj_x * proj_x, axis=0)
-        - np.sum(proj_t * proj_t, axis=0)
-        + (k - d) * model.sigma2(n, d)
-    ) / n
+    S = model.sqrt_factor()
+    gaps = np.empty(trials)
+    block = _trial_block(n, trials)
+    for j0 in range(0, trials, block):
+        j1 = min(j0 + block, trials)
+        Ybar = fx.U @ _label_coefficients(rng, S, j1 - j0, d, j0).T
+        proj_x = fx.U.T @ Ybar
+        proj_t = ft.U.T @ Ybar
+        np.subtract(np.sum(proj_x * proj_x, axis=0), np.sum(proj_t * proj_t, axis=0),
+                    out=gaps[j0:j1])
+    gaps += (k - d) * model.sigma2(n, d)
+    gaps /= n
     return _experiment_result(
         gaps, _exact_gap(fx, ft, model), "exact_identity", X, Xt, model, seed
     )
-
-
-def _true_labels(fx: ThinSVD, model: LabelModel, trials: int, rng: CounterRng) -> np.ndarray:
-    """(n, trials) block of true labels U z, one coefficient draw z per trial."""
-    if trials < 2:
-        raise ValueError(f"trials must be >= 2, got {trials}")
-    Z = rng.substream(0).normal_block(trials, fx.U.shape[1])
-    S = model.sqrt_factor()
-    if S is not None:
-        Z = Z @ S  # S symmetric, so rows become S g
-    return fx.U @ Z.T
 
 
 def _experiment_result(gaps, theory_value: float, theory_kind: str, X, Xt, model: LabelModel,
@@ -480,11 +545,17 @@ def simulate_lipschitz_gap(
     """
     if not L > 0:
         raise ValueError(f"L must be positive, got {L}")
+    _check_trials(trials)
     rng = CounterRng(seed)
-    X, Xt, fx, ft = _full_rank_pair(X, Xt, model)
+    with warnings.catch_warnings():
+        # a rank-deficient X is refused just below, with no warning
+        warnings.simplefilter("ignore", RankDeficiencyWarning)
+        base = PreparedBase(X)
+    # the bound reads the base; an SVD-path base also holds the labels' factors
+    X, Xt, fx, ft = _full_rank_pair(base.X, Xt, model, base.svd)
     n, d = X.shape
     gd = gd or GdConfig()
-    Ybar = _true_labels(fx, model, trials, rng)
+    Ybar = fx.U @ _label_coefficients(rng.substream(0), model.sqrt_factor(), trials, d).T
     Y = Ybar + math.sqrt(model.sigma2(n, d)) * rng.substream(1).normal_block(trials, n).T
 
     W = _fit_logistic_gd(X, Y, gd, float(fx.s[0]))
@@ -492,7 +563,7 @@ def simulate_lipschitz_gap(
     P = _sigmoid(Ybar)
     test_x = np.mean(_cross_entropy(X @ W, P), axis=0)
     test_t = np.mean(_cross_entropy(Xt @ Wt, P), axis=0)
-    bound = lipschitz_gap_bound(X, Xt, L, model)
+    bound = lipschitz_gap_bound(base, Xt, L, model)
     return _experiment_result(test_t - test_x, bound, "upper_bound", X, Xt, model, seed, L=L)
 
 
@@ -598,7 +669,7 @@ def clipping_curve(X, bits: int, rounding: str, r_grid, seed: int = 0) -> list[d
     prepared = _prepared(X)
     X = prepared.X
     r_grid = np.asarray(r_grid, dtype=np.float64).ravel()
-    xmax = float(np.max(np.abs(X)))
+    xmax = max_abs(X)
     if r_grid.size == 0 or np.any(r_grid <= 0) or np.any(r_grid > xmax):
         raise ValueError("r_grid must lie in (0, max|X|]")
     rng = CounterRng(seed)

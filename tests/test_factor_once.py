@@ -186,6 +186,28 @@ def test_theorem2_factors_each_design_once(calls):
     assert calls == {"svd": 2, "gram": 1}
 
 
+
+@pytest.mark.filterwarnings("ignore:gradient descent stopped:RuntimeWarning")
+def test_theorem2_shares_an_ill_conditioned_base_svd(lapack_svds, monkeypatch):
+    # cond(X) about 1e4 fails the Gram guard: the bound's base takes the thin
+    # SVD, and the labels and GD step read that SVD in place of a second one;
+    # GD on this X needs far more than 50 steps, which the count does not need
+    X = theory.gen_scaled_matrix(200, 5, 1e-4, 0)
+    Xt = theory.stochastic_quantize_full_range(theory.gen_uniform_matrix(200, 5, 0), 4, 1)
+    model = theory.LabelModel(noise_ratio=0.1)
+    gd = theory.GdConfig(max_steps=50)
+    del lapack_svds[:]
+    res = theory.simulate_lipschitz_gap(X, Xt, model, 6, seed=1, gd=gd)
+    assert svds_of(lapack_svds, X) == 1
+    # the fresh SVD for the labels that the harness took before gives the same bits
+    full_rank_pair = theory._full_rank_pair
+    monkeypatch.setattr(theory, "_full_rank_pair",
+                        lambda X, Xt, model, fx=None: full_rank_pair(X, Xt, model))
+    del lapack_svds[:]
+    assert theory.simulate_lipschitz_gap(X, Xt, model, 6, seed=1, gd=gd) == res
+    assert svds_of(lapack_svds, X) == 2
+
+
 def test_a_held_base_factors_x_once_and_each_shortcut_once(lapack_svds):
     X = theory.gen_scaled_matrix(120, 8, 1e-4, 0)
     Xts = [decompress(C) for C in [compress_uniform(X, b) for b in (1, 2, 3, 4)]

@@ -1,6 +1,40 @@
 import numpy as np
+import pytest
 
+from embcompress import rng as rng_mod
 from embcompress.rng import CounterRng
+
+
+def plain_mix64(z):
+    """The splitmix64 finalizer with a fresh array per step."""
+    z = (z ^ (z >> np.uint64(30))) * rng_mod._M1
+    z = (z ^ (z >> np.uint64(27))) * rng_mod._M2
+    return z ^ (z >> np.uint64(31))
+
+
+def plain_uniform_block(seed, rows, cols, row0=0):
+    """uniform_block from plain_mix64 and whole-array expressions."""
+    with np.errstate(over="ignore"):
+        base = plain_mix64(np.uint64(seed) ^ rng_mod._GOLDEN)
+        r = np.arange(row0, row0 + rows, dtype=np.uint64)[:, None]
+        c = np.arange(cols, dtype=np.uint64)[None, :]
+        h = plain_mix64(base ^ (r * rng_mod._GOLDEN))
+        h = plain_mix64(h ^ (c * rng_mod._COL_SALT))
+    return ((h >> np.uint64(11)).astype(np.float64) + 0.5) / rng_mod._TWO53
+
+
+def test_in_place_mix_matches_the_plain_finalizer():
+    z = np.random.default_rng(0).integers(0, 2**64, size=(257, 3), dtype=np.uint64)
+    z[0, :] = [0, 1, 2**64 - 1]
+    want = plain_mix64(z)
+    assert rng_mod._mix64(z.copy()).tobytes() == want.tobytes()
+    assert rng_mod._mix64(z.copy(), np.empty_like(z)).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+def test_uniform_block_matches_the_plain_expression(seed):
+    got = CounterRng(seed).uniform_block(33, 9, row0=5)
+    assert got.tobytes() == plain_uniform_block(seed, 33, 9, row0=5).tobytes()
 
 
 def test_block_matches_per_entry_calls():

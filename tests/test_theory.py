@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from embcompress import theory
-from embcompress.compress import compress_pca, decompress
+from embcompress.compress import QuantizationGrid, compress_pca, decompress, quantize_codes
 from embcompress.linalg import LinalgError, det_sum, least_squares_solve, sq_fro_norm, thin_svd
 from embcompress.measures import PreparedBase, RankDeficiencyWarning, eigenspace_overlap
 from embcompress.rng import CounterRng
@@ -320,6 +321,137 @@ class TestGenerators:
         u = CounterRng(4).uniform_block(300, 7)
         want = 1.7 * scipy.stats.t.ppf(u, df)
         assert gen_student_t_matrix(300, 7, df, 1.7, seed=4).tobytes() == want.tobytes()
+
+
+
+def _whole_uniform(n, d, seed):
+    return (2.0 * CounterRng(seed).uniform_block(n, d) - 1.0) / math.sqrt(d)
+
+
+class TestRowBlockedOracle:
+    """Each generator and the full-range quantizer, written in row blocks of
+    about ``_ENCODE_BLOCK`` scalars (655 rows at d = 100), against its
+    whole-matrix expression: equal bytes, whether n is below one block or
+    not a multiple of it."""
+
+    SHAPES = pytest.mark.parametrize("n, d", [(300, 100), (2000, 100), (7, 1)])
+
+    @SHAPES
+    def test_uniform(self, n, d):
+        assert gen_uniform_matrix(n, d, 5).tobytes() == _whole_uniform(n, d, 5).tobytes()
+
+    @SHAPES
+    def test_scaled(self, n, d):
+        want = _whole_uniform(n, d, 6) * np.logspace(0.0, math.log10(1e-3), d)
+        assert gen_scaled_matrix(n, d, 1e-3, 6).tobytes() == want.tobytes()
+
+    @SHAPES
+    def test_student_t(self, n, d):
+        import scipy.special
+
+        want = 1.3 * scipy.special.stdtrit(4.0, CounterRng(7).uniform_block(n, d))
+        assert gen_student_t_matrix(n, d, 4.0, 1.3, 7).tobytes() == want.tobytes()
+
+    @SHAPES
+    @pytest.mark.parametrize("bits", [1, 4])
+    def test_full_range_quantizer(self, n, d, bits):
+        X = gen_uniform_matrix(n, d, 8)
+        grid = QuantizationGrid(bits, 1.0 / math.sqrt(d))
+        want = grid.values_for(quantize_codes(X, grid, "stochastic", CounterRng(9)))
+        assert stochastic_quantize_full_range(X, bits, 9).tobytes() == want.tobytes()
+
+    def test_full_range_quantizer_rejects_an_entry_past_the_interval(self):
+        X = gen_uniform_matrix(50, 4, 1)
+        for sign in (1.0, -1.0):
+            Y = X.copy()
+            Y[17, 2] = sign * np.nextafter(0.5, 1.0)
+            with pytest.raises(ValueError, match="exceed"):
+                stochastic_quantize_full_range(Y, 2, 0)
+
+
+def _plain_gaps(X, Xt, model, trials, seed):
+    """The gaps of simulate_regression_gap from the whole n x trials label
+    matrix."""
+    n, d = X.shape
+    U, Ut = thin_svd(X).U, thin_svd(Xt).U
+    Z = CounterRng(seed).substream(0).normal_block(trials, d)
+    S = model.sqrt_factor()
+    if S is not None:
+        Z = Z @ S
+    Y = U @ Z.T
+    px, pt = U.T @ Y, Ut.T @ Y
+    return (np.sum(px * px, axis=0) - np.sum(pt * pt, axis=0)
+            + (Xt.shape[1] - d) * model.sigma2(n, d)) / n
+
+
+class TestStreamedRegressionGapOracle:
+    """The trial-blocked gaps against :func:`_plain_gaps`.  With blocks that
+    are a multiple of 64 trials they were bit-equal (OpenBLAS, 1 and 2
+    threads); the tolerance leaves room for other GEMM kernels, whose edge
+    cases may sum in another order."""
+
+    RTOL = 1e-12
+
+    @pytest.mark.parametrize("covariance", [None, np.diag([3.0, 2.0, 1.0, 0.5, 0.25, 0.1]) + 0.05],
+                             ids=["identity", "explicit"])
+    @pytest.mark.parametrize("blocks", [(1, 0), (1, 3), (3, 0)],
+                             ids=["one-block", "one-block-plus-3", "three-blocks"])
+    def test_gaps_match_the_whole_label_matrix(self, monkeypatch, covariance, blocks):
+        n = 1000
+        X = gen_uniform_matrix(n, 6, seed=11)
+        Xt = stochastic_quantize_full_range(X, 2, 12)[:, :5]
+        model = LabelModel(covariance, noise_ratio=0.3)
+        block = theory._trial_block(n, 10**6)
+        assert block == 1024
+        trials = blocks[0] * block + blocks[1]
+        seen = []
+        real = theory._experiment_result
+        monkeypatch.setattr(theory, "_experiment_result",
+                            lambda gaps, *a, **k: seen.append(gaps.copy()) or real(gaps, *a, **k))
+        res = simulate_regression_gap(X, Xt, model, trials, seed=13)
+        want = _plain_gaps(X, Xt, model, trials, 13)
+        assert res.trials == trials
+        np.testing.assert_allclose(seen[0], want, rtol=self.RTOL,
+                                   atol=self.RTOL * float(np.max(np.abs(want))))
+
+    def test_block_rule(self):
+        assert theory._trial_block(2000, 10_000) == 512
+        assert theory._trial_block(2000, 300) == 300
+        assert theory._trial_block(10**6, 10**5) == 64
+        for n in (1, 7, 1000, 3000, 20_000):
+            assert theory._trial_block(n, 10**9) % 64 == 0
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        out = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+class TestBoundedMemory:
+    """Peaks (tracemalloc) of the theory lab's largest arrays; the whole-matrix
+    forms peaked at 165.8 MB, 3.0x and 6.0x their output."""
+
+    def test_regression_gap_holds_one_label_block(self):
+        X = gen_uniform_matrix(2000, 50, seed=0)
+        Xt = stochastic_quantize_full_range(X, 2, 1)
+        res, peak = _traced_peak(
+            lambda: simulate_regression_gap(X, Xt, LabelModel(noise_ratio=0.1), 10_000, seed=2))
+        assert res.trials == 10_000
+        assert peak < 32 << 20, peak / 2**20
+
+    def test_uniform_matrix_is_about_its_output(self):
+        X, peak = _traced_peak(lambda: gen_uniform_matrix(10_000, 100, seed=3))
+        assert peak <= 1.5 * X.nbytes, peak / X.nbytes
+
+    def test_full_range_quantizer_is_about_its_output(self):
+        X = gen_uniform_matrix(10_000, 100, seed=3)
+        Xt, peak = _traced_peak(lambda: stochastic_quantize_full_range(X, 4, 5))
+        assert peak <= 3 * Xt.nbytes, peak / Xt.nbytes
 
 
 class TestFitLinearModel:
