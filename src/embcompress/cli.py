@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
-import os
 import sys
 import types
 import typing
@@ -23,7 +22,8 @@ import numpy as np
 
 from . import __version__
 from . import storage
-from .compress import SEED_LIMIT, compress_kmeans, compress_pca, compress_uniform, decompress
+from .compress import (SEED_LIMIT, _usable_cores, compress_kmeans, compress_pca,
+                       compress_uniform, decompress)
 from .linalg import LinalgError, max_abs
 from .measures import MEASURE_NAMES, PreparedBase
 from .selection import MeasureSpec, evaluate_measures, rank_candidates
@@ -81,7 +81,7 @@ def _add_global_flags(parser, trailing: bool) -> None:
     )
     parser.add_argument(
         "--threads", type=int, **(suppress or {"default": 0}),
-        help="row-parallel worker count; 0 = all cores (output is identical for any value)",
+        help="row-parallel worker count; 0 = all usable cores (output is identical for any value)",
     )
     parser.add_argument(
         "--format", choices=("auto", "glove", "fasttext"),
@@ -158,13 +158,13 @@ def _cmd_compress(args) -> int:
         raise UsageError(f"compress --method {args.method} requires --bits")
     X, vocab = storage.read_text_embedding(args.input, fmt=args.format)
     rounding = "deterministic" if args.rounding == "det" else "stochastic"
+    threads = args.threads if args.threads > 0 else _usable_cores()
     if args.method == "pca":
         C = compress_pca(X, args.dim, keep_v=args.keep_v)
     elif args.method == "uniform":
-        threads = args.threads if args.threads > 0 else os.cpu_count() or 1
         C = compress_uniform(X, args.bits, rounding=rounding, seed=args.seed, threads=threads)
     else:
-        C = compress_kmeans(X, args.bits, seed=args.seed)
+        C = compress_kmeans(X, args.bits, seed=args.seed, threads=threads)
     storage.write_compressed(C, vocab, args.output)
     print(
         f"{args.output}: method={C.method} n={C.n} d={C.d_orig} "

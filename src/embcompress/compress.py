@@ -8,6 +8,7 @@ lossy representations all decompress back to a dense float64 matrix.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -391,27 +392,35 @@ def _row_blocks(n: int, d: int) -> list[tuple[int, int]]:
     return [(i0, min(i0 + rows, n)) for i0 in range(0, n, rows)]
 
 
-def _encode_blocks(X: np.ndarray, bits: int, codes_of, threads: int = 1) -> np.ndarray:
-    """Packed codes of X, made block by block: ``codes_of(i0, i1)`` gives
-    the codes of rows ``i0:i1`` and each block of :func:`_row_blocks` is
-    packed straight into the output, up to ``threads`` blocks at a time.
-    :func:`bitpack.pack_codes` packs row by row, so the bytes do not depend
-    on the blocking."""
-    n, d = X.shape
-    packed = np.empty((n, bitpack.row_bytes(d, bits)), dtype=np.uint8)
+def _usable_cores() -> int:
+    """The CPUs this process may run on: its affinity mask, else all of them."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
-    def encode(block: tuple[int, int]) -> None:
-        i0, i1 = block
-        packed[i0:i1] = bitpack.pack_codes(codes_of(i0, i1), bits)
 
+def _run_row_blocks(n: int, d: int, work, threads: int = 1) -> None:
+    """``work(i0, i1)`` for each of the :func:`_row_blocks` of an n x d array,
+    up to ``threads`` at a time (inline for one block or one thread); a
+    block's exception reaches the caller.  Each block writes its own rows."""
     blocks = _row_blocks(n, d)
     workers = min(int(threads), len(blocks))
     if workers <= 1:
-        for block in blocks:
-            encode(block)
+        for i0, i1 in blocks:
+            work(i0, i1)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(encode, blocks))  # re-raises a block's exception
+            list(pool.map(lambda block: work(*block), blocks))  # re-raises
+
+
+def _encode_blocks(X: np.ndarray, bits: int, codes_of, threads: int = 1) -> np.ndarray:
+    """Packed codes of X, up to ``threads`` row blocks at a time: the codes
+    ``codes_of(i0, i1)`` of rows ``i0:i1`` are packed straight into the
+    output, row by row, so the bytes do not depend on the blocking."""
+    packed = np.empty((X.shape[0], bitpack.row_bytes(X.shape[1], bits)), dtype=np.uint8)
+
+    def encode(i0: int, i1: int) -> None:
+        packed[i0:i1] = bitpack.pack_codes(codes_of(i0, i1), bits)
+
+    _run_row_blocks(*X.shape, encode, threads)
     return packed
 
 
@@ -545,10 +554,10 @@ def _nearest_centroid(values, centroids: np.ndarray) -> np.ndarray:
     return np.searchsorted(0.5 * (centroids[:-1] + centroids[1:]), values, side="left")
 
 
-def compress_kmeans(X, bits: int, seed: int = 0) -> CompressedEmbedding:
+def compress_kmeans(X, bits: int, seed: int = 0, threads: int = 1) -> CompressedEmbedding:
     """Codebook compression: 1-D k-means over all scalars with K = 2**bits.
 
-    The codes are assigned and packed in row blocks of about 64k scalars.
+    The codes are assigned and packed up to ``threads`` row blocks at a time.
     The quantile seeding makes the clustering deterministic; ``seed`` is
     recorded for provenance only.
     """
@@ -562,7 +571,8 @@ def compress_kmeans(X, bits: int, seed: int = 0) -> CompressedEmbedding:
         d_orig=X.shape[1],
         seed=seed,
         bits=bits,
-        codes=_encode_blocks(X, bits, lambda i0, i1: _nearest_centroid(X[i0:i1], centroids)),
+        codes=_encode_blocks(X, bits, lambda i0, i1: _nearest_centroid(X[i0:i1], centroids),
+                             threads),
         codebook=centroids,
     )
 

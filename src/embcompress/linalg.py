@@ -62,6 +62,12 @@ def sq_fro_norm(a) -> float:
     return det_sum(arr * arr)
 
 
+def sq_fro_diff(a, b) -> float:
+    """``sq_fro_norm(a - b)`` bit for bit, from one temporary squared in place."""
+    diff = np.subtract(a, b, dtype=np.float64)
+    return det_sum(np.multiply(diff, diff, out=diff))
+
+
 def fro_norm(a) -> float:
     return float(np.sqrt(sq_fro_norm(a)))
 

@@ -23,6 +23,7 @@ from .linalg import (
     ThinSVD,
     as_matrix,
     gram_eigh,
+    sq_fro_diff,
     sq_fro_norm,
     thin_svd,
     well_conditioned_cholesky,
@@ -143,7 +144,7 @@ def reconstruction_error(X, Xt) -> float:
         raise ValueError(
             f"reconstruction error needs identical shapes, got {X.shape} and {Xt.shape}"
         )
-    return math.sqrt(sq_fro_norm(X - Xt))
+    return math.sqrt(sq_fro_diff(X, Xt))
 
 
 def _deltas(base: PreparedBase, Xt: np.ndarray, lam: float, P: np.ndarray | None = None,
@@ -408,7 +409,7 @@ class PreparedBase:
         return QualityReport(
             eigenspace_overlap=self._overlap(c),
             pip_loss=_pip_from_blocks(self.sq_gram_norm, c.G, C),
-            reconstruction_error=math.sqrt(sq_fro_norm(X - Xt)) if X.shape == Xt.shape else None,
+            reconstruction_error=math.sqrt(sq_fro_diff(X, Xt)) if X.shape == Xt.shape else None,
             projected_reconstruction_error=max(self.sq_norm - sq_fro_norm(M), 0.0),
             delta1=delta1,
             delta2=delta2,

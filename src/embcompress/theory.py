@@ -17,7 +17,8 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .compress import ROUNDING_STOCHASTIC, QuantizationGrid, _row_blocks, quantize_codes
+from .compress import (ROUNDING_STOCHASTIC, QuantizationGrid, _row_blocks, _run_row_blocks,
+                       _usable_cores, quantize_codes)
 from .linalg import (
     LinalgError,
     ThinSVD,
@@ -26,6 +27,7 @@ from .linalg import (
     det_sum,
     least_squares_solve,
     max_abs,
+    sq_fro_diff,
     sq_fro_norm,
     thin_svd,
 )
@@ -256,16 +258,24 @@ def davis_kahan_sample_bound(X, Xt) -> float:
 # matrix generators
 
 
-def _by_row_blocks(n: int, d: int, fill) -> np.ndarray:
+def _by_row_blocks(n: int, d: int, fill, threads: int = 1) -> np.ndarray:
     """An n x d matrix written in the row blocks of
-    :func:`~embcompress.compress._row_blocks`: ``fill(i0, i1, out)`` writes
-    rows i0:i1 into ``out``.  The generators and the quantizer below key
-    their counters by row, so the result does not depend on the blocking,
-    and no temporary outgrows one block."""
+    :func:`~embcompress.compress._row_blocks`, up to ``threads`` at a time:
+    ``fill(i0, i1, out)`` writes rows i0:i1 into ``out``.  The generators key
+    their counters by row, so the bytes depend on neither the blocking nor
+    ``threads``, and no temporary outgrows one block.  Only the Student-t
+    draw runs on threads: the other generators are memory-bound."""
     X = np.empty((n, d))
-    for i0, i1 in _row_blocks(n, d):
-        fill(i0, i1, X[i0:i1])
+    _run_row_blocks(n, d, lambda i0, i1: fill(i0, i1, X[i0:i1]), threads)
     return X
+
+
+def _quantized_rows(X, grid: QuantizationGrid, rounding: str, rng: CounterRng, out) -> np.ndarray:
+    """``out`` set to X quantized on ``grid`` by row blocks, in this thread;
+    the coins are keyed by row, so these are the whole-matrix call's bytes."""
+    for i0, i1 in _row_blocks(*X.shape):
+        out[i0:i1] = grid.values_for(quantize_codes(X[i0:i1], grid, rounding, rng, row0=i0))
+    return out
 
 
 def gen_uniform_matrix(n: int, d: int, seed: int) -> np.ndarray:
@@ -309,7 +319,7 @@ def gen_student_t_matrix(n: int, d: int, df: float, scale: float, seed: int) -> 
         scipy.special.stdtrit(df, rng.uniform_block(i1 - i0, d, row0=i0), out=out)
         out *= scale
 
-    return _by_row_blocks(n, d, fill)
+    return _by_row_blocks(n, d, fill, _usable_cores())
 
 
 def stochastic_quantize_full_range(X, bits: int, seed: int) -> np.ndarray:
@@ -324,13 +334,7 @@ def stochastic_quantize_full_range(X, bits: int, seed: int) -> np.ndarray:
     if max_abs(X) > r:
         raise ValueError("entries exceed 1/sqrt(d); this quantizer is for bounded matrices")
     grid = QuantizationGrid(bits, r)
-    rng = CounterRng(seed)
-
-    def fill(i0, i1, out):
-        out[...] = grid.values_for(
-            quantize_codes(X[i0:i1], grid, ROUNDING_STOCHASTIC, rng, row0=i0))
-
-    return _by_row_blocks(*X.shape, fill)
+    return _quantized_rows(X, grid, ROUNDING_STOCHASTIC, CounterRng(seed), np.empty(X.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -621,15 +625,9 @@ def scaling_experiment(axis: str, levels, base_config: dict, seeds) -> list[dict
             prepared = PreparedBase(X)
             a = min(conditioning_scalar(prepared), 1.0)
             bound = uniform_overlap_bound(bits, a) if a > 0 else math.inf
-            rows.append(
-                {
-                    "axis": axis,
-                    "level": level,
-                    "seed": seed,
-                    "one_minus_overlap": 1.0 - prepared.overlap(Xt),
-                    "bound": bound,
-                }
-            )
+            rows.append({"axis": axis, "level": level, "seed": seed,
+                         "one_minus_overlap": 1.0 - prepared.overlap(Xt), "bound": bound})
+            del X, Xt, prepared  # so that the next draw does not overlap them
     return rows
 
 
@@ -673,17 +671,12 @@ def clipping_curve(X, bits: int, rounding: str, r_grid, seed: int = 0) -> list[d
     if r_grid.size == 0 or np.any(r_grid <= 0) or np.any(r_grid > xmax):
         raise ValueError("r_grid must lie in (0, max|X|]")
     rng = CounterRng(seed)
+    Xt = np.empty(X.shape)  # each grid point's candidate, written over the last
     rows = []
     for i, r in enumerate(r_grid):
-        grid = QuantizationGrid(bits, float(r))
-        Xt = grid.values_for(quantize_codes(X, grid, rounding, rng.substream(i)))
-        rows.append(
-            {
-                "r": float(r),
-                "overlap": prepared.overlap(Xt),
-                "recon_error": math.sqrt(sq_fro_norm(Xt - X)),
-            }
-        )
+        _quantized_rows(X, QuantizationGrid(bits, float(r)), rounding, rng.substream(i), Xt)
+        rows.append({"r": float(r), "overlap": prepared.overlap(Xt),
+                     "recon_error": math.sqrt(sq_fro_diff(X, Xt))})
     return rows
 
 

@@ -129,6 +129,25 @@ def test_compress_determinism_across_runs_and_threads(base_embedding, tmp_path):
     assert a.read_bytes() == b.read_bytes() == c.read_bytes()
 
 
+@pytest.mark.parametrize("method", ["uniform", "kmeans"])
+@pytest.mark.parametrize("flag, want", [("0", 3), ("2", 2)])
+def test_compress_threads_reach_both_encoders(base_embedding, tmp_path, monkeypatch,
+                                              method, flag, want):
+    # --threads 0 takes the usable cores: the affinity mask, not the machine
+    from embcompress import cli
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {1, 5, 9}, raising=False)
+    seen = []
+    real = getattr(cli, f"compress_{method}")
+    monkeypatch.setattr(cli, f"compress_{method}",
+                        lambda *a, threads, **k: seen.append(threads) or real(*a, **k))
+    base, _ = base_embedding
+    argv = ["--threads", flag, "compress", "--method", method, "--bits", "2", str(base),
+            str(tmp_path / "o.eqc")]
+    assert run(argv) == 0
+    assert seen == [want]
+
+
 @pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
 @pytest.mark.parametrize("method", ["uniform", "kmeans"])
 def test_seed_outside_the_recorded_range_is_a_usage_error(tmp_path, capsys, method, seed):

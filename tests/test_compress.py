@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import struct
+import threading
 import tracemalloc
 
 import numpy as np
@@ -494,7 +495,7 @@ class TestBlockedEncoders:
         for rounding in ("deterministic", "stochastic"):
             C = compress_uniform(X, 3, rounding=rounding, seed=9, threads=threads)
             assert C.codes.tobytes() == whole[rounding].tobytes()
-        assert compress_kmeans(X, 3).codes.tobytes() == whole["kmeans"].tobytes()
+        assert compress_kmeans(X, 3, threads=threads).codes.tobytes() == whole["kmeans"].tobytes()
 
     @pytest.mark.parametrize("encoder", ["deterministic", "stochastic", "kmeans"])
     def test_peak_is_about_one_copy_of_x(self, encoder):
@@ -510,6 +511,56 @@ class TestBlockedEncoders:
         finally:
             tracemalloc.stop()
         assert peak <= 1.5 * X.nbytes + (4 << 20), peak / X.nbytes
+
+
+class TestRowBlockRunner:
+    """``_run_row_blocks`` calls its work once per block of ``_row_blocks``,
+    on the calling thread when there is one block or one thread."""
+
+    @pytest.mark.parametrize("block", [None, 37])
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_every_block_runs_once(self, monkeypatch, block, threads):
+        from embcompress import compress as compress_mod
+
+        if block is not None:
+            monkeypatch.setattr(compress_mod, "_ENCODE_BLOCK", block)
+        seen = []
+        compress_mod._run_row_blocks(5000, 20, lambda i0, i1: seen.append((i0, i1)), threads)
+        assert sorted(seen) == compress_mod._row_blocks(5000, 20)
+        assert len(seen) > 1
+
+    @pytest.mark.parametrize("n, threads", [(3, 4), (5000, 1)])
+    def test_one_block_or_one_thread_runs_inline(self, n, threads):
+        from embcompress import compress as compress_mod
+
+        idents = set()
+        compress_mod._run_row_blocks(n, 20, lambda i0, i1: idents.add(threading.get_ident()),
+                                     threads)
+        assert idents == {threading.get_ident()}
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_a_block_exception_reaches_the_caller(self, threads):
+        from embcompress import compress as compress_mod
+
+        def work(i0, i1):
+            if i0 > 0:
+                raise ArithmeticError(f"block at row {i0}")
+
+        with pytest.raises(ArithmeticError, match="block at row"):
+            compress_mod._run_row_blocks(5000, 20, work, threads)
+
+    def test_usable_cores_reads_the_affinity_mask(self, monkeypatch):
+        import os
+
+        from embcompress.compress import _usable_cores
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5}, raising=False)
+        assert _usable_cores() == 2
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 7)
+        assert _usable_cores() == 7
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert _usable_cores() == 1
 
 
 class TestClipObjectiveOracle:

@@ -151,6 +151,19 @@ class TestLeastSquares:
             least_squares_solve(M, np.arange(5.0))
 
 
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+def test_sq_fro_diff_is_sq_fro_norm_of_the_difference(layout):
+    # the same products in the same pairwise sum, bit for bit
+    A, B = RNG.standard_t(3, size=(2, 301, 47))
+    if layout == "F":
+        A, B = np.asfortranarray(A), np.asfortranarray(B)
+    elif layout == "strided":
+        A, B = A[::2, 1::3], B[::2, 1::3]
+    want = linalg.sq_fro_norm(A - B)
+    assert linalg.sq_fro_diff(A, B) == want
+    assert linalg.sq_fro_diff(B, A) == want
+
+
 def test_det_sum_is_run_stable():
     x = RNG.normal(size=10_000)
     vals = {det_sum(x.copy()) for _ in range(5)}

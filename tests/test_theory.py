@@ -352,6 +352,30 @@ class TestRowBlockedOracle:
         want = 1.3 * scipy.special.stdtrit(4.0, CounterRng(7).uniform_block(n, d))
         assert gen_student_t_matrix(n, d, 4.0, 1.3, 7).tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("block", [None, 37])
+    @pytest.mark.parametrize("cores", [1, 3])
+    def test_student_t_on_any_cores_and_blocking(self, monkeypatch, cores, block):
+        # the draw runs one thread per usable core, here switching threads
+        # every microsecond, so workers interleave within a block's numpy calls
+        import os
+        import sys
+
+        import scipy.special
+
+        from embcompress import compress as compress_mod
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+        if block is not None:
+            monkeypatch.setattr(compress_mod, "_ENCODE_BLOCK", block)
+        want = 1.3 * scipy.special.stdtrit(4.0, CounterRng(7).uniform_block(2000, 100))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = gen_student_t_matrix(2000, 100, 4.0, 1.3, 7)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got.tobytes() == want.tobytes()
+
     @SHAPES
     @pytest.mark.parametrize("bits", [1, 4])
     def test_full_range_quantizer(self, n, d, bits):
@@ -452,6 +476,21 @@ class TestBoundedMemory:
         X = gen_uniform_matrix(10_000, 100, seed=3)
         Xt, peak = _traced_peak(lambda: stochastic_quantize_full_range(X, 4, 5))
         assert peak <= 3 * Xt.nbytes, peak / Xt.nbytes
+
+    def test_clipping_curve_holds_one_candidate_and_one_difference(self):
+        # whole-matrix quantization at each grid point peaked at 5.6x X
+        X = gen_student_t_matrix(10_000, 50, 5.0, 1.0, seed=0)
+        r_grid = np.linspace(0.5, float(np.max(np.abs(X))), 3)
+        rows, peak = _traced_peak(lambda: clipping_curve(X, 4, "stochastic", r_grid, seed=1))
+        assert len(rows) == 3
+        assert peak <= 3.5 * X.nbytes, peak / X.nbytes
+
+    def test_scaling_frees_each_draw_before_the_next(self):
+        # keeping the last (X, Xt) through the next draw peaked at 4.3x X
+        rows, peak = _traced_peak(
+            lambda: scaling_experiment("dim", [100], {"n": 10_000, "bits": 2}, [0, 1, 2]))
+        assert len(rows) == 3
+        assert peak <= 3 * 10_000 * 100 * 8, peak / (10_000 * 100 * 8)
 
 
 class TestFitLinearModel:
@@ -695,6 +734,29 @@ class TestClippingCurve:
         rows = clipping_curve(X, 2, "stochastic", grid, seed=3)
         assert [r["r"] for r in rows] == list(grid)
         assert rows == clipping_curve(X, 2, "stochastic", grid, seed=3)
+
+    @pytest.mark.parametrize("rounding", ["deterministic", "stochastic"])
+    @pytest.mark.parametrize("block", [None, 37])
+    @pytest.mark.parametrize("cores", [1, 3])
+    def test_row_blocks_give_the_whole_matrix_rows(self, monkeypatch, rounding, block, cores):
+        # each point's candidate is quantized by row blocks into one buffer
+        import os
+
+        from embcompress import compress as compress_mod
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+        X = gen_student_t_matrix(700, 30, 5.0, 1.0, seed=4)
+        base = PreparedBase(X)
+        r_grid = np.linspace(0.3, float(np.max(np.abs(X))), 4)
+        want = []
+        for i, r in enumerate(r_grid):
+            grid = QuantizationGrid(3, float(r))
+            Xt = grid.values_for(quantize_codes(X, grid, rounding, CounterRng(5).substream(i)))
+            want.append({"r": float(r), "overlap": base.overlap(Xt),
+                         "recon_error": math.sqrt(sq_fro_norm(Xt - X))})
+        if block is not None:
+            monkeypatch.setattr(compress_mod, "_ENCODE_BLOCK", block)
+        assert clipping_curve(base, 3, rounding, r_grid, seed=5) == want
 
     def test_grid_validation(self):
         X = gen_uniform_matrix(20, 3, seed=0)
