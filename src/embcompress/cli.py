@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from . import storage
-from .compress import (SEED_LIMIT, _usable_cores, compress_kmeans, compress_pca,
+from .compress import (SEED_LIMIT, _MAX_BITS, _usable_cores, compress_kmeans, compress_pca,
                        compress_uniform, decompress)
 from .linalg import LinalgError, max_abs
 from .measures import MEASURE_NAMES, PreparedBase
@@ -152,13 +152,15 @@ def _candidate_ids(paths) -> list[str]:
 
 def _cmd_compress(args) -> int:
     # flag validation precedes any file access
-    if args.method == "pca" and args.dim is None:
-        raise UsageError("compress --method pca requires --dim")
-    if args.method in ("uniform", "kmeans") and args.bits is None:
-        raise UsageError(f"compress --method {args.method} requires --bits")
+    if args.method == "pca":
+        if args.dim is None or args.dim < 1:
+            raise UsageError(f"compress --method pca requires a --dim of 1 or more, got {args.dim}")
+    elif args.bits is None or not 1 <= args.bits <= _MAX_BITS[args.method]:
+        raise UsageError(f"compress --method {args.method} requires --bits in "
+                         f"[1, {_MAX_BITS[args.method]}], got {args.bits}")
     X, vocab = storage.read_text_embedding(args.input, fmt=args.format)
     rounding = "deterministic" if args.rounding == "det" else "stochastic"
-    threads = args.threads if args.threads > 0 else _usable_cores()
+    threads = args.threads or _usable_cores()
     if args.method == "pca":
         C = compress_pca(X, args.dim, keep_v=args.keep_v)
     elif args.method == "uniform":
@@ -473,6 +475,8 @@ def run(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.threads < 0:  # before any file access
+            raise UsageError(f"--threads must be 0 or more, got {args.threads}")
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(str(exc), file=sys.stderr)

@@ -9,21 +9,15 @@ from __future__ import annotations
 
 import math
 import os
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import bitpack
-from .linalg import (
-    LinalgError,
-    as_matrix,
-    fro_norm,
-    gram_eigh,
-    max_abs,
-    numerical_rank,
-    thin_svd,
-)
+from .linalg import LinalgError, as_matrix, fro_norm, max_abs
+from .measures import PreparedBase, RankDeficiencyWarning
 from .rng import CounterRng
 
 METHOD_UNIFORM = "uniform"
@@ -37,7 +31,15 @@ ROUNDINGS = (ROUNDING_DETERMINISTIC, ROUNDING_STOCHASTIC)
 # a container records its seed as an unsigned 64-bit integer
 SEED_LIMIT = 1 << 64
 
+# the widest codes each quantizing method writes
+_MAX_BITS = {METHOD_UNIFORM: 31, METHOD_KMEANS: 16}
+
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _check_bits(method: str, bits: int) -> None:
+    if not 1 <= bits <= _MAX_BITS[method]:
+        raise ValueError(f"bits must be in [1, {_MAX_BITS[method]}] for {method}, got {bits}")
 
 
 @dataclass(frozen=True)
@@ -48,8 +50,7 @@ class QuantizationGrid:
     clip: float
 
     def __post_init__(self):
-        if not 1 <= int(self.bits) <= 31:
-            raise ValueError(f"bits must be in [1, 31], got {self.bits}")
+        _check_bits(METHOD_UNIFORM, int(self.bits))
         if not (np.isfinite(self.clip) and self.clip > 0):
             raise ValueError(f"clip must be a positive finite real, got {self.clip}")
 
@@ -354,8 +355,7 @@ class CompressedEmbedding:
             if self.grid.bits != self.bits:
                 raise ValueError("grid bits disagree with the bits field")
         if self.method == METHOD_KMEANS:
-            if not 1 <= self.bits <= 16:
-                raise ValueError(f"kmeans bits must be in [1, 16], got {self.bits}")
+            _check_bits(METHOD_KMEANS, self.bits)
             if self.codebook is None or self.grid is not None:
                 raise ValueError("kmeans requires a codebook and no grid")
             if self.codebook.shape != (1 << self.bits,):
@@ -562,8 +562,7 @@ def compress_kmeans(X, bits: int, seed: int = 0, threads: int = 1) -> Compressed
     recorded for provenance only.
     """
     X = as_matrix(X)
-    if not 1 <= bits <= 16:
-        raise ValueError(f"bits must be in [1, 16] for kmeans, got {bits}")
+    _check_bits(METHOD_KMEANS, bits)
     centroids = _kmeans_centroids(X.ravel(), 1 << bits)
     return CompressedEmbedding(
         method=METHOD_KMEANS,
@@ -583,27 +582,23 @@ def compress_pca(X, k: int, keep_v: bool = False) -> CompressedEmbedding:
     vectors; with ``keep_v`` V_k is stored too and decompression returns an
     n x d_orig matrix.
 
-    V_k comes from the factorization :class:`~embcompress.measures.PreparedBase`
-    takes: the symmetric eigensolve of X^T X (:func:`~embcompress.linalg.gram_eigh`)
-    when X is no wider than tall and cond(X) <= ``linalg.GRAM_MAX_COND``, and
-    X's thin SVD otherwise, which must then have numerical rank k or more.
+    V_k, and on the SVD path U_k s_k, are read from one
+    :class:`~embcompress.measures.PreparedBase` of X: the symmetric eigensolve
+    of X^T X when X is no wider than tall and cond(X) <= ``linalg.GRAM_MAX_COND``,
+    and X's thin SVD otherwise, which must then have numerical rank k or more.
     Each kept column's sign follows the factorization that ran.
     """
     X = as_matrix(X)
     n, d = X.shape
     if not 1 <= k <= d:
         raise ValueError(f"k must be in [1, {d}], got {k}")
-    eig = gram_eigh(X.T @ X) if d <= n else None
-    if eig is not None:
-        V = eig[1][:, :k]
-        reduced = X @ V
-    else:
-        f = thin_svd(X)
-        rank = numerical_rank(f.s, max(X.shape))
-        if k > rank:
-            raise LinalgError(f"requested k={k} exceeds the numerical rank {rank}")
-        V = f.V[:, :k]
-        reduced = f.U[:, :k] * f.s[:k]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RankDeficiencyWarning)  # k <= rank is checked below
+        base = PreparedBase(X)
+    if k > base.rank:
+        raise LinalgError(f"requested k={k} exceeds the numerical rank {base.rank}")
+    V = base.V[:, :k]
+    reduced = X @ V if base.svd is None else base.svd.U[:, :k] * base.s[:k]
     return CompressedEmbedding(
         method=METHOD_PCA,
         n=n,

@@ -103,9 +103,10 @@ def thin_svd(M) -> ThinSVD:
     converge, scipy's QR-iteration driver (gesvd), slower but more robust,
     runs instead.  Raises :class:`LinalgError` only when both fail.
 
-    Each call factors its input afresh: code that needs one matrix's factors
-    more than once holds the :class:`ThinSVD` (or a
-    :class:`~embcompress.measures.PreparedBase`) instead of calling again.
+    Each call factors its input afresh.  Outside this module only
+    :class:`~embcompress.measures.PreparedBase` calls it, for a base or a
+    candidate that fails the Gram path; code that needs a matrix's factors
+    more than once holds that PreparedBase instead of calling again.
     """
     M = as_matrix(M)
     try:

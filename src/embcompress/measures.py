@@ -83,14 +83,6 @@ MEASURE_NAMES = (
 )
 
 
-def _rows_of(X: np.ndarray, Xt) -> np.ndarray:
-    """Xt as a validated matrix with the row count of the validated X."""
-    Xt = as_matrix(Xt, "Xt")
-    if X.shape[0] != Xt.shape[0]:
-        raise ValueError(f"row count mismatch: {X.shape[0]} vs {Xt.shape[0]}")
-    return Xt
-
-
 _PACKAGE_DIR = os.path.dirname(__file__) + os.sep
 
 
@@ -225,6 +217,12 @@ class _Candidate:
     Ut: np.ndarray | None = None
     C: np.ndarray | None = None
 
+    def project(self, Y: np.ndarray) -> np.ndarray:
+        """Ut^T Y for Xt's orthonormal basis Ut: L^{-1} Xt^T Y on the Gram path."""
+        if self.L is None:
+            return self.Ut.T @ Y
+        return np.linalg.solve(self.L, self.Xt.T @ Y)
+
 
 # Smallest trace(S) / trace(G), for S = G - P^T P = E^T E, at which the
 # residual's R factor is the Cholesky factor of S; cond(L_S) must also stay
@@ -272,7 +270,10 @@ class PreparedBase:
 
     The squared norms ||X||_F^2 and ||X^T X||_F^2 that :meth:`report` reads
     (and the second, :func:`~embcompress.theory.davis_kahan_sample_bound`)
-    are formed on first use, the second from A when it was formed.
+    are formed on first use, the second from A when it was formed.  The
+    theory harnesses and :func:`~embcompress.compress.compress_pca` read
+    their factors from a PreparedBase too, so this class alone chooses
+    between the Gram and the SVD path.
 
     A candidate Xt (n x k, k <= n) whose Gram matrix G = Xt^T Xt has a
     Cholesky factor L that passes ``well_conditioned_cholesky`` (cond(L)
@@ -285,24 +286,13 @@ class PreparedBase:
     (rank-deficient, wider than tall, or ill conditioned) costs one SVD of
     Xt and uses its retained singular vectors.
 
-    The spectral deltas add one small QR and one small symmetric eigensolve
-    to the factor of Xt's residual described below: B =
-    XX^T + lam I is diagonal in X's SVD, so B^{-1/2} is explicit, and the
-    eigenvalues of B^{-1/2} (Xt Xt^T + lam I) B^{-1/2} - I are those of
-    R J R^T, with R the triangular factor of
-    [B^{-1/2} Xt | U diag(s^2/(s^2+lam))^{1/2}] and J = diag(I_k, -I_d),
-    plus 0 when n exceeds k+d.  R is the triangular factor of one
-    (d+k) x (k+d) matrix built from P, s and the R factor R_e of Xt's n x k
-    residual E = Xt - U P off span(U).  On the Gram path, with X of full
-    rank, R_e is the Cholesky factor of E^T E = G - P^T P, so no n x k pass
-    follows G and P.  It is refused, and R_e taken from the QR of an explicit
-    E, when the cancellation in G - P^T P leaves its trace below
-    ``_RESIDUAL_MIN_TRACE`` times that of G (PCA and near-lossless
-    candidates) or its factor fails ``well_conditioned_cholesky``; SVD-path
-    candidates and rank-deficient bases always take the explicit E, which
-    on a Gram-path base is Xt - X V diag(s^-2) V^T C, re-orthogonalised the
-    same way.  The two agree to 1e-13 relative at the threshold (see
-    ``_RESIDUAL_MIN_TRACE``).
+    The spectral deltas (see :func:`_deltas`) add one small QR and one small
+    symmetric eigensolve to the R factor R_e of Xt's residual E = Xt - U P
+    off span(U).  A Gram-path candidate on a full-rank base takes R_e from
+    the Cholesky factor of E^T E = G - P^T P, with no n x k pass, unless
+    :func:`_gram_residual_factor` refuses it (PCA and near-lossless
+    candidates); any other pair takes the QR of an explicit E, on a
+    Gram-path base Xt - X V diag(s^-2) V^T C, re-orthogonalised once.
     """
 
     def __init__(self, X):
@@ -349,7 +339,9 @@ class PreparedBase:
 
     def _candidate(self, Xt) -> _Candidate:
         """Xt validated against X, on the Gram path when it qualifies."""
-        Xt = _rows_of(self.X, Xt)
+        Xt = as_matrix(Xt, "Xt")
+        if self.X.shape[0] != Xt.shape[0]:
+            raise ValueError(f"row count mismatch: {self.X.shape[0]} vs {Xt.shape[0]}")
         G = Xt.T @ Xt
         if Xt.shape[1] <= Xt.shape[0]:
             L = well_conditioned_cholesky(G)
@@ -361,14 +353,19 @@ class PreparedBase:
         ft = thin_svd(Xt)
         return _Candidate(Xt, ft.rank(), G, Ut=_retained_basis(ft, "Xt"))
 
-    def _overlap(self, c: _Candidate) -> float:
-        # on the Gram path Xt L^{-T} is an orthonormal basis of span(Xt); on
-        # an SVD-path base U is the retained basis, on a Gram-path base all of it
+    def _cross(self, c: _Candidate) -> np.ndarray:
+        """C = X^T Xt, formed here unless the candidate step already did."""
+        return self.X.T @ c.Xt if c.C is None else c.C
+
+    def _bases_product(self, c: _Candidate) -> np.ndarray:
+        """Ut^T U, with Ut = Xt L^{-T}, on the Gram path; U^T Ut on the SVD
+        path, for U the retained basis of an SVD-path base."""
         if c.L is not None:
-            M = np.linalg.solve(c.L, c.P.T)
-        else:
-            M = self._project(c.Ut) if self.svd is None else self.U.T @ c.Ut
-        return sq_fro_norm(M) / max(self.X.shape[1], c.Xt.shape[1])
+            return np.linalg.solve(c.L, c.P.T)
+        return self._project(c.Ut) if self.svd is None else self.U.T @ c.Ut
+
+    def _overlap(self, c: _Candidate) -> float:
+        return sq_fro_norm(self._bases_product(c)) / max(self.X.shape[1], c.Xt.shape[1])
 
     def resolve_lambda(self, lam: float | None = None) -> float:
         """``lam`` checked positive; None picks X's smallest nonzero Gram eigenvalue."""
@@ -392,9 +389,9 @@ class PreparedBase:
         n, d = X.shape
         k = Xt.shape[1]
         lam = self.resolve_lambda(lam)
+        C = self._cross(c)
         if self.svd is None:
             # full rank: U^T Xt is the deltas' P, from the one C = X^T Xt
-            C = X.T @ Xt if c.C is None else c.C
             P = self._from_cross(C) if c.P is None else c.P
             G = None if c.L is None else c.G
         else:
@@ -402,7 +399,6 @@ class PreparedBase:
             # of X's left singular vectors; with G it gives their residual factor
             full = c.P is not None and self.rank == self.svd.r
             P, G = (c.P, c.G) if full else (None, None)
-            C = X.T @ Xt
         delta1, delta2, delta, delta_max = _deltas(self, Xt, lam, P, G)
         # Ut^T X, or its Gram-path equal L^{-1} Xt^T X
         M = c.Ut.T @ X if c.L is None else np.linalg.solve(c.L, C.T)

@@ -21,7 +21,6 @@ from .compress import (ROUNDING_STOCHASTIC, QuantizationGrid, _row_blocks, _run_
                        _usable_cores, quantize_codes)
 from .linalg import (
     LinalgError,
-    ThinSVD,
     as_matrix,
     as_vector,
     det_sum,
@@ -29,13 +28,12 @@ from .linalg import (
     max_abs,
     sq_fro_diff,
     sq_fro_norm,
-    thin_svd,
 )
 from .measures import (
     PreparedBase,
     RankDeficiencyWarning,
+    _Candidate,
     _pip_from_blocks,
-    _rows_of,
     quality_report,
 )
 from .rng import CounterRng
@@ -120,11 +118,13 @@ def _check_full_rank(rank: int, cols: int, name: str) -> None:
         raise LinalgError(f"{name} is rank-deficient (numerical rank {rank} < {cols} columns)")
 
 
-def _require_full_rank(X: np.ndarray, name: str) -> ThinSVD:
-    """The thin SVD of X, checked for full rank."""
-    f = thin_svd(X)
-    _check_full_rank(f.rank(), X.shape[1], name)
-    return f
+def _full_rank_base(X) -> PreparedBase:
+    """X factored once; a rank-deficient X is refused, with no warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RankDeficiencyWarning)
+        base = PreparedBase(X)
+    _check_full_rank(base.rank, base.X.shape[1], "X")
+    return base
 
 
 def closed_form_risk(X, ybar, sigma2: float) -> float:
@@ -137,10 +137,9 @@ def closed_form_risk(X, ybar, sigma2: float) -> float:
         raise ValueError(f"ybar has length {ybar.size}, expected {X.shape[0]}")
     if sigma2 < 0:
         raise ValueError("sigma2 must be >= 0")
-    f = _require_full_rank(X, "X")
-    d = f.r
-    proj = f.U.T @ ybar
-    return (det_sum(ybar * ybar) - det_sum(proj * proj) + d * sigma2) / X.shape[0]
+    base = _full_rank_base(X)
+    proj = base._project(ybar[:, None])
+    return (det_sum(ybar * ybar) - det_sum(proj * proj) + base.rank * sigma2) / X.shape[0]
 
 
 def exact_expected_gap(X, Xt, model: LabelModel) -> float:
@@ -151,32 +150,29 @@ def exact_expected_gap(X, Xt, model: LabelModel) -> float:
     a general covariance replaces the cross term with ||Ut^T U S||_F^2 for
     S the PSD square root.
     """
-    _, _, fx, ft = _full_rank_pair(X, Xt, model)
-    return _exact_gap(fx, ft, model)
+    return _exact_gap(*_full_rank_pair(X, Xt, model), model)
 
 
-def _full_rank_pair(X, Xt, model: LabelModel, fx: ThinSVD | None = None):
-    """(X, Xt, fx, ft): both designs validated, with equal row counts, full
-    column rank and a label model sized to X; ``fx`` and ``ft`` are their
-    thin SVDs, whose left singular vectors the labels and the exact gap read.
-    ``fx`` is taken here unless the caller already holds it."""
-    X = as_matrix(X, "X")
-    Xt = _rows_of(X, Xt)
-    fx = thin_svd(X) if fx is None else fx
-    _check_full_rank(fx.rank(), X.shape[1], "X")
-    ft = thin_svd(Xt)
-    _check_full_rank(ft.rank(), Xt.shape[1], "Xt")
-    model.check_dim(X.shape[1])
-    return X, Xt, fx, ft
+def _full_rank_pair(X, Xt, model: LabelModel) -> tuple[PreparedBase, _Candidate]:
+    """(base, candidate): each design factored once, both of full column
+    rank, with the label model sized to X; the labels, the projections, the
+    exact gap and the bounds all read these factors."""
+    base = _full_rank_base(X)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RankDeficiencyWarning)  # refused just below
+        c = base._candidate(Xt)
+    _check_full_rank(c.rank, c.Xt.shape[1], "Xt")
+    model.check_dim(base.X.shape[1])
+    return base, c
 
 
-def _exact_gap(fx: ThinSVD, ft: ThinSVD, model: LabelModel) -> float:
-    n, d = fx.U.shape
-    k = ft.V.shape[0]
-    M = ft.U.T @ fx.U
+def _exact_gap(base: PreparedBase, c: _Candidate, model: LabelModel) -> float:
+    n, d = base.X.shape
+    k = c.Xt.shape[1]
+    M = base._bases_product(c)
     S = model.sqrt_factor()
-    if S is not None:
-        M = M @ S
+    if S is not None:  # ||Ut^T U S||_F = ||S U^T Ut||_F, S symmetric
+        M = M @ S if c.L is not None else S @ M
     return (model.trace(d) - sq_fro_norm(M)) / n - (d - k) * model.sigma2(n, d) / n
 
 
@@ -185,23 +181,23 @@ def expected_gap_upper_bound(X, Xt, model: LabelModel) -> float:
     (trace(Sigma) - d lambda_min(Sigma) overlap)/n - c^2 trace(Sigma)(d-k)/n^2.
     ``X`` may be a :class:`PreparedBase`."""
     base = _prepared(X)
-    Xt = as_matrix(Xt, "Xt")
+    c = base._candidate(Xt)
     n, d = base.X.shape
-    tr, shortfall = _overlap_terms(base, Xt, model)
-    return shortfall / n - model.noise_ratio**2 * tr * (d - Xt.shape[1]) / n**2
+    tr, shortfall = _overlap_terms(base, c, model)
+    return shortfall / n - model.noise_ratio**2 * tr * (d - c.Xt.shape[1]) / n**2
 
 
 def _prepared(X) -> PreparedBase:
     return X if isinstance(X, PreparedBase) else PreparedBase(X)
 
 
-def _overlap_terms(base: PreparedBase, Xt, model: LabelModel) -> tuple[float, float]:
+def _overlap_terms(base: PreparedBase, c: _Candidate, model: LabelModel) -> tuple[float, float]:
     """trace(Sigma) and trace(Sigma) - d lambda_min(Sigma) overlap(X, Xt), the
     terms of both overlap bounds, with the model checked against X's width."""
     d = base.X.shape[1]
     model.check_dim(d)
     tr = model.trace(d)
-    return tr, tr - d * model.lambda_min() * base.overlap(Xt)
+    return tr, tr - d * model.lambda_min() * base._overlap(c)
 
 
 def lipschitz_gap_bound(X, Xt, L: float, model: LabelModel) -> float:
@@ -211,7 +207,11 @@ def lipschitz_gap_bound(X, Xt, L: float, model: LabelModel) -> float:
     if not L > 0:
         raise ValueError(f"L must be positive, got {L}")
     base = _prepared(X)
-    tr, shortfall = _overlap_terms(base, Xt, model)
+    return _lipschitz_bound(base, base._candidate(Xt), L, model)
+
+
+def _lipschitz_bound(base: PreparedBase, c: _Candidate, L: float, model: LabelModel) -> float:
+    tr, shortfall = _overlap_terms(base, c, model)
     return (L / math.sqrt(base.X.shape[0])) * (
         math.sqrt(max(shortfall, 0.0)) + 2.0 * model.noise_ratio * math.sqrt(tr)
     )
@@ -250,8 +250,13 @@ def davis_kahan_sample_bound(X, Xt) -> float:
     if X.shape != Xt.shape:
         raise ValueError(f"shape mismatch: {X.shape} vs {Xt.shape}")
     _check_full_rank(base.rank, X.shape[1], "X")
-    pip = _pip_from_blocks(base.sq_gram_norm, Xt.T @ Xt, X.T @ Xt)
-    return pip**2 / (X.shape[1] * float(base.s[-1]) ** 4)
+    return _davis_kahan(base, Xt.T @ Xt, X.T @ Xt)
+
+
+def _davis_kahan(base: PreparedBase, G: np.ndarray, C: np.ndarray) -> float:
+    """The Davis-Kahan bound from G = Xt^T Xt and C = X^T Xt."""
+    pip = _pip_from_blocks(base.sq_gram_norm, G, C)
+    return pip**2 / (base.X.shape[1] * float(base.s[-1]) ** 4)
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +270,8 @@ def _by_row_blocks(n: int, d: int, fill, threads: int = 1) -> np.ndarray:
     their counters by row, so the bytes depend on neither the blocking nor
     ``threads``, and no temporary outgrows one block.  Only the Student-t
     draw runs on threads: the other generators are memory-bound."""
+    if n < 1 or d < 1:
+        raise ValueError("n and d must be >= 1")
     X = np.empty((n, d))
     _run_row_blocks(n, d, lambda i0, i1: fill(i0, i1, X[i0:i1]), threads)
     return X
@@ -281,8 +288,6 @@ def _quantized_rows(X, grid: QuantizationGrid, rounding: str, rng: CounterRng, o
 def gen_uniform_matrix(n: int, d: int, seed: int) -> np.ndarray:
     """n x d matrix with i.i.d. entries uniform on [-1/sqrt(d), 1/sqrt(d)],
     reproducible from the seed alone."""
-    if n < 1 or d < 1:
-        raise ValueError("n and d must be >= 1")
     rng = CounterRng(seed)
     root_d = math.sqrt(d)
 
@@ -307,8 +312,6 @@ def gen_scaled_matrix(n: int, d: int, decay_min: float, seed: int) -> np.ndarray
 def gen_student_t_matrix(n: int, d: int, df: float, scale: float, seed: int) -> np.ndarray:
     """Heavy-tailed n x d matrix with i.i.d. scaled Student-t entries,
     generated by inverse-CDF transform of counter-based uniforms."""
-    if n < 1 or d < 1:
-        raise ValueError("n and d must be >= 1")
     if df <= 0 or scale <= 0:
         raise ValueError("df and scale must be positive")
     import scipy.special
@@ -385,23 +388,23 @@ def simulate_regression_gap(
     """
     _check_trials(trials)
     rng = CounterRng(seed).substream(0)
-    X, Xt, fx, ft = _full_rank_pair(X, Xt, model)
-    n, d = X.shape
-    k = Xt.shape[1]
+    base, c = _full_rank_pair(X, Xt, model)
+    n, d = base.X.shape
+    k = c.Xt.shape[1]
     S = model.sqrt_factor()
     gaps = np.empty(trials)
     block = _trial_block(n, trials)
     for j0 in range(0, trials, block):
         j1 = min(j0 + block, trials)
-        Ybar = fx.U @ _label_coefficients(rng, S, j1 - j0, d, j0).T
-        proj_x = fx.U.T @ Ybar
-        proj_t = ft.U.T @ Ybar
+        Ybar = base._lift(_label_coefficients(rng, S, j1 - j0, d, j0).T)
+        proj_x = base._project(Ybar)
+        proj_t = c.project(Ybar)
         np.subtract(np.sum(proj_x * proj_x, axis=0), np.sum(proj_t * proj_t, axis=0),
                     out=gaps[j0:j1])
     gaps += (k - d) * model.sigma2(n, d)
     gaps /= n
     return _experiment_result(
-        gaps, _exact_gap(fx, ft, model), "exact_identity", X, Xt, model, seed
+        gaps, _exact_gap(base, c, model), "exact_identity", base.X, c.Xt, model, seed
     )
 
 
@@ -528,8 +531,8 @@ def fit_linear_model(X, y, loss: str = "squared", gd: GdConfig | None = None) ->
         return least_squares_solve(X, y)
     if loss != "logistic":
         raise ValueError(f"unknown loss {loss!r}")
-    f = _require_full_rank(X, "X")
-    return _fit_logistic_gd(X, y, gd or GdConfig(), float(f.s[0]))[:, 0]
+    base = _full_rank_base(X)
+    return _fit_logistic_gd(X, y, gd or GdConfig(), float(base.s[0]))[:, 0]
 
 
 def simulate_lipschitz_gap(
@@ -551,23 +554,20 @@ def simulate_lipschitz_gap(
         raise ValueError(f"L must be positive, got {L}")
     _check_trials(trials)
     rng = CounterRng(seed)
-    with warnings.catch_warnings():
-        # a rank-deficient X is refused just below, with no warning
-        warnings.simplefilter("ignore", RankDeficiencyWarning)
-        base = PreparedBase(X)
-    # the bound reads the base; an SVD-path base also holds the labels' factors
-    X, Xt, fx, ft = _full_rank_pair(base.X, Xt, model, base.svd)
+    base, c = _full_rank_pair(X, Xt, model)
+    X, Xt = base.X, c.Xt
     n, d = X.shape
     gd = gd or GdConfig()
-    Ybar = fx.U @ _label_coefficients(rng.substream(0), model.sqrt_factor(), trials, d).T
+    Ybar = base._lift(_label_coefficients(rng.substream(0), model.sqrt_factor(), trials, d).T)
     Y = Ybar + math.sqrt(model.sigma2(n, d)) * rng.substream(1).normal_block(trials, n).T
 
-    W = _fit_logistic_gd(X, Y, gd, float(fx.s[0]))
-    Wt = _fit_logistic_gd(Xt, Y, gd, float(ft.s[0]))
+    # sigma_max of Xt is the root of the largest eigenvalue of the G = Xt^T Xt it holds
+    W = _fit_logistic_gd(X, Y, gd, float(base.s[0]))
+    Wt = _fit_logistic_gd(Xt, Y, gd, math.sqrt(float(np.linalg.eigvalsh(c.G)[-1])))
     P = _sigmoid(Ybar)
     test_x = np.mean(_cross_entropy(X @ W, P), axis=0)
     test_t = np.mean(_cross_entropy(Xt @ Wt, P), axis=0)
-    bound = lipschitz_gap_bound(base, Xt, L, model)
+    bound = _lipschitz_bound(base, c, L, model)
     return _experiment_result(test_t - test_x, bound, "upper_bound", X, Xt, model, seed, L=L)
 
 
@@ -641,16 +641,15 @@ def overlap_bound_experiment(X, bits: int, seeds, a: float | None = None) -> dic
     seeds = list(seeds)
     if not seeds:
         raise ValueError("seeds must be non-empty")
-    prepared = PreparedBase(X)
+    prepared = _full_rank_base(X)
     X = prepared.X
-    _check_full_rank(prepared.rank, X.shape[1], "X")
     a = min(conditioning_scalar(prepared), 1.0) if a is None else a
     bound = uniform_overlap_bound(bits, a)
     per_seed = []
     for s in seeds:
-        Xt = stochastic_quantize_full_range(X, bits, int(s))
-        per_seed.append({"seed": int(s), "one_minus_overlap": 1.0 - prepared.overlap(Xt),
-                         "davis_kahan_bound": davis_kahan_sample_bound(prepared, Xt)})
+        c = prepared._candidate(stochastic_quantize_full_range(X, bits, int(s)))
+        per_seed.append({"seed": int(s), "one_minus_overlap": 1.0 - prepared._overlap(c),
+                         "davis_kahan_bound": _davis_kahan(prepared, c.G, prepared._cross(c))})
     mean_gap = float(np.mean([row["one_minus_overlap"] for row in per_seed]))
     return {"a": a, "bound": bound, "bound_capped": min(bound, 1.0), "vacuous": bound > 1.0,
             "mean_one_minus_overlap": mean_gap, "per_seed": per_seed}

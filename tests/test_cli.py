@@ -160,6 +160,21 @@ def test_seed_outside_the_recorded_range_is_a_usage_error(tmp_path, capsys, meth
     assert f"seed must be in [0, 2**64), got {seed}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--threads", "-3", "--method", "uniform", "--bits", "2"], "--threads must be 0 or more, got -3"),
+    (["--method", "uniform", "--bits", "40"], "--method uniform requires --bits in [1, 31], got 40"),
+    (["--method", "kmeans", "--bits", "17"], "--method kmeans requires --bits in [1, 16], got 17"),
+    (["--method", "uniform", "--bits", "0"], "--method uniform requires --bits in [1, 31], got 0"),
+    (["--method", "pca", "--dim", "0"], "requires a --dim of 1 or more, got 0"),
+], ids=["threads", "uniform-bits", "kmeans-bits", "zero-bits", "dim"])
+def test_bad_flag_is_a_usage_error_before_the_input_is_read(tmp_path, capsys, flags, message):
+    # exit 1, not the 2 of a missing input
+    out = tmp_path / "o.eqc"
+    assert run(["compress", *flags, str(tmp_path / "missing.txt"), str(out)]) == 1
+    assert not out.exists()
+    assert message in capsys.readouterr().err
+
+
 def test_global_flags_accepted_after_subcommand(base_embedding, tmp_path):
     base, _ = base_embedding
     before, after = tmp_path / "before.eqc", tmp_path / "after.eqc"

@@ -4,6 +4,7 @@ import json
 import struct
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -818,6 +819,17 @@ class TestPcaCompression:
         X = np.outer(RNG.normal(size=12), RNG.normal(size=7))
         with pytest.raises(LinalgError, match="rank"):
             compress_pca(X, 3)
+
+    def test_rank_deficient_base_warns_nothing(self):
+        # the base's SVD path warns of the rank deficiency; compress_pca
+        # checks k against the rank itself, and says nothing when k fits
+        X = RNG.normal(size=(20, 2)) @ RNG.normal(size=(2, 5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            C = compress_pca(X, 2, keep_v=True)
+            assert fro_norm(decompress(C) - X) <= 1e-10 * fro_norm(X)
+            with pytest.raises(LinalgError, match=r"k=3 exceeds the numerical rank 2"):
+                compress_pca(X, 3)
 
 
 class TestCompressedEmbedding:

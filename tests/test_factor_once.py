@@ -2,10 +2,12 @@
 symmetric eigensolve of X^T X, with no SVD of X at all, and any other base by
 one thin SVD.  A candidate takes an SVD only when it leaves the Gram path.
 
-``calls`` counts ``thin_svd`` calls, and ``gram_eigh`` calls that return
-factors, through the module bindings that ``measures``, ``compress`` and
-``theory`` call them by.  ``lapack_svds`` records every matrix handed to
-``np.linalg.svd``, so a test can count the SVDs taken of X itself.
+Every factorization of a base or a candidate, in scoring, PCA compression
+and the theory harnesses alike, goes through
+:class:`~embcompress.measures.PreparedBase`, so ``calls`` counts ``thin_svd``
+calls, and ``gram_eigh`` calls that return factors, through the bindings
+that ``measures`` calls them by.  ``lapack_svds`` records every matrix handed
+to ``np.linalg.svd``, so a test can count the SVDs taken of X itself.
 ``thin_svd`` keeps nothing between calls: factors are shared by holding the
 :class:`~embcompress.measures.PreparedBase` that took them.
 """
@@ -15,7 +17,7 @@ import json
 import numpy as np
 import pytest
 
-from embcompress import compress, linalg, measures, theory
+from embcompress import linalg, measures, theory
 from embcompress.cli import run
 from embcompress.compress import compress_pca, compress_uniform, decompress
 from embcompress.selection import MeasureSpec, select_best
@@ -40,10 +42,8 @@ def calls(monkeypatch):
         counts["gram"] += eig is not None
         return eig
 
-    for mod in (measures, compress, theory):
-        monkeypatch.setattr(mod, "thin_svd", counted_svd)
-    for mod in (measures, compress):
-        monkeypatch.setattr(mod, "gram_eigh", counted_gram)
+    monkeypatch.setattr(measures, "thin_svd", counted_svd)
+    monkeypatch.setattr(measures, "gram_eigh", counted_gram)
     return counts
 
 
@@ -177,35 +177,30 @@ def test_bounds_factor_a_plain_matrix_once_and_a_prepared_base_never(calls, prep
 
 
 def test_theorem2_factors_each_design_once(calls):
-    # the labels and the GD steps read the thin SVDs of X and Xt; the
-    # bound's overlap takes X's Gram path
+    # X takes its Gram path and Xt its Cholesky: the labels, the GD steps and
+    # the bound all read those two factorizations
     X = theory.gen_uniform_matrix(120, 4, seed=0)
     Xt = compress_pca(X, 2).reduced
     calls.update(svd=0, gram=0)
     theory.simulate_lipschitz_gap(X, Xt, theory.LabelModel(noise_ratio=0.1), 4, seed=1)
-    assert calls == {"svd": 2, "gram": 1}
-
+    assert calls == {"svd": 0, "gram": 1}
 
 
 @pytest.mark.filterwarnings("ignore:gradient descent stopped:RuntimeWarning")
-def test_theorem2_shares_an_ill_conditioned_base_svd(lapack_svds, monkeypatch):
-    # cond(X) about 1e4 fails the Gram guard: the bound's base takes the thin
-    # SVD, and the labels and GD step read that SVD in place of a second one;
+@pytest.mark.parametrize("harness", [
+    lambda X, Xt, model: theory.simulate_regression_gap(X, Xt, model, 6, seed=1),
     # GD on this X needs far more than 50 steps, which the count does not need
+    lambda X, Xt, model: theory.simulate_lipschitz_gap(X, Xt, model, 6, seed=1,
+                                                       gd=theory.GdConfig(max_steps=50)),
+], ids=["theorem1", "theorem2"])
+def test_theorems_share_an_ill_conditioned_base_svd(lapack_svds, harness):
+    # cond(X) about 1e4 fails the Gram guard: the base takes one thin SVD, and
+    # the labels, the projections, the GD step and the theory value all read it
     X = theory.gen_scaled_matrix(200, 5, 1e-4, 0)
     Xt = theory.stochastic_quantize_full_range(theory.gen_uniform_matrix(200, 5, 0), 4, 1)
-    model = theory.LabelModel(noise_ratio=0.1)
-    gd = theory.GdConfig(max_steps=50)
     del lapack_svds[:]
-    res = theory.simulate_lipschitz_gap(X, Xt, model, 6, seed=1, gd=gd)
+    harness(X, Xt, theory.LabelModel(noise_ratio=0.1))
     assert svds_of(lapack_svds, X) == 1
-    # the fresh SVD for the labels that the harness took before gives the same bits
-    full_rank_pair = theory._full_rank_pair
-    monkeypatch.setattr(theory, "_full_rank_pair",
-                        lambda X, Xt, model, fx=None: full_rank_pair(X, Xt, model))
-    del lapack_svds[:]
-    assert theory.simulate_lipschitz_gap(X, Xt, model, 6, seed=1, gd=gd) == res
-    assert svds_of(lapack_svds, X) == 2
 
 
 def test_a_held_base_factors_x_once_and_each_shortcut_once(lapack_svds):
@@ -222,15 +217,19 @@ def test_a_held_base_factors_x_once_and_each_shortcut_once(lapack_svds):
         assert svds_of(lapack_svds, X) == i
 
 
-def test_theorem2_takes_one_svd_of_each_design(lapack_svds, tmp_path):
-    # the GD fits take sigma_max from the factors the harness already holds:
-    # one SVD of X and one of Xt, where a value-only SVD per fit made four;
-    # the Gram path's condition checks read trcon and take none
-    cfg = tmp_path / "t2.json"
-    cfg.write_text(json.dumps({"n": 200, "d": 5, "c": 0.1, "trials": 20, "seed": 3}))
-    assert run(["simulate", "theorem2", "--config", str(cfg), "--out",
-                str(tmp_path / "t2.out.json")]) == 0
-    assert [a.shape[0] for a in lapack_svds] == [200, 200]
+@pytest.mark.parametrize("compression", [{}, {"compression": {"method": "pca", "k": 3}}],
+                         ids=["uniform", "pca"])
+@pytest.mark.parametrize("kind", ["theorem1", "theorem2"])
+def test_cli_theorems_take_no_svd(lapack_svds, tmp_path, kind, compression):
+    # both designs take the Gram path: the GD fits take sigma_max from the
+    # eigenvalues the harness already holds, and the condition checks read
+    # trcon; the PCA candidate's own compression reads X's Gram path too
+    cfg = tmp_path / "t.json"
+    cfg.write_text(json.dumps({"n": 200, "d": 5, "c": 0.1, "trials": 20, "seed": 3,
+                               **compression}))
+    assert run(["simulate", kind, "--config", str(cfg), "--out",
+                str(tmp_path / "t.out.json")]) == 0
+    assert lapack_svds == []
 
 
 def test_overlap_alone_never_forms_the_report_norms():

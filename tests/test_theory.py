@@ -137,11 +137,16 @@ class TestExactExpectedGap:
 
 
 class TestRegressionGapSimulation:
-    def test_identical_designs_give_exact_zero(self):
-        X = gen_uniform_matrix(50, 6, seed=0)
+    def test_identical_designs_give_zero_to_rounding(self):
+        # X projects onto its own Gram-path basis X V diag(1/s) and onto the
+        # Cholesky basis X L^{-T} of the same span; each gap is a difference of
+        # sums of d squares of order 1, over n, so it rounds to a few d eps / n
+        n, d = 50, 6
+        X = gen_uniform_matrix(n, d, seed=0)
         res = simulate_regression_gap(X, X, LabelModel(noise_ratio=1.0), 100, seed=1)
-        assert res.estimate == 0.0
-        assert res.std_error == 0.0
+        tol = 10 * d * np.finfo(float).eps / n
+        assert abs(res.estimate) <= tol
+        assert res.std_error <= tol
 
     def test_span_preserving_candidate_gives_zero(self):
         X = gen_uniform_matrix(40, 5, seed=2)
@@ -395,9 +400,13 @@ class TestRowBlockedOracle:
 
 def _plain_gaps(X, Xt, model, trials, seed):
     """The gaps of simulate_regression_gap from the whole n x trials label
-    matrix."""
+    matrix, with the bases the harness reads: X's Gram-path basis
+    X V diag(1/s) and Xt's Cholesky basis Xt L^{-T}, both formed explicitly."""
     n, d = X.shape
-    U, Ut = thin_svd(X).U, thin_svd(Xt).U
+    base = PreparedBase(X)
+    assert base.svd is None
+    U = X @ (base.V / base.s)
+    Ut = np.linalg.solve(np.linalg.cholesky(Xt.T @ Xt), Xt.T).T
     Z = CounterRng(seed).substream(0).normal_block(trials, d)
     S = model.sqrt_factor()
     if S is not None:
@@ -409,10 +418,12 @@ def _plain_gaps(X, Xt, model, trials, seed):
 
 
 class TestStreamedRegressionGapOracle:
-    """The trial-blocked gaps against :func:`_plain_gaps`.  With blocks that
-    are a multiple of 64 trials they were bit-equal (OpenBLAS, 1 and 2
-    threads); the tolerance leaves room for other GEMM kernels, whose edge
-    cases may sum in another order."""
+    """The trial-blocked gaps against :func:`_plain_gaps`, which forms the
+    bases explicitly where the harness reads them through X and L: they
+    agreed to 4e-15 relative (OpenBLAS, 1 and 2 threads).  Blocks of a
+    multiple of 64 trials gave the gaps of one whole block bit for bit (n =
+    2000, 3000 trials); the tolerance also leaves room for other GEMM
+    kernels, whose edge cases may sum in another order."""
 
     RTOL = 1e-12
 
@@ -617,7 +628,7 @@ def _theorem2_fixture(seed):
     n, d, trials = 1000, 10, 200
     rng = CounterRng(seed)
     X = gen_uniform_matrix(n, d, seed)
-    Ybar = thin_svd(X).U @ rng.substream(0).normal_block(trials, d).T
+    Ybar = PreparedBase(X)._lift(rng.substream(0).normal_block(trials, d).T)
     sigma = math.sqrt(LabelModel(noise_ratio=0.1).sigma2(n, d))
     return X, Ybar + sigma * rng.substream(1).normal_block(trials, n).T
 
