@@ -22,9 +22,9 @@ import numpy as np
 
 from . import __version__
 from . import storage
-from .compress import (SEED_LIMIT, _MAX_BITS, _usable_cores, compress_kmeans, compress_pca,
-                       compress_uniform, decompress)
-from .linalg import LinalgError, max_abs
+from .compress import (SEED_LIMIT, _MAX_BITS, compress_kmeans, compress_pca, compress_uniform,
+                       decompress)
+from .linalg import LinalgError, _usable_cores, max_abs
 from .measures import MEASURE_NAMES, PreparedBase
 from .selection import MeasureSpec, evaluate_measures, rank_candidates
 from .storage import FormatError, StorageError, Vocabulary

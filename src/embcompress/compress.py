@@ -8,15 +8,13 @@ lossy representations all decompress back to a dense float64 matrix.
 from __future__ import annotations
 
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import bitpack
-from .linalg import LinalgError, as_matrix, fro_norm, max_abs
+from .linalg import LinalgError, _run_row_blocks, as_matrix, fro_norm, max_abs
 from .measures import PreparedBase, RankDeficiencyWarning
 from .rng import CounterRng
 
@@ -378,37 +376,6 @@ class CompressedEmbedding:
                 raise ValueError(
                     f"basis_v shape {self.basis_v.shape} != expected ({self.d_orig}, {self.k})"
                 )
-
-
-# the encoders and the theory lab's generators quantize, pack and generate
-# about this many scalars at a time
-_ENCODE_BLOCK = 1 << 16
-
-
-def _row_blocks(n: int, d: int) -> list[tuple[int, int]]:
-    """``(i0, i1)`` of the blocks of whole rows, about ``_ENCODE_BLOCK``
-    scalars each, that cover an n x d array."""
-    rows = max(1, _ENCODE_BLOCK // d)
-    return [(i0, min(i0 + rows, n)) for i0 in range(0, n, rows)]
-
-
-def _usable_cores() -> int:
-    """The CPUs this process may run on: its affinity mask, else all of them."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
-
-def _run_row_blocks(n: int, d: int, work, threads: int = 1) -> None:
-    """``work(i0, i1)`` for each of the :func:`_row_blocks` of an n x d array,
-    up to ``threads`` at a time (inline for one block or one thread); a
-    block's exception reaches the caller.  Each block writes its own rows."""
-    blocks = _row_blocks(n, d)
-    workers = min(int(threads), len(blocks))
-    if workers <= 1:
-        for i0, i1 in blocks:
-            work(i0, i1)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda block: work(*block), blocks))  # re-raises
 
 
 def _encode_blocks(X: np.ndarray, bits: int, codes_of, threads: int = 1) -> np.ndarray:

@@ -12,6 +12,7 @@ import ctypes
 import functools
 import glob
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,16 +57,73 @@ def det_sum(a) -> float:
     return float(np.sum(arr.ravel()))
 
 
+# the encoders, the theory lab's generators, the norms and the blocked QR
+# work on about this many scalars at a time
+_BLOCK_SCALARS = 1 << 16
+
+
+def _row_blocks(n: int, d: int, min_rows: int = 1) -> list[tuple[int, int]]:
+    """``(i0, i1)`` of the blocks of whole rows, about ``_BLOCK_SCALARS``
+    scalars and at least ``min_rows`` rows each, that cover an n x d array."""
+    rows = max(min_rows, _BLOCK_SCALARS // max(d, 1), 1)
+    return [(i0, min(i0 + rows, n)) for i0 in range(0, n, rows)]
+
+
+def _usable_cores() -> int:
+    """The CPUs this process may run on: its affinity mask, else all of them."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _run_row_blocks(n: int, d: int, work, threads: int = 1) -> None:
+    """``work(i0, i1)`` for each of the :func:`_row_blocks` of an n x d array,
+    up to ``threads`` at a time (inline for one block or one thread); a
+    block's exception reaches the caller.  Each block writes its own rows."""
+    blocks = _row_blocks(n, d)
+    workers = min(int(threads), len(blocks))
+    if workers <= 1:
+        for i0, i1 in blocks:
+            work(i0, i1)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(lambda block: work(*block), blocks))  # re-raises
+
+
+def _as_rows(a) -> np.ndarray:
+    """``a`` as float64, its trailing axes flattened into columns."""
+    arr = np.asarray(a, dtype=np.float64)
+    return arr.reshape(arr.shape[0] if arr.ndim else 1, -1 if arr.size else 0)
+
+
+def _sq_sum(x: np.ndarray, y: np.ndarray | None = None) -> float:
+    """The sum of the squares of x, or of x - y, formed one :func:`_row_blocks`
+    block at a time in one reused buffer; each block is summed by
+    :func:`det_sum` and the partial sums in block order."""
+    buf, parts = None, []
+    for i0, i1 in _row_blocks(*x.shape):
+        if buf is None:  # the first block is the largest
+            buf = np.empty((i1 - i0, x.shape[1]))
+        t = buf[: i1 - i0]
+        if y is None:
+            np.multiply(x[i0:i1], x[i0:i1], out=t)
+        else:
+            np.subtract(x[i0:i1], y[i0:i1], out=t)
+            np.multiply(t, t, out=t)
+        parts.append(det_sum(t))
+    return det_sum(np.array(parts))
+
+
 def sq_fro_norm(a) -> float:
-    """Squared Frobenius norm with deterministic summation order."""
-    arr = np.ascontiguousarray(a, dtype=np.float64)
-    return det_sum(arr * arr)
+    """Squared Frobenius norm with deterministic summation order, reduced in
+    row blocks: no temporary outgrows one block."""
+    return _sq_sum(_as_rows(a))
 
 
 def sq_fro_diff(a, b) -> float:
-    """``sq_fro_norm(a - b)`` bit for bit, from one temporary squared in place."""
-    diff = np.subtract(a, b, dtype=np.float64)
-    return det_sum(np.multiply(diff, diff, out=diff))
+    """``sq_fro_norm(a - b)`` bit for bit, for ``a`` and ``b`` of one shape,
+    with no whole-matrix difference formed."""
+    if np.shape(a) != np.shape(b):
+        raise ValueError(f"shape mismatch: {np.shape(a)} and {np.shape(b)}")
+    return _sq_sum(_as_rows(a), _as_rows(b))
 
 
 def fro_norm(a) -> float:
@@ -222,6 +280,21 @@ def gram_eigh(A: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     if not (w[0] > 0.0 and w[0] * GRAM_MAX_COND**2 >= w[-1]):
         return None
     return np.sqrt(w[::-1]), np.ascontiguousarray(V[:, ::-1])
+
+
+def tsqr_r(blocks) -> np.ndarray:
+    """The R factor of the matrix stacked from the row blocks that
+    ``blocks`` yields, in order, by a sequential tall-skinny QR (Demmel,
+    Grigori, Hoemmen & Langou, 2012): each block is QR-factored under the R
+    factor of the blocks before it, so no more than one block and one k x k
+    factor exist at a time.  R^T R equals the whole matrix's, to rounding;
+    R has min(rows, k) rows, and each row's sign may differ from a single
+    QR's.  Blocks of at least about 2k rows keep the refactored R a small
+    share of the work."""
+    R = None
+    for B in blocks:
+        R = np.linalg.qr(B if R is None else np.vstack((R, B)), mode="r")
+    return R
 
 
 def numerical_rank(s, m: int) -> int:

@@ -19,13 +19,17 @@ from functools import cached_property
 import numpy as np
 
 from .linalg import (
+    GRAM_MAX_COND,
     LinalgError,
     ThinSVD,
+    _row_blocks,
     as_matrix,
     gram_eigh,
+    numerical_rank,
     sq_fro_diff,
     sq_fro_norm,
     thin_svd,
+    tsqr_r,
     well_conditioned_cholesky,
 )
 
@@ -96,9 +100,7 @@ def _caller_stacklevel() -> int:
     return level
 
 
-def _retained_basis(f: ThinSVD, name: str) -> np.ndarray:
-    rank = f.rank()
-    cols = f.V.shape[0]
+def _warn_if_deficient(rank: int, cols: int, name: str) -> None:
     if rank < cols:
         warnings.warn(
             f"{name} is numerically rank-deficient (rank {rank} < {cols}); "
@@ -106,6 +108,11 @@ def _retained_basis(f: ThinSVD, name: str) -> np.ndarray:
             RankDeficiencyWarning,
             stacklevel=_caller_stacklevel(),
         )
+
+
+def _retained_basis(f: ThinSVD, name: str) -> np.ndarray:
+    rank = f.rank()
+    _warn_if_deficient(rank, f.V.shape[0], name)
     return f.U[:, :rank]
 
 
@@ -139,6 +146,35 @@ def reconstruction_error(X, Xt) -> float:
     return math.sqrt(sq_fro_diff(X, Xt))
 
 
+def _tsqr_blocks(n: int, k: int) -> list[tuple[int, int]]:
+    """The row blocks in which an n x k candidate or residual is QR-factored."""
+    return _row_blocks(n, k, min_rows=2 * k)
+
+
+def _explicit_residual(base: PreparedBase, Xt: np.ndarray, P: np.ndarray):
+    """``(P + C, R_e)``: U^T Xt = P + C re-orthogonalised, and the R factor
+    of Xt's residual E = Xt - U (P + C) off span(U), from two passes over
+    row blocks, so no n x k matrix is formed.  The first sums the correction
+    C = U^T E0 for E0 = Xt - U P, from ``P`` = U^T Xt; it keeps E orthogonal
+    to U to working precision.  The second feeds E to
+    :func:`~embcompress.linalg.tsqr_r` one block at a time."""
+    n, k = Xt.shape
+    blocks = _tsqr_blocks(n, k)
+
+    def residual(Z):
+        """(B rows, E rows) of each block, for E = Xt - U Z = Xt - B W."""
+        B, W = base._lift_factors(Z)
+        for i0, i1 in blocks:
+            E = B[i0:i1] @ W
+            yield B[i0:i1], np.subtract(Xt[i0:i1], E, out=E)
+
+    T = 0.0  # B^T E0, summed in block order
+    for B, E0 in residual(P):
+        T = T + B.T @ E0
+    P = P + (T if base.svd is not None else base._from_cross(T))
+    return P, tsqr_r(E for _, E in residual(P))
+
+
 def _deltas(base: PreparedBase, Xt: np.ndarray, lam: float, P: np.ndarray | None = None,
             G: np.ndarray | None = None):
     # B = XX^T + lam I is diagonal in X's SVD, so B^{-1/2} is written down
@@ -155,19 +191,15 @@ def _deltas(base: PreparedBase, Xt: np.ndarray, lam: float, P: np.ndarray | None
     # ``P`` is U^T Xt, and ``G`` = Xt^T Xt, when the caller already holds
     # them.  With both, R_e is the Cholesky factor of E^T E = G - P^T P (see
     # ``_gram_residual_factor``) and no n x k matrix is touched; without
-    # them, or when that factor is refused, R_e comes from the QR of E.
+    # them, or when that factor is refused, R_e is the blocked tall-skinny
+    # QR factor of an explicit E, formed one row block at a time (see
+    # ``_explicit_residual``).
     s = base.s
     d, k = s.shape[0], Xt.shape[1]
     s2 = s * s
     Re = None if G is None else _gram_residual_factor(G, P)
     if Re is None:
-        P = base._project(Xt) if P is None else P.copy()
-        E = Xt - base._lift(P)
-        # one re-orthogonalisation pass keeps E orthogonal to U to working precision
-        C = base._project(E)
-        E -= base._lift(C)
-        P += C
-        Re = np.linalg.qr(E, mode="r")
+        P, Re = _explicit_residual(base, Xt, base._project(Xt) if P is None else P)
     M = np.zeros((d + Re.shape[0], k + d))
     M[:d, :k] = P / np.sqrt(s2 + lam)[:, None]
     M[:d, k:] = np.diag(np.sqrt(s2 / (s2 + lam)))
@@ -252,6 +284,25 @@ def _gram_residual_factor(G: np.ndarray, P: np.ndarray) -> np.ndarray | None:
     return None if L is None else L.T
 
 
+def _r_factor_basis(Xt: np.ndarray) -> tuple[int, np.ndarray] | None:
+    """``(rank, Ut)`` for a tall Xt from the SVD R = A diag(s) W^T of its
+    blocked tall-skinny QR factor: Xt = (Q A) diag(s) W^T, so Xt's retained
+    left singular vectors are Ut = Xt W_r diag(1/s_r), n x rank, with the
+    rank read from s as :meth:`ThinSVD.rank` reads it.  None when the
+    retained s_r spread beyond ``GRAM_MAX_COND``, where Ut formed this way
+    loses orthogonality, or when the small SVD fails."""
+    n, k = Xt.shape
+    R = tsqr_r(Xt[i0:i1] for i0, i1 in _tsqr_blocks(n, k))
+    try:
+        _, s, Wt = np.linalg.svd(R, full_matrices=False)
+    except np.linalg.LinAlgError:
+        return None
+    rank = numerical_rank(s, max(n, k))
+    if rank == 0 or not s[rank - 1] * GRAM_MAX_COND >= s[0]:
+        return None
+    return rank, Xt @ (Wt[:rank].T / s[:rank])
+
+
 class PreparedBase:
     """A base matrix X factored once, to score any number of candidates.
 
@@ -282,17 +333,30 @@ class PreparedBase:
     ||L^{-1} P^T||_F^2 / max(d, k) and the projected error
     ||X||_F^2 - ||L^{-1} C^T||_F^2; PIP loss needs only G and C.  On a
     Gram-path base C is formed once and P = diag(1/s) V^T C, so a
-    report takes one n x d x k product with X.  Any other candidate
-    (rank-deficient, wider than tall, or ill conditioned) costs one SVD of
-    Xt and uses its retained singular vectors.
+    report takes one n x d x k product with X.  A tall candidate whose
+    Cholesky is refused (rank-deficient, as PCA --keep-v or a zero or
+    repeated column, or ill conditioned) takes the k x k R factor of a
+    blocked tall-skinny QR of Xt and the SVD R = A diag(s) W^T (see
+    :func:`_r_factor_basis`): when its retained singular values s_r lie
+    within ``GRAM_MAX_COND`` of the largest, its retained left singular
+    basis is Ut = Xt W_r diag(1/s_r), n x rank.  Any other candidate (wider
+    than tall, or with a retained spectrum spread wider) costs one SVD of Xt
+    and uses its retained singular vectors.
 
     The spectral deltas (see :func:`_deltas`) add one small QR and one small
     symmetric eigensolve to the R factor R_e of Xt's residual E = Xt - U P
     off span(U).  A Gram-path candidate on a full-rank base takes R_e from
     the Cholesky factor of E^T E = G - P^T P, with no n x k pass, unless
     :func:`_gram_residual_factor` refuses it (PCA and near-lossless
-    candidates); any other pair takes the QR of an explicit E, on a
-    Gram-path base Xt - X V diag(s^-2) V^T C, re-orthogonalised once.
+    candidates); any other pair takes the blocked tall-skinny QR of an
+    explicit E, formed one row block at a time after one
+    re-orthogonalisation pass (see :func:`_explicit_residual`).
+
+    The norms ||X||_F^2 and ||X - Xt||_F^2 reduce in row blocks too, so
+    scoring a candidate forms no n x d or n x k matrix beyond X, Xt and an
+    R-factor candidate's n x rank basis: its temporaries are row blocks of
+    about :data:`~embcompress.linalg._BLOCK_SCALARS` scalars (at least 2k
+    rows for the QR) and d x k or k x k products.
     """
 
     def __init__(self, X):
@@ -331,11 +395,18 @@ class PreparedBase:
             return self.svd.U.T @ Y
         return self._from_cross(self.X.T @ Y)
 
+    def _lift_factors(self, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(B, W)`` with U Z = B W for all of X's left singular vectors U:
+        (X, V diag(1/s) Z) on the Gram path, (U, Z) on the SVD path, so that
+        rows i0:i1 of U Z are B[i0:i1] W."""
+        if self.svd is not None:
+            return self.svd.U, Z
+        return self.X, self.V @ (Z / self.s[:, None])
+
     def _lift(self, Z: np.ndarray) -> np.ndarray:
         """U Z for all of X's left singular vectors U."""
-        if self.svd is not None:
-            return self.svd.U @ Z
-        return self.X @ (self.V @ (Z / self.s[:, None]))
+        B, W = self._lift_factors(Z)
+        return B @ W
 
     def _candidate(self, Xt) -> _Candidate:
         """Xt validated against X, on the Gram path when it qualifies."""
@@ -350,6 +421,11 @@ class PreparedBase:
                     return _Candidate(Xt, Xt.shape[1], G, L=L, P=self.U.T @ Xt)
                 C = self.X.T @ Xt
                 return _Candidate(Xt, Xt.shape[1], G, L=L, P=self._from_cross(C), C=C)
+            retained = _r_factor_basis(Xt)
+            if retained is not None:
+                rank, Ut = retained
+                _warn_if_deficient(rank, Xt.shape[1], "Xt")
+                return _Candidate(Xt, rank, G, Ut=Ut)
         ft = thin_svd(Xt)
         return _Candidate(Xt, ft.rank(), G, Ut=_retained_basis(ft, "Xt"))
 

@@ -342,24 +342,49 @@ def write_compressed(C: CompressedEmbedding, vocab: Vocabulary | None, path) -> 
     Path(path).write_bytes(_serialize_compressed(C, vocab))
 
 
+_TOKEN_SIZE = struct.Struct("<I")
+
+
 class _Cursor:
-    def __init__(self, buf: bytes, path):
+    def __init__(self, buf, path):
         self.buf = buf
         self.pos = 0
         self.path = path
 
-    def take(self, count: int) -> bytes:
+    def need(self, count: int) -> None:
+        """Raise unless ``count`` bytes remain past the position."""
         if self.pos + count > len(self.buf):
             raise TruncatedError(
                 f"{self.path}: needed {count} bytes at offset {self.pos}, "
                 f"only {len(self.buf) - self.pos} remain"
             )
+
+    def take(self, count: int):
+        self.need(count)
         chunk = self.buf[self.pos : self.pos + count]
         self.pos += count
         return chunk
 
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+
+    def tokens(self, count: int) -> list[str]:
+        """``count`` length-prefixed UTF-8 strings, read in one loop."""
+        buf, pos, out = self.buf, self.pos, []
+        end = len(buf)
+        for _ in range(count):
+            if pos + 4 > end:
+                self.pos = pos
+                self.need(4)
+            (size,) = _TOKEN_SIZE.unpack_from(buf, pos)
+            pos += 4
+            if pos + size > end:
+                self.pos = pos
+                self.need(size)
+            out.append(str(buf[pos : pos + size], "utf-8"))
+            pos += size
+        self.pos = pos
+        return out
 
 
 def read_compressed(path):
@@ -371,7 +396,7 @@ def read_compressed(path):
         raise TruncatedError(f"{path}: file is only {len(buf)} bytes")
     if buf[: len(MAGIC)] != MAGIC:
         raise BadMagicError(f"{path}: bad magic {buf[:len(MAGIC)]!r}, expected {MAGIC!r}")
-    body, (crc,) = buf[:-4], struct.unpack("<I", buf[-4:])
+    body, (crc,) = memoryview(buf)[:-4], struct.unpack("<I", buf[-4:])
     if zlib.crc32(body) != crc:
         raise ChecksumError(f"{path}: CRC32 mismatch over {len(body)} bytes")
 
@@ -413,13 +438,7 @@ def read_compressed(path):
     (n_tokens,) = cur.unpack("<I")
     if n_tokens and n_tokens != n:
         raise FormatError(f"{path}: vocabulary has {n_tokens} tokens but the matrix has {n} rows")
-    vocab = None
-    if n_tokens:
-        tokens = []
-        for _ in range(n_tokens):
-            (tok_len,) = cur.unpack("<I")
-            tokens.append(cur.take(tok_len).decode("utf-8"))
-        vocab = Vocabulary(tuple(tokens))
+    vocab = Vocabulary(tuple(cur.tokens(n_tokens))) if n_tokens else None
     if cur.pos != len(body):
         raise FormatError(f"{path}: {len(body) - cur.pos} unexpected trailing bytes")
     return CompressedEmbedding(**kwargs), vocab
@@ -458,8 +477,16 @@ def to_jsonable(obj):
     return obj
 
 
+_DIGEST_CHUNK = 1 << 20
+
+
 def file_digest(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    """sha256 of a file's bytes, read ``_DIGEST_CHUNK`` bytes at a time."""
+    h = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while chunk := fh.read(_DIGEST_CHUNK):
+            h.update(chunk)
+    return h.hexdigest()
 
 
 def write_report(body, path, inputs: dict | None = None) -> None:

@@ -17,10 +17,12 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .compress import (ROUNDING_STOCHASTIC, QuantizationGrid, _row_blocks, _run_row_blocks,
-                       _usable_cores, quantize_codes)
+from .compress import ROUNDING_STOCHASTIC, QuantizationGrid, quantize_codes
 from .linalg import (
     LinalgError,
+    _row_blocks,
+    _run_row_blocks,
+    _usable_cores,
     as_matrix,
     as_vector,
     det_sum,
@@ -265,7 +267,7 @@ def _davis_kahan(base: PreparedBase, G: np.ndarray, C: np.ndarray) -> float:
 
 def _by_row_blocks(n: int, d: int, fill, threads: int = 1) -> np.ndarray:
     """An n x d matrix written in the row blocks of
-    :func:`~embcompress.compress._row_blocks`, up to ``threads`` at a time:
+    :func:`~embcompress.linalg._row_blocks`, up to ``threads`` at a time:
     ``fill(i0, i1, out)`` writes rows i0:i1 into ``out``.  The generators key
     their counters by row, so the bytes depend on neither the blocking nor
     ``threads``, and no temporary outgrows one block.  Only the Student-t

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -151,9 +153,12 @@ class TestLeastSquares:
             least_squares_solve(M, np.arange(5.0))
 
 
+@pytest.mark.parametrize("block", [None, 1, 47 * 20 + 5])
 @pytest.mark.parametrize("layout", ["C", "F", "strided"])
-def test_sq_fro_diff_is_sq_fro_norm_of_the_difference(layout):
-    # the same products in the same pairwise sum, bit for bit
+def test_sq_fro_diff_is_sq_fro_norm_of_the_difference(layout, block, monkeypatch):
+    # the same products in the same row blocks and sums, bit for bit
+    if block is not None:
+        monkeypatch.setattr(linalg, "_BLOCK_SCALARS", block)
     A, B = RNG.standard_t(3, size=(2, 301, 47))
     if layout == "F":
         A, B = np.asfortranarray(A), np.asfortranarray(B)
@@ -164,7 +169,98 @@ def test_sq_fro_diff_is_sq_fro_norm_of_the_difference(layout):
     assert linalg.sq_fro_diff(B, A) == want
 
 
+@pytest.mark.parametrize("shape", [(301, 47), (5000, 30), (70_000,), (3, 4, 5)])
+def test_sq_fro_norm_in_row_blocks_matches_one_sum(shape):
+    # one block is the whole-array sum bit for bit; more blocks only regroup
+    # the same squares, within 1e-14 relative
+    A = RNG.standard_t(3, size=shape)
+    rows = A.reshape(A.shape[0], -1)
+    want = det_sum(A * A)
+    got = linalg.sq_fro_norm(A)
+    if len(linalg._row_blocks(*rows.shape)) == 1:
+        assert got == want
+    else:
+        assert abs(got - want) <= 1e-14 * want
+
+
 def test_det_sum_is_run_stable():
     x = RNG.normal(size=10_000)
     vals = {det_sum(x.copy()) for _ in range(5)}
     assert len(vals) == 1
+
+
+class TestRowBlockRunner:
+    """``_run_row_blocks`` calls its work once per block of ``_row_blocks``,
+    on the calling thread when there is one block or one thread."""
+
+    @pytest.mark.parametrize("block", [None, 37])
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_every_block_runs_once(self, monkeypatch, block, threads):
+        if block is not None:
+            monkeypatch.setattr(linalg, "_BLOCK_SCALARS", block)
+        seen = []
+        linalg._run_row_blocks(5000, 20, lambda i0, i1: seen.append((i0, i1)), threads)
+        assert sorted(seen) == linalg._row_blocks(5000, 20)
+        assert len(seen) > 1
+
+    @pytest.mark.parametrize("n, threads", [(3, 4), (5000, 1)])
+    def test_one_block_or_one_thread_runs_inline(self, n, threads):
+        idents = set()
+        linalg._run_row_blocks(n, 20, lambda i0, i1: idents.add(threading.get_ident()), threads)
+        assert idents == {threading.get_ident()}
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_a_block_exception_reaches_the_caller(self, threads):
+        def work(i0, i1):
+            if i0 > 0:
+                raise ArithmeticError(f"block at row {i0}")
+
+        with pytest.raises(ArithmeticError, match="block at row"):
+            linalg._run_row_blocks(5000, 20, work, threads)
+
+    def test_usable_cores_reads_the_affinity_mask(self, monkeypatch):
+        import os
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5}, raising=False)
+        assert linalg._usable_cores() == 2
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 7)
+        assert linalg._usable_cores() == 7
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert linalg._usable_cores() == 1
+
+
+class TestTsqr:
+    """``tsqr_r`` against one QR of the whole matrix, compared through R^T R,
+    which fixes R up to the signs of its rows: entrywise within
+    1e-12 ||E||_F^2."""
+
+    @pytest.mark.parametrize("n, k, rows", [
+        (50, 7, 1),      # one row per block: every block is shorter than k
+        (50, 7, 3),      # k larger than the block's rows
+        (53, 7, 10),     # a short last block
+        (200, 7, 14),    # 2k rows per block
+        (5, 7, 2),       # wider than tall
+        (40, 1, 1),
+        (40, 6, 40),     # one block
+    ])
+    def test_matches_one_qr(self, n, k, rows):
+        E = RNG.standard_t(4, size=(n, k))
+        E[:, k // 2] = 0.0  # rank-deficient too
+        R = linalg.tsqr_r(E[i0:i0 + rows] for i0 in range(0, n, rows))
+        R0 = np.linalg.qr(E, mode="r")
+        assert R.shape == R0.shape == (min(n, k), k)
+        assert np.max(np.abs(R.T @ R - R0.T @ R0)) <= 1e-12 * linalg.sq_fro_norm(E)
+        if rows >= n:
+            assert R.tobytes() == R0.tobytes()
+
+    def test_blocks_of_row_blocks(self):
+        # the QR blocks measures takes: at least 2k rows each, more than
+        # _BLOCK_SCALARS / k once k^2 passes _BLOCK_SCALARS / 2
+        n, k = 3000, 200
+        blocks = linalg._row_blocks(n, k, min_rows=2 * k)
+        assert len(blocks) == 8 and all(i1 - i0 == 2 * k for i0, i1 in blocks[:-1])
+        E = RNG.normal(size=(n, k))
+        R = linalg.tsqr_r(E[i0:i1] for i0, i1 in blocks)
+        R0 = np.linalg.qr(E, mode="r")
+        assert np.max(np.abs(R.T @ R - R0.T @ R0)) <= 1e-12 * linalg.sq_fro_norm(E)

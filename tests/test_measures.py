@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -362,28 +363,44 @@ def test_deltas_match_the_exact_pencil(case):
 
 
 def residual_qr_rows(prepared, Xt, lam, monkeypatch):
-    """(report, row counts of the matrices that report QRs)."""
-    rows = []
-    qr = np.linalg.qr
+    """(report, row counts of the matrices that report QRs): a blocked
+    tall-skinny QR counts once, with all the rows of its blocks."""
+    rows, in_tsqr = [], []
+    qr, tsqr = np.linalg.qr, measures.tsqr_r
 
     def spy(a, *args, **kwargs):
-        rows.append(a.shape[0])
+        if not in_tsqr:
+            rows.append(a.shape[0])
         return qr(a, *args, **kwargs)
+
+    def tsqr_spy(blocks):
+        blocks = list(blocks)
+        rows.append(sum(b.shape[0] for b in blocks))
+        in_tsqr.append(True)
+        try:
+            return tsqr(iter(blocks))
+        finally:
+            in_tsqr.pop()
 
     with monkeypatch.context() as m:
         m.setattr(np.linalg, "qr", spy)
+        m.setattr(measures, "tsqr_r", tsqr_spy)
         return prepared.report(Xt, lam), rows
 
 
 def test_exact_pencil_cases_take_both_residual_paths(monkeypatch):
     # the quantized column-decay candidates are well conditioned, so their
     # residual factor comes from G - P^T P and only the (d+k)-row matrix is
-    # QR'd; the others also QR the n x k residual
+    # QR'd; the others also QR the n x k residual, after the QR of Xt itself
+    # for a candidate whose Cholesky is refused
     for name, X, Xt in itertools.chain(_column_decay_pairs(), _explicit_residual_pencil_pairs()):
         prepared = PreparedBase(X)
         _, rows = residual_qr_rows(prepared, Xt, prepared.resolve_lambda(), monkeypatch)
         n, d, k = X.shape + Xt.shape[1:]
-        assert rows == ([n, d + k] if name.endswith("-explicit") else [d + k]), name
+        if name.endswith("-explicit"):
+            assert rows[-2:] == [n, d + k] and len(rows) <= 3, name
+        else:
+            assert rows == [d + k], name
 
 
 def test_exact_positive_definite():
@@ -565,23 +582,20 @@ def _fallback_pairs():
     from embcompress.compress import compress_pca, compress_uniform, decompress
     from embcompress.theory import gen_scaled_matrix, stochastic_quantize_full_range
 
-    X = RNG.normal(size=(60, 8))
-    yield "pca-keep-v", X, decompress(compress_pca(X, 3, keep_v=True))
-    # the scaled matrix itself, cond 1e6, as the candidate of its quantization
+    # the scaled matrix itself, cond 1e6, as the candidate of its
+    # quantization: full rank, so its retained spectrum spreads past the R
+    # factor's bound
     S = gen_scaled_matrix(150, 6, 1e-6, seed=3)
     yield "scaled-cond-1e6", stochastic_quantize_full_range(S, 4, seed=4), S
     W = RNG.normal(size=(30, 5))
     yield "k>n", W, RNG.normal(size=(30, 40))
-    Z = decompress(compress_uniform(X, 2))
-    Z[:, 3] = 0.0
-    yield "zero-column", X, Z
 
 
 @pytest.mark.filterwarnings("ignore::embcompress.measures.RankDeficiencyWarning")
 @pytest.mark.parametrize("case", list(_fallback_pairs()), ids=lambda c: c[0])
 def test_fallback_takes_the_svd_and_its_values(case, candidate_svds):
-    # each of these leaves the Gram path, takes exactly one SVD of Xt, and
-    # reports what the SVD formulas give
+    # each of these leaves the Gram path and the R-factor basis, takes
+    # exactly one SVD of Xt, and reports what the SVD formulas give
     _, X, Xt = case
     prepared = PreparedBase(X)
     del candidate_svds[:]
@@ -600,6 +614,53 @@ def test_fallback_takes_the_svd_and_its_values(case, candidate_svds):
         sq_fro_norm(X.T @ X) + sq_fro_norm(Xt.T @ Xt) - 2.0 * sq_fro_norm(X.T @ Xt), 0.0
     ))
     assert rep.rank_xt == ft.rank()
+
+
+def _r_factor_pairs():
+    from embcompress.compress import compress_pca, compress_uniform, decompress
+    from embcompress.theory import gen_student_t_matrix
+
+    X = RNG.normal(size=(60, 8))
+    yield "pca-keep-v", X, decompress(compress_pca(X, 3, keep_v=True))
+    Z = decompress(compress_uniform(X, 2))
+    Z[:, 3] = 0.0
+    yield "zero-column", X, Z
+    T = gen_student_t_matrix(3000, 20, 5.0, 1.0, seed=8)
+    D = decompress(compress_uniform(T, 3))
+    yield "duplicated-columns", T, D[:, [0, 1, 2, 3, 4, 5, 6, 7, 2, 5, 8, 9]]
+    yield "pca-keep-v-3000x20", T, decompress(compress_pca(T, 5, keep_v=True))
+
+
+def _report_and_warnings(prepared, Xt, lam):
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        rep = prepared.report(Xt, lam)
+    return rep, [(w.category, str(w.message), w.filename) for w in seen]
+
+
+@pytest.mark.parametrize("block", [None, 1])
+@pytest.mark.parametrize("case", list(_r_factor_pairs()), ids=lambda c: c[0])
+def test_r_factor_candidate_matches_the_svd_path(case, block, candidate_svds, monkeypatch):
+    # a tall rank-deficient candidate takes its basis from the SVD of its
+    # tall-skinny R factor, with no SVD of Xt, and agrees with the thin SVD
+    # to 1e-12 relative: same rank, same warning
+    _, X, Xt = case
+    if block is not None:
+        monkeypatch.setattr(linalg, "_BLOCK_SCALARS", block)
+    prepared = PreparedBase(X)
+    del candidate_svds[:]
+    got, got_warned = _report_and_warnings(prepared, Xt, 1e-3)
+    assert candidate_svds == []
+    with monkeypatch.context() as m:
+        m.setattr(measures, "_r_factor_basis", lambda Xt: None)
+        want, want_warned = _report_and_warnings(prepared, Xt, 1e-3)
+    assert candidate_svds == [Xt.shape]
+    assert got.rank_xt == want.rank_xt < Xt.shape[1]
+    assert got_warned == want_warned and len(got_warned) == 1
+    for name in ("eigenspace_overlap", "pip_loss", "projected_reconstruction_error",
+                 "delta1", "delta2", "delta", "delta_max"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert abs(g - w) <= 1e-12 * abs(w), name
 
 
 def basis_ops(prepared):
@@ -697,13 +758,53 @@ def _explicit_residual_pairs():
 
 
 @pytest.mark.filterwarnings("ignore::embcompress.measures.RankDeficiencyWarning")
+@pytest.mark.parametrize("block", [None, 1])
 @pytest.mark.parametrize("case", list(_explicit_residual_pairs()), ids=lambda c: c[0])
-def test_refused_residual_factor_keeps_the_explicit_path_bit_for_bit(case, monkeypatch):
+def test_refused_residual_factor_takes_the_explicit_path(case, block, monkeypatch):
+    # the blocked passes against the whole-matrix reference, in one block
+    # and in blocks of 2k rows: 1e-12 relative, as for the Gram residual,
+    # and 1e-12 absolute below 1, where a candidate inside span(X) leaves
+    # delta2 at rounding noise (4e-14 here)
     _, X, Xt = case
+    if block is not None:
+        monkeypatch.setattr(linalg, "_BLOCK_SCALARS", block)
     prepared = PreparedBase(X)
     rep, rows = residual_qr_rows(prepared, Xt, 1e-2, monkeypatch)
-    assert rows[0] == X.shape[0]
-    assert report_deltas(rep) == explicit_deltas(prepared, Xt, 1e-2)
+    assert rows[-2] == X.shape[0]
+    got, want = report_deltas(rep), explicit_deltas(prepared, Xt, 1e-2)
+    for g, w in zip(got[:3], want[:3]):
+        assert abs(g - w) <= 1e-12 * max(abs(w), 1.0)
+    assert abs(got[3] - want[3]) <= 1e-12 * want[3] * max(want[3], 1.0)
+
+
+def _bounded_memory_pairs():
+    from embcompress.compress import compress_pca, compress_uniform, decompress
+    from embcompress.theory import gen_uniform_matrix
+
+    X = gen_uniform_matrix(100_000, 16, seed=3)
+    # 12 bits: G - P^T P cancels, so the residual is explicit
+    yield "12-bit", X, decompress(compress_uniform(X, 12))
+    # rank 4 of 16: the R-factor basis, n x 4, and an explicit residual
+    yield "pca-keep-v", X, decompress(compress_pca(X, 4, keep_v=True))
+
+
+@pytest.mark.filterwarnings("ignore::embcompress.measures.RankDeficiencyWarning")
+@pytest.mark.parametrize("case", list(_bounded_memory_pairs()), ids=lambda c: c[0])
+def test_report_allocates_under_half_of_x(case):
+    # beyond what is live when it starts, a report allocates row blocks of
+    # 2^16 scalars (0.04 X here), k x k and d x k products and, for the
+    # rank-deficient candidate, its n x 4 basis (0.25 X): under 0.5 X in all.
+    # A whole-matrix residual E, its lift or an SVD of Xt would each take X.
+    _, X, Xt = case
+    base = PreparedBase(X)
+    base.report(Xt)  # caches ||X||_F^2 and ||X^T X||_F^2
+    tracemalloc.start()  # traces only what is allocated from here on
+    try:
+        base.report(Xt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * X.nbytes, peak / X.nbytes
 
 
 def _power_law(n, d, cond, seed):

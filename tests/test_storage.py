@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import struct
@@ -402,7 +403,7 @@ def hand_built_container(method_code, n, d, section, tokens=(), n_tokens=None):
         + struct.pack("<HBBQQI", storage.FORMAT_VERSION, method_code, 0, 0, n, d)
         + section
         + struct.pack("<I", len(tokens) if n_tokens is None else n_tokens)
-        + b"".join(struct.pack("<I", len(t)) + t.encode() for t in tokens)
+        + b"".join(struct.pack("<I", len(t.encode())) + t.encode() for t in tokens)
     )
     return body + struct.pack("<I", zlib.crc32(body))
 
@@ -542,12 +543,57 @@ class TestBinaryFormat:
         C, v = read_compressed(p)
         assert v == Vocabulary(("a", "b", "c")) and C.n == 3
 
+    # "alpha", then "é" (two UTF-8 bytes), then "gamma": a cut in the second
+    # token's length field, right after it, and inside the third token
+    @pytest.mark.parametrize("into, need, left", [(9 + 2, 4, 2), (9 + 4, 2, 0),
+                                                  (9 + 6 + 4 + 3, 5, 3)])
+    def test_truncated_vocabulary_names_the_missing_bytes(self, tmp_path, into, need, left):
+        tokens = ("alpha", "é", "gamma")
+        raw = hand_built_container(0, 3, 2, self.UNIFORM_3X2, tokens)
+        p = tmp_path / "c.eqc"
+        p.write_bytes(raw)
+        assert read_compressed(p)[1] == Vocabulary(tokens)
+        body = raw[:-4]
+        start = len(body) - sum(4 + len(t.encode()) for t in tokens)
+        cut = body[: start + into]
+        p.write_bytes(cut + struct.pack("<I", zlib.crc32(cut)))
+        with pytest.raises(TruncatedError) as exc:
+            read_compressed(p)
+        assert str(exc.value) == (
+            f"{p}: needed {need} bytes at offset {start + into - left}, only {left} remain"
+        )
+
+    def test_invalid_utf8_token_rejected(self, tmp_path):
+        raw = hand_built_container(0, 3, 2, self.UNIFORM_3X2, ("a", "b", "c"))
+        p = tmp_path / "c.eqc"
+        body = raw[:-5] + b"\xff"  # the last token's one byte
+        p.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        with pytest.raises(UnicodeDecodeError):
+            read_compressed(p)
+
     def test_vocabulary_optional(self, tmp_path):
         X = RNG.normal(size=(3, 3))
         p = tmp_path / "c.eqc"
         write_compressed(compress_pca(X, 2), None, p)
         _, v = read_compressed(p)
         assert v is None
+
+
+@pytest.mark.parametrize("size", [0, 1, 3 * (1 << 20) + 5])
+def test_file_digest_reads_in_chunks(tmp_path, size):
+    # an empty file, one byte, and three 1 MB chunks and a short one: the
+    # whole file's sha256, with at most two chunks allocated at a time
+    data = np.random.default_rng(size).integers(0, 256, size, dtype=np.uint8).tobytes()
+    p = tmp_path / "blob"
+    p.write_bytes(data)
+    tracemalloc.start()
+    try:
+        got = file_digest(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == hashlib.sha256(data).hexdigest()
+    assert peak <= (2 << 20) + (64 << 10), peak
 
 
 class TestReports:

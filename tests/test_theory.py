@@ -335,7 +335,7 @@ def _whole_uniform(n, d, seed):
 
 class TestRowBlockedOracle:
     """Each generator and the full-range quantizer, written in row blocks of
-    about ``_ENCODE_BLOCK`` scalars (655 rows at d = 100), against its
+    about ``_BLOCK_SCALARS`` scalars (655 rows at d = 100), against its
     whole-matrix expression: equal bytes, whether n is below one block or
     not a multiple of it."""
 
@@ -367,11 +367,11 @@ class TestRowBlockedOracle:
 
         import scipy.special
 
-        from embcompress import compress as compress_mod
+        from embcompress import linalg
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
         if block is not None:
-            monkeypatch.setattr(compress_mod, "_ENCODE_BLOCK", block)
+            monkeypatch.setattr(linalg, "_BLOCK_SCALARS", block)
         want = 1.3 * scipy.special.stdtrit(4.0, CounterRng(7).uniform_block(2000, 100))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -753,20 +753,20 @@ class TestClippingCurve:
         # each point's candidate is quantized by row blocks into one buffer
         import os
 
-        from embcompress import compress as compress_mod
+        from embcompress import linalg
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
         X = gen_student_t_matrix(700, 30, 5.0, 1.0, seed=4)
         base = PreparedBase(X)
         r_grid = np.linspace(0.3, float(np.max(np.abs(X))), 4)
+        if block is not None:  # the norms sum in these blocks too
+            monkeypatch.setattr(linalg, "_BLOCK_SCALARS", block)
         want = []
         for i, r in enumerate(r_grid):
             grid = QuantizationGrid(3, float(r))
             Xt = grid.values_for(quantize_codes(X, grid, rounding, CounterRng(5).substream(i)))
             want.append({"r": float(r), "overlap": base.overlap(Xt),
                          "recon_error": math.sqrt(sq_fro_norm(Xt - X))})
-        if block is not None:
-            monkeypatch.setattr(compress_mod, "_ENCODE_BLOCK", block)
         assert clipping_curve(base, 3, rounding, r_grid, seed=5) == want
 
     def test_grid_validation(self):
