@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
+import math
 import sys
 import types
 import typing
@@ -70,6 +71,19 @@ def _seed(text: str) -> int:
     return seed
 
 
+def _lambda(text: str) -> float | None:
+    """A measure --lambda value: 'auto' (None) or a finite float above 0."""
+    if text == "auto":
+        return None
+    try:
+        lam = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not (math.isfinite(lam) and lam > 0):
+        raise argparse.ArgumentTypeError(f"lambda must be a finite number above 0, got {text!r}")
+    return lam
+
+
 def _add_global_flags(parser, trailing: bool) -> None:
     """The global flags are accepted both before and after the subcommand;
     the trailing copies use SUPPRESS defaults so they only override the
@@ -111,7 +125,7 @@ def _build_parser() -> _Parser:
     p.add_argument("output")
 
     p = add_parser("measure", help="score compressed candidates against a base embedding")
-    p.add_argument("--lambda", dest="lam", default="auto",
+    p.add_argument("--lambda", dest="lam", type=_lambda, default="auto",
                    help="regularizer for the spectral deltas: 'auto' or a float")
     p.add_argument("--measures", default=",".join(MEASURE_NAMES),
                    help="comma-separated measure names to report")
@@ -183,12 +197,11 @@ def _cmd_measure(args) -> int:
     ids = _candidate_ids(args.compressed)
     X, _ = storage.read_text_embedding(args.base, fmt=args.format)
     base = PreparedBase(X)
-    lam = None if args.lam == "auto" else float(args.lam)
     reports = {}
     inputs = {"base": args.base}
     for cid, path in zip(ids, args.compressed):
         C, _vocab = storage.read_compressed(path)
-        rep = base.report(decompress(C), lam)
+        rep = base.report(decompress(C), args.lam)
         reports[cid] = {m: getattr(rep, m) for m in wanted}
         reports[cid].update(
             {"ranks": [rep.rank_x, rep.rank_xt], "dims": [rep.n, rep.d, rep.k],
@@ -217,6 +230,14 @@ def _cmd_select(args) -> int:
     return EXIT_OK
 
 
+def _is_measure_value(value) -> bool:
+    """A report's measure value: null, "inf", "-inf" or a number that is not
+    a boolean, an integer only within float range."""
+    if type(value) is int:
+        return abs(value) <= sys.float_info.max
+    return value is None or type(value) is float or value in ("inf", "-inf")
+
+
 def _cmd_evaluate(args) -> int:
     perf = storage.read_performance_csv(args.perf)
     reports, source = {}, {}
@@ -233,6 +254,12 @@ def _cmd_evaluate(args) -> int:
         for cid, rep in found.items():
             if not isinstance(rep, dict):
                 raise FormatError(f"{path}: the report of candidate {cid!r} must be a JSON object")
+            for name in MEASURE_NAMES:
+                if not _is_measure_value(rep.get(name)):
+                    raise FormatError(
+                        f"{path}: candidate {cid!r}: the measure {name!r} must be a number, "
+                        f"null, \"inf\" or \"-inf\", got {json.dumps(rep[name])[:60]}"
+                    )
             if cid in source:
                 raise FormatError(
                     f"candidate {cid!r} is reported in both {source[cid]} and {path}"

@@ -21,7 +21,6 @@ import numpy as np
 from .linalg import (
     GRAM_MAX_COND,
     LinalgError,
-    ThinSVD,
     _row_blocks,
     as_matrix,
     gram_eigh,
@@ -110,12 +109,6 @@ def _warn_if_deficient(rank: int, cols: int, name: str) -> None:
         )
 
 
-def _retained_basis(f: ThinSVD, name: str) -> np.ndarray:
-    rank = f.rank()
-    _warn_if_deficient(rank, f.V.shape[0], name)
-    return f.U[:, :rank]
-
-
 def eigenspace_overlap(X, Xt) -> float:
     """Overlap of the left-singular-vector spans, in [0, 1].
 
@@ -175,8 +168,7 @@ def _explicit_residual(base: PreparedBase, Xt: np.ndarray, P: np.ndarray):
     return P, tsqr_r(E for _, E in residual(P))
 
 
-def _deltas(base: PreparedBase, Xt: np.ndarray, lam: float, P: np.ndarray | None = None,
-            G: np.ndarray | None = None):
+def _deltas(base: PreparedBase, c: _Candidate, lam: float):
     # B = XX^T + lam I is diagonal in X's SVD, so B^{-1/2} is written down
     # from U and s: no second factorization of X and no Cholesky of B, whose
     # accuracy falls as cond(B) grows.
@@ -188,18 +180,18 @@ def _deltas(base: PreparedBase, Xt: np.ndarray, lam: float, P: np.ndarray | None
     # with orthonormal [U | Q_e], so W = QR only needs R_e and the QR of
     # that small matrix.  mu - 1 are the eigenvalues of R J R^T, plus 0 on
     # the complement of span(W) when n > rows of R.
-    # ``P`` is U^T Xt, and ``G`` = Xt^T Xt, when the caller already holds
-    # them.  With both, R_e is the Cholesky factor of E^T E = G - P^T P (see
-    # ``_gram_residual_factor``) and no n x k matrix is touched; without
-    # them, or when that factor is refused, R_e is the blocked tall-skinny
+    # P = U^T Xt and G = Xt^T Xt come from the candidate.  On the Gram path
+    # (``c.L`` formed), R_e is the Cholesky factor of E^T E = G - P^T P (see
+    # ``_gram_residual_factor``) and no n x k matrix is touched; on the
+    # others, or when that factor is refused, R_e is the blocked tall-skinny
     # QR factor of an explicit E, formed one row block at a time (see
     # ``_explicit_residual``).
-    s = base.s
+    s, Xt, P = base.s, c.Xt, c.P
     d, k = s.shape[0], Xt.shape[1]
     s2 = s * s
-    Re = None if G is None else _gram_residual_factor(G, P)
+    Re = None if c.L is None else _gram_residual_factor(c.G, P)
     if Re is None:
-        P, Re = _explicit_residual(base, Xt, base._project(Xt) if P is None else P)
+        P, Re = _explicit_residual(base, Xt, P)
     M = np.zeros((d + Re.shape[0], k + d))
     M[:d, :k] = P / np.sqrt(s2 + lam)[:, None]
     M[:d, k:] = np.diag(np.sqrt(s2 / (s2 + lam)))
@@ -235,19 +227,20 @@ def quality_report(X, Xt, lam: float | None = None) -> QualityReport:
 
 @dataclass(frozen=True)
 class _Candidate:
-    """A candidate validated against the base, with the products its
-    measures share.  On the Gram path ``L`` is the Cholesky factor of
-    G = Xt^T Xt and ``P`` = U^T Xt, and on a Gram-path base ``C`` = X^T Xt,
-    which ``P`` was derived from; on the SVD path ``Ut`` is Xt's retained
-    left singular basis."""
+    """A candidate validated against the base, with the three products that
+    every measure reads: G = Xt^T Xt, C = X^T Xt and P = U^T Xt for all of
+    X's left singular vectors U (on a Gram-path base P is derived from C).
+    Its orthonormal basis is held one of two ways: on the Gram path ``L`` is
+    the Cholesky factor of G and the basis is Xt L^{-T}, unformed; on the
+    R-factor and SVD paths ``Ut`` is Xt's retained left singular basis."""
 
     Xt: np.ndarray
     rank: int
     G: np.ndarray
+    C: np.ndarray
+    P: np.ndarray
     L: np.ndarray | None = None
-    P: np.ndarray | None = None
     Ut: np.ndarray | None = None
-    C: np.ndarray | None = None
 
     def project(self, Y: np.ndarray) -> np.ndarray:
         """Ut^T Y for Xt's orthonormal basis Ut: L^{-1} Xt^T Y on the Gram path."""
@@ -314,10 +307,10 @@ class PreparedBase:
       and V come from the symmetric eigensolve of A = X^T X, the rank is d,
       and X's left singular basis U = X V diag(1/s) is never formed; U^T Y
       is read as diag(1/s) V^T (X^T Y) and U Z as X (V diag(1/s) Z).
-      ``svd`` and ``U`` are None.
+      ``svd`` is None.
     * SVD path, for any other X (wider than tall, rank-deficient or ill
-      conditioned): ``svd`` is X's thin SVD and ``U`` its retained left
-      singular basis.
+      conditioned): ``svd`` is X's thin SVD, whose U holds all of X's left
+      singular vectors; the first ``rank`` of them are the retained basis.
 
     The squared norms ||X||_F^2 and ||X^T X||_F^2 that :meth:`report` reads
     (and the second, :func:`~embcompress.theory.davis_kahan_sample_bound`)
@@ -326,17 +319,19 @@ class PreparedBase:
     their factors from a PreparedBase too, so this class alone chooses
     between the Gram and the SVD path.
 
-    A candidate Xt (n x k, k <= n) whose Gram matrix G = Xt^T Xt has a
-    Cholesky factor L that passes ``well_conditioned_cholesky`` (cond(L)
-    within ``GRAM_MAX_COND``) takes no SVD: Xt L^{-T} is an orthonormal
-    basis of its span, so with P = U^T Xt and C = X^T Xt the overlap is
-    ||L^{-1} P^T||_F^2 / max(d, k) and the projected error
-    ||X||_F^2 - ||L^{-1} C^T||_F^2; PIP loss needs only G and C.  On a
-    Gram-path base C is formed once and P = diag(1/s) V^T C, so a
-    report takes one n x d x k product with X.  A tall candidate whose
-    Cholesky is refused (rank-deficient, as PCA --keep-v or a zero or
-    repeated column, or ill conditioned) takes the k x k R factor of a
-    blocked tall-skinny QR of Xt and the SVD R = A diag(s) W^T (see
+    Every candidate Xt (n x k) is validated once into one record (see
+    :class:`_Candidate`) holding G = Xt^T Xt, C = X^T Xt and P = U^T Xt,
+    which every measure reads: PIP loss needs only G and C.  On a Gram-path
+    base P = diag(1/s) V^T C, so a report takes one n x d x k product with
+    X; on an SVD-path base P is a second one, with the SVD's U.  A tall
+    candidate whose Cholesky factor L of G passes
+    ``well_conditioned_cholesky`` (cond(L) within ``GRAM_MAX_COND``) takes
+    no SVD: Xt L^{-T} is an orthonormal basis of its span, so the overlap
+    is ||L^{-1} P_r^T||_F^2 / max(d, k), for P_r the first ``rank`` rows of
+    P, and the projected error ||X||_F^2 - ||L^{-1} C^T||_F^2.  A tall
+    candidate whose Cholesky is refused (rank-deficient, as PCA --keep-v or
+    a zero or repeated column, or ill conditioned) takes the k x k R factor
+    of a blocked tall-skinny QR of Xt and the SVD R = A diag(s) W^T (see
     :func:`_r_factor_basis`): when its retained singular values s_r lie
     within ``GRAM_MAX_COND`` of the largest, its retained left singular
     basis is Ut = Xt W_r diag(1/s_r), n x rank.  Any other candidate (wider
@@ -345,8 +340,8 @@ class PreparedBase:
 
     The spectral deltas (see :func:`_deltas`) add one small QR and one small
     symmetric eigensolve to the R factor R_e of Xt's residual E = Xt - U P
-    off span(U).  A Gram-path candidate on a full-rank base takes R_e from
-    the Cholesky factor of E^T E = G - P^T P, with no n x k pass, unless
+    off span(U).  A Gram-path candidate takes R_e from the Cholesky factor
+    of E^T E = G - P^T P, with no n x k pass, on any base, unless
     :func:`_gram_residual_factor` refuses it (PCA and near-lossless
     candidates); any other pair takes the blocked tall-skinny QR of an
     explicit E, formed one row block at a time after one
@@ -367,12 +362,12 @@ class PreparedBase:
         if eig is not None:
             self.s, self.V = eig
             self.rank = d
-            self.svd = self.U = None
+            self.svd = None
         else:
             self.svd = thin_svd(X)
             self.s, self.V = self.svd.s, self.svd.V
             self.rank = self.svd.rank()
-            self.U = _retained_basis(self.svd, "X")
+            _warn_if_deficient(self.rank, d, "X")
 
     @cached_property
     def sq_norm(self) -> float:
@@ -409,36 +404,34 @@ class PreparedBase:
         return B @ W
 
     def _candidate(self, Xt) -> _Candidate:
-        """Xt validated against X, on the Gram path when it qualifies."""
+        """Xt validated against X, with its products G, C and P, and on the
+        Gram path when it qualifies."""
         Xt = as_matrix(Xt, "Xt")
-        if self.X.shape[0] != Xt.shape[0]:
-            raise ValueError(f"row count mismatch: {self.X.shape[0]} vs {Xt.shape[0]}")
+        n, k = Xt.shape
+        if self.X.shape[0] != n:
+            raise ValueError(f"row count mismatch: {self.X.shape[0]} vs {n}")
         G = Xt.T @ Xt
-        if Xt.shape[1] <= Xt.shape[0]:
+        C = self.X.T @ Xt
+        P = self._from_cross(C) if self.svd is None else self.svd.U.T @ Xt
+        if k <= n:
             L = well_conditioned_cholesky(G)
             if L is not None:
-                if self.svd is not None:
-                    return _Candidate(Xt, Xt.shape[1], G, L=L, P=self.U.T @ Xt)
-                C = self.X.T @ Xt
-                return _Candidate(Xt, Xt.shape[1], G, L=L, P=self._from_cross(C), C=C)
-            retained = _r_factor_basis(Xt)
-            if retained is not None:
-                rank, Ut = retained
-                _warn_if_deficient(rank, Xt.shape[1], "Xt")
-                return _Candidate(Xt, rank, G, Ut=Ut)
-        ft = thin_svd(Xt)
-        return _Candidate(Xt, ft.rank(), G, Ut=_retained_basis(ft, "Xt"))
-
-    def _cross(self, c: _Candidate) -> np.ndarray:
-        """C = X^T Xt, formed here unless the candidate step already did."""
-        return self.X.T @ c.Xt if c.C is None else c.C
+                return _Candidate(Xt, k, G, C, P, L=L)
+        retained = _r_factor_basis(Xt) if k <= n else None
+        if retained is None:
+            ft = thin_svd(Xt)
+            retained = ft.rank(), ft.U[:, :ft.rank()]
+        rank, Ut = retained
+        _warn_if_deficient(rank, k, "Xt")
+        return _Candidate(Xt, rank, G, C, P, Ut=Ut)
 
     def _bases_product(self, c: _Candidate) -> np.ndarray:
-        """Ut^T U, with Ut = Xt L^{-T}, on the Gram path; U^T Ut on the SVD
-        path, for U the retained basis of an SVD-path base."""
+        """U_r^T Ut for U_r the base's ``rank`` retained left singular
+        vectors, read from the first ``rank`` rows of U^T Ut: on the Gram
+        path, with Ut = Xt L^{-T} unformed, its transpose L^{-1} P_r^T."""
         if c.L is not None:
-            return np.linalg.solve(c.L, c.P.T)
-        return self._project(c.Ut) if self.svd is None else self.U.T @ c.Ut
+            return np.linalg.solve(c.L, c.P[:self.rank].T)
+        return self._project(c.Ut)[:self.rank]
 
     def _overlap(self, c: _Candidate) -> float:
         return sq_fro_norm(self._bases_product(c)) / max(self.X.shape[1], c.Xt.shape[1])
@@ -465,22 +458,12 @@ class PreparedBase:
         n, d = X.shape
         k = Xt.shape[1]
         lam = self.resolve_lambda(lam)
-        C = self._cross(c)
-        if self.svd is None:
-            # full rank: U^T Xt is the deltas' P, from the one C = X^T Xt
-            P = self._from_cross(C) if c.P is None else c.P
-            G = None if c.L is None else c.G
-        else:
-            # U^T Xt from the candidate step is the deltas' P when U is all
-            # of X's left singular vectors; with G it gives their residual factor
-            full = c.P is not None and self.rank == self.svd.r
-            P, G = (c.P, c.G) if full else (None, None)
-        delta1, delta2, delta, delta_max = _deltas(self, Xt, lam, P, G)
+        delta1, delta2, delta, delta_max = _deltas(self, c, lam)
         # Ut^T X, or its Gram-path equal L^{-1} Xt^T X
-        M = c.Ut.T @ X if c.L is None else np.linalg.solve(c.L, C.T)
+        M = c.Ut.T @ X if c.L is None else np.linalg.solve(c.L, c.C.T)
         return QualityReport(
             eigenspace_overlap=self._overlap(c),
-            pip_loss=_pip_from_blocks(self.sq_gram_norm, c.G, C),
+            pip_loss=_pip_from_blocks(self.sq_gram_norm, c.G, c.C),
             reconstruction_error=math.sqrt(sq_fro_diff(X, Xt)) if X.shape == Xt.shape else None,
             projected_reconstruction_error=max(self.sq_norm - sq_fro_norm(M), 0.0),
             delta1=delta1,

@@ -651,7 +651,7 @@ def overlap_bound_experiment(X, bits: int, seeds, a: float | None = None) -> dic
     for s in seeds:
         c = prepared._candidate(stochastic_quantize_full_range(X, bits, int(s)))
         per_seed.append({"seed": int(s), "one_minus_overlap": 1.0 - prepared._overlap(c),
-                         "davis_kahan_bound": _davis_kahan(prepared, c.G, prepared._cross(c))})
+                         "davis_kahan_bound": _davis_kahan(prepared, c.G, c.C)})
     mean_gap = float(np.mean([row["one_minus_overlap"] for row in per_seed]))
     return {"a": a, "bound": bound, "bound_capped": min(bound, 1.0), "vacuous": bound > 1.0,
             "mean_one_minus_overlap": mean_gap, "per_seed": per_seed}

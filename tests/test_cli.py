@@ -372,6 +372,46 @@ def test_evaluate_rejects_a_malformed_report_file(tmp_path, capsys, body, messag
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ['{"a": 1}', "[0.5]", '"abc"', "true"],
+                         ids=["object", "array", "string", "boolean"])
+def test_evaluate_rejects_a_malformed_measure_value(tmp_path, capsys, value):
+    # an object once raised an uncaught TypeError, true was read as 1.0 and
+    # "abc" exited 2 without naming the file or the candidate
+    rep_dir = tmp_path / "reports"
+    rep_dir.mkdir()
+    report = rep_dir / "r.json"
+    report.write_text('{"body": {"reports": {"u1": {"eigenspace_overlap": 0.9}, '
+                      f'"u2": {{"eigenspace_overlap": 0.5, "pip_loss": {value}}}}}}}}}\n')
+    perf = tmp_path / "perf.csv"
+    perf.write_text("candidate_id,task,performance,seed\nu1,t,0.9,0\nu2,t,0.6,0\n")
+    out = tmp_path / "summary.json"
+    assert run(["evaluate", "--perf", str(perf), "--reports", str(rep_dir),
+                "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{report}: candidate 'u2': the measure 'pip_loss' must be a number" in err
+    assert f"got {value}" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_evaluate_reads_every_valid_measure_value(tmp_path):
+    # integers, floats, null and the strings of a serialized infinity
+    rep_dir = tmp_path / "reports"
+    rep_dir.mkdir()
+    (rep_dir / "r.json").write_text(
+        '{"body": {"reports": {"a": {"eigenspace_overlap": 1, "delta_max": "inf"}, '
+        '"b": {"eigenspace_overlap": 0.5, "delta_max": 2.0, "pip_loss": null}, '
+        '"c": {"eigenspace_overlap": 0, "delta_max": "-inf"}}}}\n')
+    perf = tmp_path / "perf.csv"
+    perf.write_text("candidate_id,task,performance,seed\na,t,0.9,0\nb,t,0.6,0\nc,t,0.3,0\n")
+    out = tmp_path / "summary.json"
+    assert run(["evaluate", "--perf", str(perf), "--reports", str(rep_dir),
+                "--out", str(out)]) == 0
+    rows = {r["measure"]: r for r in read_report(out)["body"]["rows"]}
+    assert rows["eigenspace_overlap"]["selection_error_rate"] == 0.0
+    assert rows["delta_max"]["n_candidates"] == 3
+
+
 def test_evaluate_rejects_a_deeply_nested_report_file(tmp_path, capsys):
     # json.loads once raised RecursionError here: a traceback and exit 1
     rep_dir = tmp_path / "reports"
@@ -745,6 +785,17 @@ def test_measure_flags(base_embedding, tmp_path):
     assert "pip_loss" not in rep
     assert run(["measure", "--measures", "bogus", "--out", str(out),
                 str(base), str(cand)]) == 1
+
+
+@pytest.mark.parametrize("value", ["abc", "-1", "0", "nan", "inf"])
+def test_measure_rejects_a_bad_lambda_before_reading(tmp_path, capsys, value):
+    # a usage error naming the value, raised before the (missing) base is read
+    out = tmp_path / "r.json"
+    assert run(["measure", "--lambda", value, "--out", str(out),
+                str(tmp_path / "missing.txt"), str(tmp_path / "c.eqc")]) == 1
+    err = capsys.readouterr().err
+    assert "--lambda" in err and repr(value) in err and "missing.txt" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["measure", "select"])

@@ -604,8 +604,8 @@ def test_fallback_takes_the_svd_and_its_values(case, candidate_svds):
     assert prepared.overlap(Xt) == rep.eigenspace_overlap
     ft = thin_svd(Xt)
     Ut = ft.U[:, : ft.rank()]
-    # U^T Ut: the retained U of an SVD-path base, all of X's U on the Gram path
-    M = basis_ops(prepared)[0](Ut) if prepared.svd is None else prepared.U.T @ Ut
+    # U_r^T Ut, for U_r the base's retained left singular vectors
+    M = basis_ops(prepared)[0](Ut)[:prepared.rank]
     assert rep.eigenspace_overlap == sq_fro_norm(M) / max(X.shape[1], Xt.shape[1])
     assert rep.projected_reconstruction_error == max(
         sq_fro_norm(X) - sq_fro_norm(Ut.T @ X), 0.0
@@ -745,15 +745,25 @@ class TestGramResidual:
         assert rows == [20 + 20]
 
 
+def _full_rank_300x10():
+    return np.random.default_rng(1618).normal(size=(300, 10))
+
+
+def _rank_deficient_base_pair():
+    """An SVD-path base of rank 9 in 10 columns, its last column a copy of
+    its first, and a well-conditioned 300 x 6 candidate."""
+    rng = np.random.default_rng(1618)
+    X = rng.normal(size=(300, 10))
+    return np.hstack([X[:, :9], X[:, :1]]), rng.normal(size=(300, 6))
+
+
 def _explicit_residual_pairs():
     from embcompress.compress import compress_pca, compress_uniform, decompress
 
-    rng = np.random.default_rng(1618)
-    X = rng.normal(size=(300, 10))
+    X = _full_rank_300x10()
     yield "pca-keep-v", X, decompress(compress_pca(X, 4, keep_v=True))
     yield "pca-narrow", X, decompress(compress_pca(X, 4))
     yield "12-bit", X, decompress(compress_uniform(X, 12))
-    yield "rank-deficient-base", np.hstack([X[:, :9], X[:, :1]]), rng.normal(size=(300, 6))
     yield "svd-path", X, _rotated_spectrum(300, 8, 1e5, seed=5)
 
 
@@ -775,6 +785,62 @@ def test_refused_residual_factor_takes_the_explicit_path(case, block, monkeypatc
     for g, w in zip(got[:3], want[:3]):
         assert abs(g - w) <= 1e-12 * max(abs(w), 1.0)
     assert abs(got[3] - want[3]) <= 1e-12 * want[3] * max(want[3], 1.0)
+
+
+@pytest.mark.filterwarnings("ignore::embcompress.measures.RankDeficiencyWarning")
+@pytest.mark.parametrize("block", [None, 1])
+def test_rank_deficient_base_takes_the_gram_residual_factor(block, monkeypatch):
+    # the candidate's P covers all ten of the base's left singular vectors,
+    # the null one too, so a Gram-path candidate's residual factor comes
+    # from G - P^T P with no n-row QR, and meets the explicit reference to
+    # the same 1e-12 as the blocked passes above
+    X, Xt = _rank_deficient_base_pair()
+    if block is not None:
+        monkeypatch.setattr(linalg, "_BLOCK_SCALARS", block)
+    prepared = PreparedBase(X)
+    assert prepared.svd is not None and prepared.rank == 9
+    rep, rows = residual_qr_rows(prepared, Xt, 1e-2, monkeypatch)
+    assert rows == [X.shape[1] + Xt.shape[1]]
+    got, want = report_deltas(rep), explicit_deltas(prepared, Xt, 1e-2)
+    for g, w in zip(got[:3], want[:3]):
+        assert abs(g - w) <= 1e-12 * max(abs(w), 1.0)
+    assert abs(got[3] - want[3]) <= 1e-12 * want[3] * max(want[3], 1.0)
+
+
+def _record_bases(monkeypatch):
+    X = _full_rank_300x10()
+    yield "gram", PreparedBase(X)
+    yield "svd-full-rank", svd_base(X, monkeypatch)
+    yield "svd-rank-deficient", PreparedBase(_rank_deficient_base_pair()[0])
+
+
+def _record_candidates():
+    """(path, Xt): a Cholesky, an R-factor and a thin-SVD candidate of 300 rows."""
+    from embcompress.compress import compress_pca, decompress
+    from embcompress.theory import gen_scaled_matrix
+
+    yield "cholesky", _rank_deficient_base_pair()[1]
+    yield "r-factor", decompress(compress_pca(_full_rank_300x10(), 4, keep_v=True))
+    # the scaled-cond-1e6 candidate of _fallback_pairs, at 300 rows
+    yield "svd", gen_scaled_matrix(300, 6, 1e-6, seed=3)
+
+
+@pytest.mark.filterwarnings("ignore::embcompress.measures.RankDeficiencyWarning")
+def test_candidate_record_holds_its_products(candidate_svds, monkeypatch):
+    # every candidate, on every path and against every kind of base, carries
+    # G = Xt^T Xt, C = X^T Xt and P = U^T Xt for all of X's left singular
+    # vectors, bit for bit as the plain products give them
+    for base_name, prepared in _record_bases(monkeypatch):
+        X, project = prepared.X, basis_ops(prepared)[0]
+        for path, Xt in _record_candidates():
+            del candidate_svds[:]
+            c = prepared._candidate(Xt)
+            assert (c.L is not None, len(candidate_svds)) == {
+                "cholesky": (True, 0), "r-factor": (False, 0), "svd": (False, 1)}[path]
+            for name, got, want in (("G", c.G, Xt.T @ Xt), ("C", c.C, X.T @ Xt),
+                                    ("P", c.P, project(Xt))):
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), (
+                    base_name, path, name)
 
 
 def _bounded_memory_pairs():
@@ -883,7 +949,7 @@ def _svd_path_bases():
 def test_other_bases_keep_the_svd_path(case, monkeypatch):
     _, X, Xt = case
     prepared = PreparedBase(X)
-    assert prepared.svd is not None and prepared.U is not None
+    assert prepared.svd is not None
     assert prepared.report(Xt, 0.5) == svd_base(X, monkeypatch).report(Xt, 0.5)
 
 
