@@ -172,9 +172,9 @@ def _cmd_compress(args) -> int:
     elif args.bits is None or not 1 <= args.bits <= _MAX_BITS[args.method]:
         raise UsageError(f"compress --method {args.method} requires --bits in "
                          f"[1, {_MAX_BITS[args.method]}], got {args.bits}")
-    X, vocab = storage.read_text_embedding(args.input, fmt=args.format)
-    rounding = "deterministic" if args.rounding == "det" else "stochastic"
     threads = args.threads or _usable_cores()
+    X, vocab = storage.read_text_embedding(args.input, fmt=args.format, threads=threads)
+    rounding = "deterministic" if args.rounding == "det" else "stochastic"
     if args.method == "pca":
         C = compress_pca(X, args.dim, keep_v=args.keep_v)
     elif args.method == "uniform":
@@ -195,7 +195,8 @@ def _cmd_measure(args) -> int:
         if m not in MEASURE_NAMES:
             raise UsageError(f"unknown measure {m!r}")
     ids = _candidate_ids(args.compressed)
-    X, _ = storage.read_text_embedding(args.base, fmt=args.format)
+    X, _ = storage.read_text_embedding(args.base, fmt=args.format,
+                                       threads=args.threads or _usable_cores())
     base = PreparedBase(X)
     reports = {}
     inputs = {"base": args.base}
@@ -218,7 +219,8 @@ def _cmd_measure(args) -> int:
 
 def _cmd_select(args) -> int:
     ids = _candidate_ids(args.candidates)
-    X, _ = storage.read_text_embedding(args.base, fmt=args.format)
+    X, _ = storage.read_text_embedding(args.base, fmt=args.format,
+                                       threads=args.threads or _usable_cores())
     candidates = (storage.read_compressed(path)[0] for path in args.candidates)
     ranking = rank_candidates(X, candidates, MeasureSpec.default(args.criterion))
     for idx, _shape in ranking.excluded:

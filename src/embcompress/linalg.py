@@ -8,6 +8,7 @@ produce bit-identical values.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import glob
@@ -195,29 +196,57 @@ def thin_svd(M) -> ThinSVD:
 # tests allow.  A base's cond(M) comes from the eigenvalues :func:`gram_eigh`
 # computes anyway; a candidate's cond(L) from LAPACK's 1-norm estimate
 # ``trcon``, confirmed by an SVD of L when it reads over the bound (see
-# :func:`well_conditioned_cholesky`).  Quantized and PCA candidates of
+# :func:`gram_cholesky`).  Quantized and PCA candidates of
 # Student-t or uniform bases estimate at 1 to 15; a rank-deficient one (PCA
 # --keep-v, a zero column) fails the Cholesky or lands far above.
 GRAM_MAX_COND = 1e3
 
 
 @functools.cache
-def _lapacke_dtrcon():
-    """``LAPACKE_dtrcon`` of the ILP64 OpenBLAS bundled in numpy's wheel, or
-    None when this numpy build has none; it spares importing scipy.linalg
-    (about 0.25 s) for one call."""
+def _openblas():
+    """The ILP64 OpenBLAS bundled in numpy's wheel, as a ``ctypes.CDLL``, or
+    None when this numpy build has none."""
     import numpy
 
     libs = os.path.join(os.path.dirname(os.path.dirname(numpy.__file__)), "numpy.libs")
-    for path in glob.glob(os.path.join(libs, "*scipy_openblas64*")):
-        fn = getattr(ctypes.CDLL(path), "scipy_LAPACKE_dtrcon64_", None)
-        if fn is not None:
-            fn.restype = ctypes.c_int64
-            fn.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_char, ctypes.c_char,
-                           ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64,
-                           ctypes.POINTER(ctypes.c_double)]
-            return fn
-    return None
+    paths = glob.glob(os.path.join(libs, "*scipy_openblas64*"))
+    return ctypes.CDLL(paths[0]) if paths else None
+
+
+@functools.cache
+def _lapacke_dtrcon():
+    """``LAPACKE_dtrcon`` of :func:`_openblas`, or None when it is missing;
+    it spares importing scipy.linalg (about 0.25 s) for one call."""
+    fn = getattr(_openblas(), "scipy_LAPACKE_dtrcon64_", None)
+    if fn is not None:
+        fn.restype = ctypes.c_int64
+        fn.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_char, ctypes.c_char,
+                       ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64,
+                       ctypes.POINTER(ctypes.c_double)]
+    return fn
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the body with :func:`_openblas` on one thread, and restore its
+    thread count on exit, also when the body raises; where that library or
+    its thread-count functions are missing, do nothing.  OpenBLAS threads a
+    small QR at a loss: a 10000 x 100 tall-skinny QR in 65,536-scalar blocks
+    took 76 ms at 2 threads and 36 ms at 1 on a 2-core machine.  The count
+    is process-wide, so other threads' BLAS calls run on one thread too
+    while the body runs."""
+    lib = _openblas()
+    get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+    put = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+    if get is None or put is None:
+        yield
+        return
+    old = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(old)
 
 
 def _lower_rcond(L: np.ndarray) -> float:
@@ -239,9 +268,11 @@ def _lower_rcond(L: np.ndarray) -> float:
     return float(rcond)
 
 
-def well_conditioned_cholesky(G: np.ndarray) -> np.ndarray | None:
-    """The Cholesky factor L of G, or None when G is not numerically positive
-    definite or cond_2(L) exceeds ``GRAM_MAX_COND``.
+def gram_cholesky(G: np.ndarray) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """``(L, None)`` for the Cholesky factor L of G when cond_2(L) is within
+    ``GRAM_MAX_COND``; ``(L, s)``, with L's singular values s, when
+    cond_2(L) = s[0] / s[-1] exceeds it; ``(None, None)`` when G is not
+    numerically positive definite.
 
     cond(L) is first read from LAPACK's ``trcon`` estimate, about 0.2 ms at
     k = 300; only when the estimate is over the bound does a k x k SVD of L
@@ -251,12 +282,19 @@ def well_conditioned_cholesky(G: np.ndarray) -> np.ndarray | None:
     try:
         L = np.linalg.cholesky(G)
     except np.linalg.LinAlgError:
-        return None
+        return None, None
     if not _lower_rcond(L) * GRAM_MAX_COND >= 1.0:
         sv = np.linalg.svd(L, compute_uv=False)
         if not sv[-1] * GRAM_MAX_COND >= sv[0]:
-            return None
-    return L
+            return L, sv
+    return L, None
+
+
+def well_conditioned_cholesky(G: np.ndarray) -> np.ndarray | None:
+    """The Cholesky factor L of G, or None when G is not numerically positive
+    definite or cond_2(L) exceeds ``GRAM_MAX_COND`` (see :func:`gram_cholesky`)."""
+    L, refused = gram_cholesky(G)
+    return L if refused is None else None
 
 
 def gram_eigh(A: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
@@ -290,10 +328,11 @@ def tsqr_r(blocks) -> np.ndarray:
     factor exist at a time.  R^T R equals the whole matrix's, to rounding;
     R has min(rows, k) rows, and each row's sign may differ from a single
     QR's.  Blocks of at least about 2k rows keep the refactored R a small
-    share of the work."""
+    share of the work.  Each block's QR runs under :func:`one_blas_thread`."""
     R = None
     for B in blocks:
-        R = np.linalg.qr(B if R is None else np.vstack((R, B)), mode="r")
+        with one_blas_thread():
+            R = np.linalg.qr(B if R is None else np.vstack((R, B)), mode="r")
     return R
 
 

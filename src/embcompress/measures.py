@@ -21,8 +21,10 @@ import numpy as np
 from .linalg import (
     GRAM_MAX_COND,
     LinalgError,
+    _EPS,
     _row_blocks,
     as_matrix,
+    gram_cholesky,
     gram_eigh,
     numerical_rank,
     sq_fro_diff,
@@ -277,6 +279,22 @@ def _gram_residual_factor(G: np.ndarray, P: np.ndarray) -> np.ndarray | None:
     return None if L is None else L.T
 
 
+def _refused_at_full_rank(s: np.ndarray | None, n: int) -> bool:
+    """Whether the singular values ``s`` of a refused Cholesky factor L of
+    G = Xt^T Xt (n x k Xt; see :func:`~embcompress.linalg.gram_cholesky`)
+    show Xt to be of full numerical rank, so that its R factor, whose
+    singular values are Xt's, has the spread cond(L) > ``GRAM_MAX_COND``
+    that :func:`_r_factor_basis` refuses.  Forming G and factoring it
+    perturb G by up to about (n + k) eps ||G||, so L's s_min^2 is Xt's to
+    within that: at s_min^2 >= 2 (n + k) eps s_max^2 Xt's s_min is far above
+    the rank tolerance.  Below it L says nothing of Xt's rank; an exactly
+    rank-deficient Xt can pass the Cholesky on rounding, with cond(L) near
+    1 / sqrt(eps) (``theory.table4_perturbation`` at seed 3: 2e8)."""
+    if s is None:
+        return False
+    return s[0] ** 2 * (2.0 * (n + s.shape[0]) * _EPS) <= s[-1] ** 2
+
+
 def _r_factor_basis(Xt: np.ndarray) -> tuple[int, np.ndarray] | None:
     """``(rank, Ut)`` for a tall Xt from the SVD R = A diag(s) W^T of its
     blocked tall-skinny QR factor: Xt = (Q A) diag(s) W^T, so Xt's retained
@@ -329,14 +347,16 @@ class PreparedBase:
     no SVD: Xt L^{-T} is an orthonormal basis of its span, so the overlap
     is ||L^{-1} P_r^T||_F^2 / max(d, k), for P_r the first ``rank`` rows of
     P, and the projected error ||X||_F^2 - ||L^{-1} C^T||_F^2.  A tall
-    candidate whose Cholesky is refused (rank-deficient, as PCA --keep-v or
-    a zero or repeated column, or ill conditioned) takes the k x k R factor
-    of a blocked tall-skinny QR of Xt and the SVD R = A diag(s) W^T (see
+    candidate whose Cholesky fails (rank-deficient, as PCA --keep-v or a
+    zero or repeated column) takes the k x k R factor of a blocked
+    tall-skinny QR of Xt and the SVD R = A diag(s) W^T (see
     :func:`_r_factor_basis`): when its retained singular values s_r lie
     within ``GRAM_MAX_COND`` of the largest, its retained left singular
-    basis is Ut = Xt W_r diag(1/s_r), n x rank.  Any other candidate (wider
-    than tall, or with a retained spectrum spread wider) costs one SVD of Xt
-    and uses its retained singular vectors.
+    basis is Ut = Xt W_r diag(1/s_r), n x rank.  So does one whose L is
+    refused while numerically rank-deficient.  Any other candidate (wider
+    than tall, with a retained spectrum spread wider, or whose L is refused
+    at full numerical rank, as R's spread is then cond(L)) costs one SVD of
+    Xt and uses its retained singular vectors.
 
     The spectral deltas (see :func:`_deltas`) add one small QR and one small
     symmetric eigensolve to the R factor R_e of Xt's residual E = Xt - U P
@@ -413,11 +433,14 @@ class PreparedBase:
         G = Xt.T @ Xt
         C = self.X.T @ Xt
         P = self._from_cross(C) if self.svd is None else self.svd.U.T @ Xt
-        if k <= n:
-            L = well_conditioned_cholesky(G)
-            if L is not None:
-                return _Candidate(Xt, k, G, C, P, L=L)
-        retained = _r_factor_basis(Xt) if k <= n else None
+        L, refused = gram_cholesky(G) if k <= n else (None, None)
+        if L is not None and refused is None:
+            return _Candidate(Xt, k, G, C, P, L=L)
+        # a candidate refused at full rank skips the R factor that would be
+        # refused too
+        retained = None
+        if k <= n and not _refused_at_full_rank(refused, n):
+            retained = _r_factor_basis(Xt)
         if retained is None:
             ft = thin_svd(Xt)
             retained = ft.rank(), ft.U[:, :ft.rank()]

@@ -13,7 +13,11 @@ import itertools
 import json
 import math
 import os
+import signal
+import stat
 import struct
+import sys
+import warnings
 import zlib
 from dataclasses import asdict, dataclass, is_dataclass
 from pathlib import Path
@@ -95,8 +99,21 @@ def _parse_header(line: str):
 # 10k x 100 matrix (0.8x at 1024 rows), and reading and writing are as fast.
 TEXT_BLOCK_ROWS = 256
 
+# Fewest bytes in a range that read_text_embedding(threads=) parses apart
+# from the others.  A fork, a pipe and the merge cost a few milliseconds,
+# and parsing runs at about 40 MB/s, so below about 1 MB a range gains
+# nothing.
+_MIN_FORK_BYTES = 1 << 20
 
-def read_text_embedding(path, fmt: str = "auto"):
+# os.fork exists on every POSIX system, but only Linux is tested with it
+_CAN_FORK = hasattr(os, "fork") and sys.platform.startswith("linux")
+
+
+class _NoSplit(Exception):
+    """A byte range cannot be parsed apart from the rest of the file."""
+
+
+def read_text_embedding(path, fmt: str = "auto", threads: int = 1):
     """Read a text embedding: one token plus d space-separated reals per
     line, with an optional leading "n d" header.
 
@@ -111,40 +128,29 @@ def read_text_embedding(path, fmt: str = "auto"):
     read so far, grown in place by at least a quarter when rows outrun it,
     and trimmed in place at the end.  An "n d" header is only checked
     against the rows read, so it cannot force an allocation.
+
+    With ``threads`` above 1, on Linux, a regular file is cut at line starts
+    into up to ``threads`` byte ranges of at least 1 MB each.  This process
+    parses the first range, which holds any header, and a child made with
+    ``os.fork`` parses each other one and writes its rows into the output
+    through a pipe (see :func:`_read_forked`).  The children run no BLAS
+    and leave through ``os._exit``, and every one is reaped before this
+    function returns or raises.  A file with a blank line or a line break
+    other than ``\\n``, or a range that fails in any way, is read again by
+    the sequential reader, so the matrix, the vocabulary and every error are
+    those of ``threads=1``.
     """
     if fmt not in ("auto", "glove", "fasttext"):
         raise ValueError(f"unknown format {fmt!r}")
     path = Path(path)
-    tokens = []
-    seen = set()
-    dim = None
-    declared = None
-    out = None
     with path.open("rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        lines = _content_lines(path, fh)
-        first = next(lines, None)
-        if first is None:
-            raise FormatError(f"{path}: empty embedding file")
-        if fmt in ("auto", "fasttext"):
-            declared = _parse_header(first[1])
-            if declared is None and fmt == "fasttext":
-                raise FormatError(f"{path}:1: expected a 'n d' header line")
-        if declared is None:
-            lines = itertools.chain([first], lines)
-        for block in iter(lambda: list(itertools.islice(lines, TEXT_BLOCK_ROWS)), []):
-            names, values = _parse_block(path, block, dim, seen)
-            dim = values.shape[1]
-            start, stop = len(tokens), len(tokens) + len(names)
-            tokens.extend(names)
-            if out is None or stop > out.shape[0]:
-                # the rows read so far, scaled to the whole file
-                rows = max(stop, math.ceil(stop * size / max(fh.tell(), 1)))
-                if out is None:
-                    out = np.empty((rows, dim))
-                else:
-                    out.resize((max(rows, out.shape[0] * 5 // 4), dim), refcheck=False)
-            out[start:stop] = values
+        st = os.fstat(fh.fileno())
+        starts = _range_starts(fh, st, threads)
+        parsed = _read_forked(path, fh, fmt, st, starts) if len(starts) > 1 else None
+        if parsed is None:
+            fh.seek(0)
+            parsed = _parse_range(path, fh, _content_lines(path, fh), fmt, 0, st.st_size)
+    out, tokens, _, dim, declared = parsed
     if declared is not None and (len(tokens), dim) != declared:
         held = f"{len(tokens)}x{dim}" if tokens else "0 rows"
         raise FormatError(
@@ -155,14 +161,202 @@ def read_text_embedding(path, fmt: str = "auto"):
     return out, Vocabulary(tuple(tokens))
 
 
-def _content_lines(path, fh):
-    """``(lineno, line)`` for the lines of the binary file ``fh``, decoded as
-    UTF-8 and split as ``str.splitlines`` splits, without trailing blank
-    lines.  Of a run of blank lines followed by content only the first is
-    yielded; it fails to parse as a row."""
+def _parse_range(path, fh, lines, fmt, start, span):
+    """Parse the numbered ``lines`` that ``fh`` yields from byte ``start``
+    on, ``span`` bytes in all, into ``(out, tokens, seen, dim, declared)``:
+    the rows fill the first ``len(tokens)`` rows of ``out`` (None when
+    there are none), ``seen`` is the set of ``tokens`` and ``declared`` the
+    "n d" header's pair, if any.  ``fmt`` is as for
+    :func:`read_text_embedding`."""
+    tokens = []
+    seen = set()
+    dim = None
+    declared = None
+    out = None
+    first = next(lines, None)
+    if first is None:
+        raise FormatError(f"{path}: empty embedding file")
+    if fmt in ("auto", "fasttext"):
+        declared = _parse_header(first[1])
+        if declared is None and fmt == "fasttext":
+            raise FormatError(f"{path}:1: expected a 'n d' header line")
+    if declared is None:
+        lines = itertools.chain([first], lines)
+    for block in iter(lambda: list(itertools.islice(lines, TEXT_BLOCK_ROWS)), []):
+        names, values = _parse_block(path, block, dim, seen)
+        dim = values.shape[1]
+        i0, i1 = len(tokens), len(tokens) + len(names)
+        tokens.extend(names)
+        if out is None or i1 > out.shape[0]:
+            # the rows read so far, scaled to the whole range
+            rows = max(i1, math.ceil(i1 * span / max(fh.tell() - start, 1)))
+            if out is None:
+                out = np.empty((rows, dim))
+            else:
+                out.resize((max(rows, out.shape[0] * 5 // 4), dim), refcheck=False)
+        out[i0:i1] = values
+    return out, tokens, seen, dim, declared
+
+
+def _range_starts(fh, st, threads):
+    """The start offsets of the byte ranges that :func:`read_text_embedding`
+    parses apart: up to ``threads`` ranges of the file ``fh`` (``st`` its
+    ``os.fstat``), each starting just after a ``\\n`` and holding at least
+    :data:`_MIN_FORK_BYTES`; ``[0]`` alone without ``os.fork`` or for
+    anything but a regular file."""
+    size = st.st_size
+    parts = 1
+    if _CAN_FORK and stat.S_ISREG(st.st_mode):
+        parts = min(int(threads), size // _MIN_FORK_BYTES)
+    starts = [0]
+    for i in range(1, parts):
+        fh.seek(max(size * i // parts, starts[-1] + _MIN_FORK_BYTES) - 1)
+        fh.readline()  # to just past the next \n
+        if fh.tell() + _MIN_FORK_BYTES > size:
+            break
+        starts.append(fh.tell())
+    return starts
+
+
+def _range_lines(fh, stop):
+    """The raw lines of ``fh`` from its position up to byte ``stop``, a line
+    start."""
+    pos = fh.tell()
+    while pos < stop:
+        raw = fh.readline()
+        if not raw:  # the file shrank
+            raise _NoSplit
+        pos += len(raw)
+        yield raw
+
+
+def _read_forked(path, fh, fmt, st, starts):
+    """:func:`_parse_range`'s result for the whole file, from the byte
+    ranges that begin at ``starts``: range 0 parsed here, each other one in
+    a child that :func:`_fork_range` starts.  Each child's row count, width
+    and tokens are read first, then its values straight into their rows of
+    the output, so X is never held twice.  The ranges must agree: one width,
+    no token in two ranges, and a header only in range 0 (a later range is
+    parsed as "glove", where a header line fails as a row of another width).
+    None when any range fails, a child exits other than cleanly, or the
+    ranges disagree; every child is reaped before this returns, and killed
+    first unless all went well, also on ``KeyboardInterrupt``."""
+    stops = starts[1:] + [st.st_size]
+    children = []
+    done = False
+    try:
+        for start, stop in zip(starts[1:], stops[1:]):
+            children.append(_fork_range(path, st, start, stop))
+        fh.seek(0)
+        lines = _content_lines(path, _range_lines(fh, stops[0]), strict=True)
+        out, tokens, seen, dim, declared = _parse_range(path, fh, lines, fmt, 0, stops[0])
+        counts = [len(tokens)]
+        for _, pipe in children:
+            rows, width, size = struct.unpack("=3Q", _read_exactly(pipe, 24))
+            names = _read_exactly(pipe, size).decode("utf-8").split("\n")
+            if len(names) != rows or dim not in (None, width) or not seen.isdisjoint(names):
+                return None
+            seen.update(names)
+            tokens.extend(names)
+            counts.append(rows)
+            dim = width
+        if out is None:
+            out = np.empty((len(tokens), dim))
+        else:
+            out.resize((len(tokens), dim), refcheck=False)
+        i0 = counts[0]
+        for (_, pipe), rows in zip(children, counts[1:]):
+            view = memoryview(out[i0:i0 + rows]).cast("B")
+            if pipe.readinto(view) != len(view):
+                return None
+            i0 += rows
+        done = True
+    except (FormatError, _NoSplit, OSError, ValueError):
+        return None  # the sequential read raises any error again, with its line
+    finally:
+        statuses = _reap(children, kill=not done)
+    return (out, tokens, seen, dim, declared) if not any(statuses) else None
+
+
+def _read_exactly(pipe, size):
+    data = pipe.read(size)
+    if len(data) != size:  # the child failed and wrote nothing, or died
+        raise _NoSplit
+    return data
+
+
+def _fork_range(path, st, start, stop):
+    """Fork a child that parses bytes ``start:stop`` of the file at ``path``
+    (``st`` the ``os.fstat`` of the parent's handle) and writes to a pipe
+    its row count, width and token bytes as three native u64, its tokens
+    joined by ``\\n`` in UTF-8, and its values' float64 bytes; it writes
+    nothing and exits 1 on any failure.  Returns ``(pid, read end)``."""
+    r, w = os.pipe()
+    try:
+        with warnings.catch_warnings():
+            # Python 3.12+ warns about a fork while other threads (OpenBLAS's
+            # pool) run, as the child may inherit a lock held by one of them.
+            # This child runs no BLAS, takes no lock that a thread may hold,
+            # and leaves through os._exit.
+            warnings.filterwarnings("ignore", r"This process .* is multi-threaded",
+                                    DeprecationWarning)
+            pid = os.fork()
+    except BaseException:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            os.close(r)
+            _write_range(path, st, start, stop, w)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    return pid, open(r, "rb")
+
+
+def _write_range(path, st, start, stop, w):
+    """A child's work for :func:`_fork_range`.  It opens the file afresh,
+    as a forked handle shares its offset with the parent's."""
+    with open(path, "rb") as fh:
+        now = os.fstat(fh.fileno())
+        if (now.st_dev, now.st_ino, now.st_size) != (st.st_dev, st.st_ino, st.st_size):
+            raise _NoSplit
+        fh.seek(start)
+        lines = _content_lines(path, _range_lines(fh, stop), strict=True)
+        out, tokens, _, dim, _ = _parse_range(path, fh, lines, "glove", start, stop - start)
+    names = "\n".join(tokens).encode("utf-8")
+    with open(w, "wb") as pipe:
+        pipe.write(struct.pack("=3Q", len(tokens), dim, len(names)))
+        pipe.write(names)
+        pipe.write(memoryview(out[:len(tokens)]).cast("B"))
+
+
+def _reap(children, kill):
+    """Close each child's pipe and wait for the child, killing it first when
+    ``kill``; returns the wait statuses."""
+    statuses = []
+    for pid, pipe in children:
+        pipe.close()
+        if kill:
+            os.kill(pid, signal.SIGKILL)
+        statuses.append(os.waitpid(pid, 0)[1])
+    return statuses
+
+
+def _content_lines(path, raw_lines, strict=False):
+    """``(lineno, line)`` for the binary lines ``raw_lines`` of a file,
+    decoded as UTF-8 and split as ``str.splitlines`` splits, without
+    trailing blank lines.  Of a run of blank lines followed by content only
+    the first is yielded; it fails to parse as a row.  With ``strict``, a
+    blank line or a line break other than ``\\n`` raises :class:`_NoSplit`,
+    as the line numbers and the blank-line rule then depend on the lines
+    before and after a byte range."""
     blank = None
     lineno = 0
-    for raw in fh:
+    for raw in raw_lines:
         try:
             text = raw.decode("utf-8")
         except UnicodeDecodeError as exc:
@@ -172,7 +366,11 @@ def _content_lines(path, fh):
             raise FormatError(
                 f"{path}:{bad}: not valid UTF-8 at byte {raw[exc.start]:#04x} ({exc.reason})"
             ) from None
-        for line in text.splitlines():
+        lines = text.splitlines()
+        if strict and (len(lines) != 1 or len(lines[0]) + (text[-1] == "\n") != len(text)
+                       or not lines[0].strip()):
+            raise _NoSplit
+        for line in lines:
             lineno += 1
             if not line.strip():
                 if blank is None:

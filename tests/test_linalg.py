@@ -264,3 +264,47 @@ class TestTsqr:
         R = linalg.tsqr_r(E[i0:i1] for i0, i1 in blocks)
         R0 = np.linalg.qr(E, mode="r")
         assert np.max(np.abs(R.T @ R - R0.T @ R0)) <= 1e-12 * linalg.sq_fro_norm(E)
+
+
+class TestOneBlasThread:
+    @pytest.fixture
+    def threads(self):
+        """(get, put) of the bundled OpenBLAS's thread count, set to 2 (as far
+        as it goes) for the test and restored after it."""
+        lib = linalg._openblas()
+        if lib is None:
+            pytest.skip("this numpy build bundles no OpenBLAS")
+        get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        before = get()
+        put(2)
+        yield get, put
+        put(before)
+
+    def test_pins_and_restores(self, threads):
+        get, _ = threads
+        start = get()
+        with linalg.one_blas_thread():
+            assert get() == 1
+        assert get() == start
+        with pytest.raises(KeyboardInterrupt):
+            with linalg.one_blas_thread():
+                raise KeyboardInterrupt
+        assert get() == start
+
+    def test_tsqr_block_qrs_run_on_one_thread(self, threads, monkeypatch):
+        get, _ = threads
+        start, seen, qr = get(), [], np.linalg.qr
+
+        def spy(a, *args, **kwargs):
+            seen.append(get())
+            return qr(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", spy)
+        E = RNG.normal(size=(300, 10))
+        linalg.tsqr_r(E[i0:i0 + 40] for i0 in range(0, 300, 40))
+        assert seen == [1] * 8 and get() == start
+
+    def test_missing_library_does_nothing(self, monkeypatch):
+        monkeypatch.setattr(linalg, "_openblas", lambda: None)
+        with linalg.one_blas_thread():
+            pass

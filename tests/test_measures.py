@@ -593,7 +593,7 @@ def _fallback_pairs():
 
 @pytest.mark.filterwarnings("ignore::embcompress.measures.RankDeficiencyWarning")
 @pytest.mark.parametrize("case", list(_fallback_pairs()), ids=lambda c: c[0])
-def test_fallback_takes_the_svd_and_its_values(case, candidate_svds):
+def test_fallback_takes_the_svd_and_its_values(case, candidate_svds, monkeypatch):
     # each of these leaves the Gram path and the R-factor basis, takes
     # exactly one SVD of Xt, and reports what the SVD formulas give
     _, X, Xt = case
@@ -601,7 +601,16 @@ def test_fallback_takes_the_svd_and_its_values(case, candidate_svds):
     del candidate_svds[:]
     rep = prepared.report(Xt, 1e-3)
     assert candidate_svds == [Xt.shape]
-    assert prepared.overlap(Xt) == rep.eigenspace_overlap
+    # the candidate takes no n-row QR: the R-factor basis that a full-rank
+    # candidate with a refused Cholesky factor skips would be refused, so
+    # the report is the one that a refused attempt fell back to
+    tsqr_calls = []
+    with monkeypatch.context() as m:
+        m.setattr(measures, "tsqr_r", lambda blocks: tsqr_calls.append(1))
+        assert prepared.overlap(Xt) == rep.eigenspace_overlap
+    assert tsqr_calls == []
+    if Xt.shape[1] <= Xt.shape[0]:
+        assert measures._r_factor_basis(Xt) is None
     ft = thin_svd(Xt)
     Ut = ft.U[:, : ft.rank()]
     # U_r^T Ut, for U_r the base's retained left singular vectors
@@ -629,6 +638,34 @@ def _r_factor_pairs():
     D = decompress(compress_uniform(T, 3))
     yield "duplicated-columns", T, D[:, [0, 1, 2, 3, 4, 5, 6, 7, 2, 5, 8, 9]]
     yield "pca-keep-v-3000x20", T, decompress(compress_pca(T, 5, keep_v=True))
+    yield "rank-4-of-5", *_rank_deficient_passing_cholesky()
+
+
+def _rank_deficient_passing_cholesky():
+    """table4_perturbation's pair at seed 3: Xt = X with its top singular
+    value zeroed, of rank 4 in 5 columns, whose Gram matrix passes the
+    Cholesky on rounding; L is refused at cond(L) = 2e8."""
+    from embcompress.theory import CounterRng, _random_orthonormal
+
+    rng, s = CounterRng(3), np.array([5.0, 4.0, 3.0, 2.0, 1.0])
+    U = _random_orthonormal(2000, 5, rng.substream(0))
+    V = _random_orthonormal(5, 5, rng.substream(1))
+    s_dropped = np.concatenate([[0.0], s[1:]])
+    return (U * s) @ V.T, (U * s_dropped) @ V.T
+
+
+def test_refused_factor_tells_full_rank_from_rounding():
+    # a full-rank candidate refused for cond(L) 1e6 skips the R factor; one
+    # whose Cholesky passed on rounding does not
+    from embcompress.theory import gen_scaled_matrix
+
+    S = gen_scaled_matrix(150, 6, 1e-6, seed=3)
+    _, Xt = _rank_deficient_passing_cholesky()
+    for M, full in ((S, True), (Xt, False)):
+        L, refused = linalg.gram_cholesky(M.T @ M)
+        assert L is not None and refused is not None
+        assert measures._refused_at_full_rank(refused, M.shape[0]) == full
+    assert not measures._refused_at_full_rank(None, 150)
 
 
 def _report_and_warnings(prepared, Xt, lam):

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import math
+import os
+import signal
 import struct
 import tracemalloc
 import warnings
@@ -259,20 +261,31 @@ def _per_line_reference(path, fmt="auto"):
     return np.asarray(rows, dtype=np.float64), Vocabulary(tuple(tokens))
 
 
-def _outcome(read, path, fmt):
+def _outcome(read, path, fmt, **kwargs):
     try:
-        X, v = read(path, fmt)
+        X, v = read(path, fmt, **kwargs)
     except FormatError as exc:
         return "error", str(exc)
     return "ok", X.shape, X.tobytes(), v
 
 
 def _assert_matches_reference(path, fmt="auto"):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # numpy must not warn about a block
-        got = _outcome(read_text_embedding, path, fmt)
-    assert got == _outcome(_per_line_reference, path, fmt)
+    """The reader at 1, 2 and 3 threads against the per-line reference;
+    with ``_MIN_FORK_BYTES`` patched small, the threaded reads split even a
+    short file."""
+    want = _outcome(_per_line_reference, path, fmt)
+    for threads in (1, 2, 3):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy must not warn about a block
+            got = _outcome(read_text_embedding, path, fmt, threads=threads)
+        assert got == want, threads
+        _assert_no_child_left()
     return got
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 _ROWS = ["a 1 2 3", "b -0.5 0.25 0", "c 1e-300 7 8", "d 4 5 6", "e 0.1 0.2 0.3", "f 9 9 9"]
@@ -280,11 +293,13 @@ _ROWS = ["a 1 2 3", "b -0.5 0.25 0", "c 1e-300 7 8", "d 4 5 6", "e 0.1 0.2 0.3",
 
 class TestBlockReaderOracle:
     """The block reader against the per-line reference, with blocks of two
-    or three rows so that failures land in later blocks."""
+    or three rows so that failures land in later blocks, read in one range
+    and split into two or three."""
 
     @pytest.fixture(autouse=True, params=[2, 3])
     def small_blocks(self, request, monkeypatch):
         monkeypatch.setattr(storage, "TEXT_BLOCK_ROWS", request.param)
+        monkeypatch.setattr(storage, "_MIN_FORK_BYTES", 1)
 
     @pytest.mark.parametrize(
         "body,fmt,expect",
@@ -308,6 +323,9 @@ class TestBlockReaderOracle:
             ("\n".join(_ROWS) + "\n\n  \n\t\n\n", "auto", "ok"),
             ("\n".join(_ROWS[:3]) + "\n\n\t\n" + "\n".join(_ROWS[3:]), "auto", ":4: expected a token"),
             ("\n\n" + "\n".join(_ROWS), "auto", ":1: expected a token"),
+            # split in two, the blank lines end the first range and the second
+            # starts with a row: neither range alone sees the error
+            ("a 1 2 3\n\n\nbb 4 5 66\n", "auto", ":2: expected a token"),
             ("\n\n" + "\n".join(_ROWS), "fasttext", ":1: expected a 'n d' header line"),
             ("7 3\n" + "\n".join(_ROWS), "auto", "header declares 7x3 but the file holds 6x3"),
             ("6 4\n" + "\n".join(_ROWS), "auto", "header declares 6x4 but the file holds 6x3"),
@@ -393,6 +411,149 @@ class TestTextWriterGolden:
         X2, v2 = read_text_embedding(p)
         assert X2.tobytes() == X.tobytes()
         assert v2 == v
+
+    @pytest.mark.parametrize("threads", [1, 2, 3, 4])
+    def test_reads_back_at_every_thread_count(self, tmp_path, monkeypatch, threads):
+        monkeypatch.setattr(storage, "_MIN_FORK_BYTES", 1)
+        taken = _spy_forked(monkeypatch)
+        X, v = _golden_embedding()
+        p = tmp_path / "emb.txt"
+        write_text_embedding(X, v, p)
+        X2, v2 = read_text_embedding(p, threads=threads)
+        assert X2.tobytes() == X.tobytes() and X2.shape == X.shape and v2 == v
+        assert taken == ([True] if threads > 1 else [])
+        _assert_no_child_left()
+
+
+def _spy_forked(monkeypatch):
+    """A list that gains, for each split read, whether its ranges were
+    accepted (False when the file was read again in one range)."""
+    taken = []
+    real = storage._read_forked
+
+    def spy(*args):
+        parsed = real(*args)
+        taken.append(parsed is not None)
+        return parsed
+
+    monkeypatch.setattr(storage, "_read_forked", spy)
+    return taken
+
+
+class TestForkedReader:
+    """``read_text_embedding(threads=)``: the split, the fallback to one
+    range, and the reaping of every child."""
+
+    @pytest.fixture(autouse=True)
+    def deadline(self):
+        """Fail, not hang, when a read waits for a child forever."""
+
+        def expire(signum, frame):
+            raise TimeoutError("a read waited 60 s")
+
+        old = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(60)
+        yield
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+    @pytest.mark.parametrize("threads", [1, 2, 3, 7])
+    def test_ranges_start_after_a_newline(self, tmp_path, monkeypatch, threads):
+        monkeypatch.setattr(storage, "_MIN_FORK_BYTES", 200)
+        data = b"".join(b"w%d" % i + b" 1" * (i % 40) + b"\n" for i in range(80))
+        p = tmp_path / "emb.txt"
+        p.write_bytes(data)
+        with open(p, "rb") as fh:
+            starts = storage._range_starts(fh, os.fstat(fh.fileno()), threads)
+        assert starts[0] == 0 and 1 <= len(starts) <= threads
+        assert len(starts) > 1 or threads == 1
+        for a, b in zip(starts, starts[1:] + [len(data)]):
+            assert b - a >= 200
+        assert all(data[a - 1:a] == b"\n" for a in starts[1:])
+        # a file below two floors is not split
+        monkeypatch.setattr(storage, "_MIN_FORK_BYTES", len(data) // 2 + 1)
+        with open(p, "rb") as fh:
+            assert storage._range_starts(fh, os.fstat(fh.fileno()), threads) == [0]
+
+    @pytest.fixture
+    def base(self, tmp_path, monkeypatch):
+        """A 20000 x 4 file, split at a floor of 64 KB: each child's values
+        outgrow a pipe's buffer, so a child that is not killed blocks."""
+        monkeypatch.setattr(storage, "_MIN_FORK_BYTES", 1 << 16)
+        X = RNG.normal(size=(20_000, 4))
+        p = tmp_path / "emb.txt"
+        write_text_embedding(X, vocab(20_000), p)
+        return p, X
+
+    @pytest.mark.parametrize("fault", ["raise", "exit", "exit-mid-write", "exit-after-write"])
+    def test_worker_fault_falls_back(self, base, monkeypatch, fault):
+        p, X = base
+        real = storage._write_range
+
+        def faulty(path, st, start, stop, w):
+            if fault == "raise":
+                raise RuntimeError("injected")
+            if fault == "exit-mid-write":
+                os.write(w, struct.pack("=3Q", 5000, 4, 30000))
+            if fault == "exit-after-write":
+                real(path, st, start, stop, w)
+            os._exit(1)
+
+        monkeypatch.setattr(storage, "_write_range", faulty)
+        taken = _spy_forked(monkeypatch)
+        Y, v = read_text_embedding(p, threads=3)
+        assert taken == [False]
+        assert Y.tobytes() == X.tobytes() and v == vocab(20_000)
+        _assert_no_child_left()
+
+    def test_success_and_failure_reap_every_child(self, base, monkeypatch):
+        p, X = base
+        taken = _spy_forked(monkeypatch)
+        Y, _ = read_text_embedding(p, threads=3)
+        assert Y.tobytes() == X.tobytes()
+        _assert_no_child_left()
+        lines = p.read_bytes().split(b"\n")
+        lines[-2] = lines[-2].rsplit(b" ", 1)[0] + b" x1"
+        p.write_bytes(b"\n".join(lines))
+        with pytest.raises(FormatError) as info:
+            read_text_embedding(p, threads=3)
+        assert str(info.value) == f"{p}:20000: non-numeric field 'x1'"
+        assert taken == [True, False]
+        _assert_no_child_left()
+
+    def test_interrupt_kills_and_reaps_every_child(self, base, monkeypatch):
+        p, _ = base
+        parent, real = os.getpid(), storage._parse_range
+
+        def interrupted(*args):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            return real(*args)
+
+        monkeypatch.setattr(storage, "_parse_range", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            read_text_embedding(p, threads=3)
+        _assert_no_child_left()
+
+    def test_threaded_read_fills_one_array(self, tmp_path, monkeypatch):
+        # test_headerless_file_fills_one_array's file and bound, at the real
+        # floor: 21 MB splits into two ranges
+        X = RNG.standard_t(5, size=(10_000, 100))
+        v = vocab(10_000)
+        p = tmp_path / "emb.txt"
+        write_text_embedding(X, v, p)
+        taken = _spy_forked(monkeypatch)
+        tracemalloc.start()
+        try:
+            Y, w = read_text_embedding(p, threads=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert taken == [True]
+        assert Y.tobytes() == X.tobytes() and Y.shape == X.shape and w == v
+        assert peak < 1.7 * X.nbytes
+        _assert_no_child_left()
+
 
 def hand_built_container(method_code, n, d, section, tokens=(), n_tokens=None):
     """A container with the given method section and tokens (none by
