@@ -10,6 +10,7 @@ from .compress import (
     compress_kmeans,
     compress_pca,
     compress_uniform,
+    compressor,
     decompress,
     find_clip_threshold,
     quantize_codes,

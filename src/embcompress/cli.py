@@ -23,8 +23,7 @@ import numpy as np
 
 from . import __version__
 from . import storage
-from .compress import (SEED_LIMIT, _MAX_BITS, compress_kmeans, compress_pca, compress_uniform,
-                       decompress)
+from .compress import SEED_LIMIT, compressor, decompress
 from .linalg import LinalgError, _usable_cores, max_abs
 from .measures import MEASURE_NAMES, PreparedBase
 from .selection import MeasureSpec, evaluate_measures, rank_candidates
@@ -41,7 +40,6 @@ from .theory import (
     scaling_experiment,
     simulate_lipschitz_gap,
     simulate_regression_gap,
-    stochastic_quantize_full_range,
     table4_perturbation,
 )
 
@@ -165,22 +163,15 @@ def _candidate_ids(paths) -> list[str]:
 
 
 def _cmd_compress(args) -> int:
-    # flag validation precedes any file access
-    if args.method == "pca":
-        if args.dim is None or args.dim < 1:
-            raise UsageError(f"compress --method pca requires a --dim of 1 or more, got {args.dim}")
-    elif args.bits is None or not 1 <= args.bits <= _MAX_BITS[args.method]:
-        raise UsageError(f"compress --method {args.method} requires --bits in "
-                         f"[1, {_MAX_BITS[args.method]}], got {args.bits}")
+    rounding = "deterministic" if args.rounding == "det" else "stochastic"
+    try:  # the spec is checked before any file access
+        build = compressor(args.method, args.bits, rounding, full_range=False, k=args.dim,
+                           keep_v=args.keep_v)
+    except ValueError as exc:
+        raise UsageError(f"compress: {exc}") from None
     threads = args.threads or _usable_cores()
     X, vocab = storage.read_text_embedding(args.input, fmt=args.format, threads=threads)
-    rounding = "deterministic" if args.rounding == "det" else "stochastic"
-    if args.method == "pca":
-        C = compress_pca(X, args.dim, keep_v=args.keep_v)
-    elif args.method == "uniform":
-        C = compress_uniform(X, args.bits, rounding=rounding, seed=args.seed, threads=threads)
-    else:
-        C = compress_kmeans(X, args.bits, seed=args.seed, threads=threads)
+    C = build(X, args.seed, threads)
     storage.write_compressed(C, vocab, args.output)
     print(
         f"{args.output}: method={C.method} n={C.n} d={C.d_orig} "
@@ -345,24 +336,6 @@ def _cap(what: str, size: int) -> None:
         raise ValueError(f"{what} = {size} entries is above the cap of {MAX_ENTRIES}")
 
 
-def _compression(method: str = "uniform", bits: int = 4, rounding: str = "stochastic",
-                 full_range: bool = None, k: int | None = None):
-    """A theorem config's ``compression``: X's compressed variant as a function
-    of X and a seed.  Stochastic rounding takes the fixed interval [-1/sqrt(d),
-    1/sqrt(d)] unless ``full_range`` is false; other roundings clip-search."""
-    if method == "pca":
-        if k is None:
-            raise ValueError("method 'pca' needs the key 'k'")
-        return lambda X, seed: decompress(compress_pca(X, k))
-    if method != "uniform":
-        raise ValueError(f"unknown compression spec method {method!r}")
-    if full_range is None and rounding == "stochastic" or full_range:
-        if rounding != "stochastic":
-            raise ValueError(f"full_range needs stochastic rounding, got rounding {rounding!r}")
-        return lambda X, seed: stochastic_quantize_full_range(X, bits, seed)
-    return lambda X, seed: decompress(compress_uniform(X, bits, rounding=rounding, seed=seed))
-
-
 def _covariance(diag: list[float] | None = None, matrix: list[list[float]] | None = None):
     """An explicit ``covariance``: its diagonal or the whole matrix."""
     if (diag is None) == (matrix is None):
@@ -378,10 +351,10 @@ def _theorem_inputs(n, d, seed, compression, covariance, c, trials):
         raise ValueError(f"bad covariance spec {covariance!r}")
     X = gen_uniform_matrix(n, d, seed)
     model = LabelModel(None if isinstance(covariance, str) else covariance, c)
-    return X, compression(X, seed + 1), model
+    return X, decompress(compression(X, seed + 1)), model
 
 
-def _simulate_theorem1(n: int, d: int, seed: int = 0, compression: _compression = _compression(),
+def _simulate_theorem1(n: int, d: int, seed: int = 0, compression: compressor = compressor(),
                        covariance: typing.Union[str, _covariance] = "identity",
                        c: float = LabelModel.noise_ratio, trials: int = 10_000) -> dict:
     X, Xt, model = _theorem_inputs(n, d, seed, compression, covariance, c, trials)
@@ -389,7 +362,7 @@ def _simulate_theorem1(n: int, d: int, seed: int = 0, compression: _compression 
     return {"experiment": "regression_gap", "result": result}
 
 
-def _simulate_theorem2(n: int, d: int, seed: int = 0, compression: _compression = _compression(),
+def _simulate_theorem2(n: int, d: int, seed: int = 0, compression: compressor = compressor(),
                        covariance: typing.Union[str, _covariance] = "identity",
                        c: float = LabelModel.noise_ratio, trials: int = 1000,
                        gd: GdConfig = GdConfig(),

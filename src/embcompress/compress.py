@@ -35,8 +35,8 @@ _MAX_BITS = {METHOD_UNIFORM: 31, METHOD_KMEANS: 16}
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _check_bits(method: str, bits: int) -> None:
-    if not 1 <= bits <= _MAX_BITS[method]:
+def _check_bits(method: str, bits: int | None) -> None:
+    if bits is None or not 1 <= bits <= _MAX_BITS[method]:
         raise ValueError(f"bits must be in [1, {_MAX_BITS[method]}] for {method}, got {bits}")
 
 
@@ -397,21 +397,22 @@ def compress_uniform(
     rounding: str = ROUNDING_DETERMINISTIC,
     seed: int = 0,
     threads: int = 1,
+    clip: float | None = None,
 ) -> CompressedEmbedding:
-    """Clip-search uniform quantization.
+    """Uniform quantization on the grid over [-clip, clip].
 
-    Finds the clip threshold minimizing deterministic quantized
-    reconstruction error, clips, then quantizes every entry with the chosen
-    rounding mode.  The search always uses deterministic rounding so the
-    threshold does not depend on the stochastic coin flips.  The entries are
-    encoded in row blocks of about 64k scalars, up to ``threads`` at a time;
-    the stochastic coins are keyed by row, so the output is byte-identical
-    for any ``threads`` value.
+    ``clip`` None searches for the clip threshold minimizing deterministic
+    quantized reconstruction error, clips, then quantizes every entry with
+    the chosen rounding mode.  The search always uses deterministic rounding
+    so the threshold does not depend on the stochastic coin flips.  The
+    entries are encoded in row blocks of about 64k scalars, up to ``threads``
+    at a time; the stochastic coins are keyed by row, so the output is
+    byte-identical for any ``threads`` value.
     """
     X = as_matrix(X)
     if rounding not in ROUNDINGS:
         raise ValueError(f"unknown rounding {rounding!r}")
-    grid = QuantizationGrid(bits, find_clip_threshold(X, bits))
+    grid = QuantizationGrid(bits, find_clip_threshold(X, bits) if clip is None else clip)
     rng = CounterRng(seed)
     packed = _encode_blocks(
         X, bits, lambda i0, i1: quantize_codes(X[i0:i1], grid, rounding, rng, row0=i0), threads
@@ -574,6 +575,48 @@ def compress_pca(X, k: int, keep_v: bool = False) -> CompressedEmbedding:
         reduced=reduced,
         basis_v=V.copy() if keep_v else None,
     )
+
+
+def compressor(method: str = METHOD_UNIFORM, bits: int = 4,
+               rounding: str = ROUNDING_STOCHASTIC, full_range: bool | None = None,
+               k: int | None = None, keep_v: bool = False):
+    """The spec's candidate builder ``build(X, seed, threads=1)``, which
+    compresses X by ``method`` and takes ``seed`` modulo 2**64, as
+    :class:`~embcompress.rng.CounterRng` does.  The spec is checked here; a
+    key the method does not read is ignored.  ``full_range`` (by default,
+    for stochastic uniform) fixes the grid to [-1/sqrt(d), 1/sqrt(d)], the
+    overlap bound's setting, and refuses an X with an entry outside it."""
+    if method == METHOD_PCA:
+        if k is None or k < 1:
+            raise ValueError(f"method 'pca' needs a k of 1 or more, got {k}")
+    elif method in _MAX_BITS:
+        _check_bits(method, bits)
+    else:
+        raise ValueError(f"unknown compression method {method!r}")
+    if full_range is None:
+        full_range = method == METHOD_UNIFORM and rounding == ROUNDING_STOCHASTIC
+    if full_range and method != METHOD_UNIFORM:
+        raise ValueError(f"full_range needs method 'uniform', got method {method!r}")
+    if full_range and rounding != ROUNDING_STOCHASTIC:
+        raise ValueError(f"full_range needs stochastic rounding, got rounding {rounding!r}")
+    if method == METHOD_UNIFORM and rounding not in ROUNDINGS:
+        raise ValueError(f"unknown rounding {rounding!r}")
+
+    def build(X, seed: int, threads: int = 1) -> CompressedEmbedding:
+        seed %= SEED_LIMIT
+        if method == METHOD_PCA:
+            return compress_pca(X, k, keep_v=keep_v)
+        if method == METHOD_KMEANS:
+            return compress_kmeans(X, bits, seed=seed, threads=threads)
+        clip = None
+        if full_range:
+            X = as_matrix(X)
+            clip = 1.0 / math.sqrt(X.shape[1])
+            if max_abs(X) > clip:
+                raise ValueError("entries exceed 1/sqrt(d); full_range is for bounded matrices")
+        return compress_uniform(X, bits, rounding, seed, threads=threads, clip=clip)
+
+    return build
 
 
 def decompress(C: CompressedEmbedding) -> np.ndarray:

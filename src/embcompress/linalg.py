@@ -290,13 +290,6 @@ def gram_cholesky(G: np.ndarray) -> tuple[np.ndarray | None, np.ndarray | None]:
     return L, None
 
 
-def well_conditioned_cholesky(G: np.ndarray) -> np.ndarray | None:
-    """The Cholesky factor L of G, or None when G is not numerically positive
-    definite or cond_2(L) exceeds ``GRAM_MAX_COND`` (see :func:`gram_cholesky`)."""
-    L, refused = gram_cholesky(G)
-    return L if refused is None else None
-
-
 def gram_eigh(A: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """``(s, V)`` with ``s`` non-increasing and A = V diag(s^2) V^T, from the
     symmetric eigensolve of the Gram matrix A = M^T M of an M no wider than

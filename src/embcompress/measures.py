@@ -31,7 +31,6 @@ from .linalg import (
     sq_fro_norm,
     thin_svd,
     tsqr_r,
-    well_conditioned_cholesky,
 )
 
 
@@ -270,13 +269,13 @@ _RESIDUAL_MIN_TRACE = 1e-2
 def _gram_residual_factor(G: np.ndarray, P: np.ndarray) -> np.ndarray | None:
     """The k x k triangular R_e with R_e^T R_e = E^T E for Xt's residual
     E = Xt - U P off span(U), from G = Xt^T Xt and P = U^T Xt; None when S =
-    G - P^T P lost too much to cancellation or its Cholesky factor fails
-    ``well_conditioned_cholesky``."""
+    G - P^T P lost too much to cancellation or its Cholesky factor fails or
+    is refused by :func:`~embcompress.linalg.gram_cholesky`."""
     S = G - P.T @ P
     if not np.trace(S) >= _RESIDUAL_MIN_TRACE * np.trace(G):
         return None
-    L = well_conditioned_cholesky(S)
-    return None if L is None else L.T
+    L, refused = gram_cholesky(S)
+    return None if L is None or refused is not None else L.T
 
 
 def _refused_at_full_rank(s: np.ndarray | None, n: int) -> bool:
@@ -342,8 +341,8 @@ class PreparedBase:
     which every measure reads: PIP loss needs only G and C.  On a Gram-path
     base P = diag(1/s) V^T C, so a report takes one n x d x k product with
     X; on an SVD-path base P is a second one, with the SVD's U.  A tall
-    candidate whose Cholesky factor L of G passes
-    ``well_conditioned_cholesky`` (cond(L) within ``GRAM_MAX_COND``) takes
+    candidate whose Cholesky factor L of G passes ``gram_cholesky``
+    (cond(L) within ``GRAM_MAX_COND``) takes
     no SVD: Xt L^{-T} is an orthonormal basis of its span, so the overlap
     is ||L^{-1} P_r^T||_F^2 / max(d, k), for P_r the first ``rank`` rows of
     P, and the projected error ||X||_F^2 - ||L^{-1} C^T||_F^2.  A tall

@@ -17,7 +17,7 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .compress import ROUNDING_STOCHASTIC, QuantizationGrid, quantize_codes
+from .compress import QuantizationGrid, compressor, decompress, quantize_codes
 from .linalg import (
     LinalgError,
     _row_blocks,
@@ -279,14 +279,6 @@ def _by_row_blocks(n: int, d: int, fill, threads: int = 1) -> np.ndarray:
     return X
 
 
-def _quantized_rows(X, grid: QuantizationGrid, rounding: str, rng: CounterRng, out) -> np.ndarray:
-    """``out`` set to X quantized on ``grid`` by row blocks, in this thread;
-    the coins are keyed by row, so these are the whole-matrix call's bytes."""
-    for i0, i1 in _row_blocks(*X.shape):
-        out[i0:i1] = grid.values_for(quantize_codes(X[i0:i1], grid, rounding, rng, row0=i0))
-    return out
-
-
 def gen_uniform_matrix(n: int, d: int, seed: int) -> np.ndarray:
     """n x d matrix with i.i.d. entries uniform on [-1/sqrt(d), 1/sqrt(d)],
     reproducible from the seed alone."""
@@ -333,13 +325,9 @@ def stochastic_quantize_full_range(X, bits: int, seed: int) -> np.ndarray:
 
     This is the exact setting of the overlap bound: entries already live in
     the interval, and the rounding variance obeys the (spacing/2)^2 cap.
+    It is the decompressed ``compressor(bits=bits)`` candidate of X.
     """
-    X = as_matrix(X, "X")
-    r = 1.0 / math.sqrt(X.shape[1])
-    if max_abs(X) > r:
-        raise ValueError("entries exceed 1/sqrt(d); this quantizer is for bounded matrices")
-    grid = QuantizationGrid(bits, r)
-    return _quantized_rows(X, grid, ROUNDING_STOCHASTIC, CounterRng(seed), np.empty(X.shape))
+    return decompress(compressor(bits=bits)(X, seed))
 
 
 # ---------------------------------------------------------------------------
@@ -675,7 +663,9 @@ def clipping_curve(X, bits: int, rounding: str, r_grid, seed: int = 0) -> list[d
     Xt = np.empty(X.shape)  # each grid point's candidate, written over the last
     rows = []
     for i, r in enumerate(r_grid):
-        _quantized_rows(X, QuantizationGrid(bits, float(r)), rounding, rng.substream(i), Xt)
+        grid, coins = QuantizationGrid(bits, float(r)), rng.substream(i)
+        for i0, i1 in _row_blocks(*X.shape):  # coins keyed by row: the whole matrix's bytes
+            Xt[i0:i1] = grid.values_for(quantize_codes(X[i0:i1], grid, rounding, coins, row0=i0))
         rows.append({"r": float(r), "overlap": prepared.overlap(Xt),
                      "recon_error": math.sqrt(sq_fro_diff(X, Xt))})
     return rows

@@ -134,12 +134,12 @@ def test_compress_determinism_across_runs_and_threads(base_embedding, tmp_path):
 def test_compress_threads_reach_both_encoders(base_embedding, tmp_path, monkeypatch,
                                               method, flag, want):
     # --threads 0 takes the usable cores: the affinity mask, not the machine
-    from embcompress import cli
+    from embcompress import compress
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {1, 5, 9}, raising=False)
     seen = []
-    real = getattr(cli, f"compress_{method}")
-    monkeypatch.setattr(cli, f"compress_{method}",
+    real = getattr(compress, f"compress_{method}")
+    monkeypatch.setattr(compress, f"compress_{method}",
                         lambda *a, threads, **k: seen.append(threads) or real(*a, **k))
     base, _ = base_embedding
     argv = ["--threads", flag, "compress", "--method", method, "--bits", "2", str(base),
@@ -162,11 +162,12 @@ def test_seed_outside_the_recorded_range_is_a_usage_error(tmp_path, capsys, meth
 
 @pytest.mark.parametrize("flags, message", [
     (["--threads", "-3", "--method", "uniform", "--bits", "2"], "--threads must be 0 or more, got -3"),
-    (["--method", "uniform", "--bits", "40"], "--method uniform requires --bits in [1, 31], got 40"),
-    (["--method", "kmeans", "--bits", "17"], "--method kmeans requires --bits in [1, 16], got 17"),
-    (["--method", "uniform", "--bits", "0"], "--method uniform requires --bits in [1, 31], got 0"),
-    (["--method", "pca", "--dim", "0"], "requires a --dim of 1 or more, got 0"),
-], ids=["threads", "uniform-bits", "kmeans-bits", "zero-bits", "dim"])
+    (["--method", "uniform", "--bits", "40"], "bits must be in [1, 31] for uniform, got 40"),
+    (["--method", "kmeans", "--bits", "17"], "bits must be in [1, 16] for kmeans, got 17"),
+    (["--method", "uniform", "--bits", "0"], "bits must be in [1, 31] for uniform, got 0"),
+    (["--method", "kmeans"], "bits must be in [1, 16] for kmeans, got None"),
+    (["--method", "pca", "--dim", "0"], "method 'pca' needs a k of 1 or more, got 0"),
+], ids=["threads", "uniform-bits", "kmeans-bits", "zero-bits", "no-bits", "dim"])
 def test_bad_flag_is_a_usage_error_before_the_input_is_read(tmp_path, capsys, flags, message):
     # exit 1, not the 2 of a missing input
     out = tmp_path / "o.eqc"
@@ -597,7 +598,7 @@ def test_simulate_rejects_full_range_without_stochastic_rounding(tmp_path, capsy
         ("theorem1", {"n": 80, "d": 6, "trials": 4, "compression": "uniform"},
          "the config key 'compression' must be a JSON object, got \"uniform\""),
         ("theorem2", {"n": 80, "d": 6, "trials": 4, "compression": {"method": "pca"}},
-         "compression: method 'pca' needs the key 'k'"),
+         "compression: method 'pca' needs a k of 1 or more, got None"),
         ("scaling", {"axis": "bits", "levels": 5},
          "the config key 'levels' must be a JSON array of at most 1000 entries, got 5"),
         ("theorem3", {"n": 80, "d": 6, "bits": 2, "seeds": 3},
@@ -622,7 +623,7 @@ def test_simulate_rejects_full_range_without_stochastic_rounding(tmp_path, capsy
          "compression, covariance, c, trials"),
         ("theorem1", {"n": 80, "d": 6, "trials": 4, "compression": {"bit": 2}},
          "compression: got an unexpected keyword argument 'bit'; the keys are method, bits, "
-         "rounding, full_range, k"),
+         "rounding, full_range, k, keep_v"),
         ("theorem2", {"n": 80, "d": 6, "trials": 4, "gd": {"stp": 1}},
          "gd: got an unexpected keyword argument 'stp'; the keys are step, tol, max_steps"),
         ("theorem1", {"n": 80, "d": 6, "trials": 4, "c": True},
@@ -736,6 +737,60 @@ def test_simulate_rejects_a_wrong_type_for_every_key(tmp_path, capsys, kind, key
     assert f"{cfg}: the config key '{key}" in err and "must be a JSON" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("method", ["kmeans", "pca"])
+def test_simulate_rejects_full_range_for_another_method(tmp_path, capsys, method):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 80, "d": 6, "trials": 4, "compression": {
+        "method": method, "bits": 2, "k": 3, "full_range": True}}))
+    out = tmp_path / "out.json"
+    assert run(["simulate", "theorem1", "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"full_range needs method 'uniform', got method {method!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_kmeans_candidate_is_the_library_one(tmp_path):
+    from embcompress.compress import compress_kmeans, decompress
+    from embcompress.theory import LabelModel, exact_expected_gap, gen_uniform_matrix
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 300, "d": 6, "c": 0.1, "trials": 50, "seed": 4,
+                               "compression": {"method": "kmeans", "bits": 2}}))
+    out = tmp_path / "out.json"
+    assert run(["simulate", "theorem1", "--config", str(cfg), "--out", str(out)]) == 0
+    X = gen_uniform_matrix(300, 6, 4)
+    Xt = decompress(compress_kmeans(X, 2, seed=5))
+    want = exact_expected_gap(X, Xt, LabelModel(noise_ratio=0.1))
+    assert read_report(out)["body"]["result"]["theory_value"] == want
+
+
+@pytest.mark.parametrize("rounding", ["stochastic", "deterministic"])
+def test_simulate_theorem_seed_is_taken_modulo_2_64(tmp_path, rounding):
+    # a negative seed ran the full-range quantizer, whose generator reduces it
+    # modulo 2**64, but was refused by the clip search's container
+    results = []
+    for seed in (-5, (1 << 64) - 5):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 80, "d": 6, "trials": 4, "seed": seed, "compression": {
+            "method": "uniform", "bits": 2, "rounding": rounding}}))
+        out = tmp_path / f"out{seed}.json"
+        assert run(["simulate", "theorem1", "--config", str(cfg), "--out", str(out)]) == 0
+        result = read_report(out)["body"]["result"]
+        results.append({key: result[key] for key in ("estimate", "std_error", "theory_value")})
+    assert results[0] == results[1]
+
+
+def test_simulate_theorem3_seeds_are_taken_modulo_2_64(tmp_path):
+    rows = []
+    for seeds in ([-1, (1 << 64) + 1], [(1 << 64) - 1, 1]):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 80, "d": 5, "bits": 2, "seeds": seeds}))
+        out = tmp_path / "out.json"
+        assert run(["simulate", "theorem3", "--config", str(cfg), "--out", str(out)]) == 0
+        rows.append([{key: row[key] for key in ("one_minus_overlap", "davis_kahan_bound")}
+                     for row in read_report(out)["body"]["per_seed"]])
+    assert rows[0] == rows[1]
 
 
 def test_simulate_deterministic_rounding_takes_the_clip_search(tmp_path):

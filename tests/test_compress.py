@@ -1,6 +1,8 @@
+import dataclasses
 import hashlib
 import itertools
 import json
+import math
 import struct
 import tracemalloc
 import warnings
@@ -16,6 +18,7 @@ from embcompress.compress import (
     compress_kmeans,
     compress_pca,
     compress_uniform,
+    compressor,
     decompress,
     find_clip_threshold,
     quantization_objective,
@@ -781,6 +784,75 @@ class TestPcaCompression:
             assert fro_norm(decompress(C) - X) <= 1e-10 * fro_norm(X)
             with pytest.raises(LinalgError, match=r"k=3 exceeds the numerical rank 2"):
                 compress_pca(X, 3)
+
+
+def container_fields(C):
+    """Every field of a container, each array as its dtype, shape and bytes."""
+    return {f.name: (v.dtype.str, v.shape, v.tobytes()) if isinstance(v, np.ndarray) else v
+            for f in dataclasses.fields(C) for v in (getattr(C, f.name),)}
+
+
+class TestCompressor:
+    """``compressor(spec)(X, seed, threads)`` is the direct ``compress_*`` call."""
+
+    CASES = {
+        "uniform-det": ({"bits": 3, "rounding": "deterministic"},
+                        lambda X, seed, t: compress_uniform(X, 3, "deterministic", seed, t)),
+        "uniform-stoch": ({"bits": 3, "full_range": False},
+                          lambda X, seed, t: compress_uniform(X, 3, "stochastic", seed, t)),
+        "full-range": ({"bits": 3}, lambda X, seed, t: compress_uniform(
+            X, 3, "stochastic", seed, t, clip=1.0 / math.sqrt(X.shape[1]))),
+        "kmeans": ({"method": "kmeans", "bits": 2},
+                   lambda X, seed, t: compress_kmeans(X, 2, seed=seed, threads=t)),
+        "pca": ({"method": "pca", "k": 5}, lambda X, seed, t: compress_pca(X, 5)),
+        "pca-keep-v": ({"method": "pca", "k": 5, "keep_v": True},
+                       lambda X, seed, t: compress_pca(X, 5, keep_v=True)),
+    }
+
+    @pytest.fixture(scope="class")
+    def X(self):
+        return gen_uniform_matrix(4000, 40, seed=6)  # three encode blocks of 1638 rows
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_builds_the_direct_call(self, X, case, threads):
+        spec, direct = self.CASES[case]
+        got = compressor(**spec)(X, 17, threads)
+        assert container_fields(got) == container_fields(direct(X, 17, threads))
+
+    def test_full_range_fixes_the_grid(self, X):
+        C = compressor(bits=3)(X, 1)
+        assert C.grid == QuantizationGrid(3, 1.0 / math.sqrt(40))
+        Y = X.copy()
+        Y[3, 4] = np.nextafter(C.grid.clip, 1.0)
+        with pytest.raises(ValueError, match="exceed"):
+            compressor(bits=3)(Y, 1)
+        # a fixed clip below max|X| sends the entries past it to the end levels
+        D = compress_uniform(X, 3, clip=0.05)
+        assert D.grid.clip == 0.05 and np.max(np.abs(decompress(D))) == 0.05
+
+    @pytest.mark.parametrize("seed", [-1, -(1 << 64) - 1, 1 << 64, (1 << 70) + 3])
+    def test_seed_is_taken_modulo_2_64(self, X, seed):
+        for spec in ({"bits": 2}, {"bits": 2, "full_range": False}, {"method": "kmeans", "bits": 2}):
+            got = compressor(**spec)(X, seed)
+            assert got.seed == seed % (1 << 64)
+            assert container_fields(got) == container_fields(compressor(**spec)(X, got.seed))
+
+    @pytest.mark.parametrize("spec, message", [
+        ({"method": "nope"}, "unknown compression method 'nope'"),
+        ({"bits": 0}, r"bits must be in \[1, 31\] for uniform, got 0"),
+        ({"method": "kmeans", "bits": 17}, r"bits must be in \[1, 16\] for kmeans, got 17"),
+        ({"method": "kmeans", "bits": None}, r"bits must be in \[1, 16\] for kmeans, got None"),
+        ({"method": "pca"}, "method 'pca' needs a k of 1 or more, got None"),
+        ({"method": "pca", "k": 0}, "method 'pca' needs a k of 1 or more, got 0"),
+        ({"method": "pca", "k": 2, "full_range": True}, "full_range needs method 'uniform'"),
+        ({"method": "kmeans", "full_range": True}, "full_range needs method 'uniform'"),
+        ({"rounding": "deterministic", "full_range": True}, "full_range needs stochastic rounding"),
+        ({"rounding": "det"}, "unknown rounding 'det'"),
+    ])
+    def test_spec_is_checked_before_any_matrix(self, spec, message):
+        with pytest.raises(ValueError, match=message):
+            compressor(**spec)
 
 
 class TestCompressedEmbedding:

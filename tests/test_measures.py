@@ -1014,7 +1014,7 @@ def test_condition_estimate_admits_exactly_what_cond2_admits(k, monkeypatch):
         del svd_calls[:]
         with monkeypatch.context() as m:
             m.setattr(np.linalg, "svd", spy)
-            admitted = linalg.well_conditioned_cholesky(Xt.T @ Xt) is not None
+            admitted = _admitted(Xt.T @ Xt)
         assert admitted == (sv[0] / sv[-1] <= linalg.GRAM_MAX_COND), cond
         # the k x k SVD runs only to confirm an estimate over the bound
         assert svd_calls == ([] if estimate <= linalg.GRAM_MAX_COND else [(k, k)]), cond
@@ -1023,6 +1023,12 @@ def test_condition_estimate_admits_exactly_what_cond2_admits(k, monkeypatch):
             with monkeypatch.context() as m:
                 m.setattr(linalg, "GRAM_MAX_COND", 0.0)
                 assert abs(gram - prepared.overlap(Xt)) <= 1e-10
+
+
+def _admitted(G) -> bool:
+    """Whether ``gram_cholesky`` gives G a factor and does not refuse it."""
+    L, refused = linalg.gram_cholesky(G)
+    return L is not None and refused is None
 
 
 def _parent_rule(G) -> bool:
@@ -1072,8 +1078,8 @@ def test_benchmark_and_ci_candidates_keep_their_paths(name):
     for C in containers:
         Xt = decompress(C)
         G = Xt.T @ Xt
-        assert (linalg.well_conditioned_cholesky(G) is not None) == _parent_rule(G)
+        assert _admitted(G) == _parent_rule(G)
         P = U.T @ Xt
         S = G - P.T @ P
         if np.trace(S) >= measures._RESIDUAL_MIN_TRACE * np.trace(G):
-            assert (linalg.well_conditioned_cholesky(S) is not None) == _parent_rule(S)
+            assert _admitted(S) == _parent_rule(S)

@@ -382,7 +382,7 @@ class TestRowBlockedOracle:
         assert got.tobytes() == want.tobytes()
 
     @SHAPES
-    @pytest.mark.parametrize("bits", [1, 4])
+    @pytest.mark.parametrize("bits", [1, 2, 4, 8])
     def test_full_range_quantizer(self, n, d, bits):
         X = gen_uniform_matrix(n, d, 8)
         grid = QuantizationGrid(bits, 1.0 / math.sqrt(d))
