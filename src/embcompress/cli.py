@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from . import storage
-from .compress import SEED_LIMIT, compressor, decompress
+from .compress import METHODS, SEED_LIMIT, compressor, decompress
 from .linalg import LinalgError, _usable_cores, max_abs
 from .measures import MEASURE_NAMES, PreparedBase
 from .selection import MeasureSpec, evaluate_measures, rank_candidates
@@ -114,7 +114,7 @@ def _build_parser() -> _Parser:
         return p
 
     p = add_parser("compress", help="compress a text embedding into the binary container")
-    p.add_argument("--method", choices=("uniform", "kmeans", "pca"), required=True)
+    p.add_argument("--method", choices=METHODS, required=True)
     p.add_argument("--bits", type=int, help="bits per entry (uniform/kmeans)")
     p.add_argument("--dim", type=int, help="retained dimension k (pca)")
     p.add_argument("--rounding", choices=("det", "stoch"), default="det")

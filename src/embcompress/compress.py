@@ -249,6 +249,7 @@ def quantization_objective(X, bits: int):
     fewer than ``step`` values, O(2**bits * log(n*d) + 2**14) in all; wider
     grids take one pass over the sorted values.
     """
+    _check_bits(METHOD_UNIFORM, bits)
     ss = _sort_scalars(as_matrix(X), 1 << min(bits, _MOMENT_MAX_BITS))
     row = ss.x.reshape(1, -1)
     # entries beyond 1e154 overflow x^2 (the last checkpoint holds its

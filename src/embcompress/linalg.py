@@ -324,8 +324,11 @@ def tsqr_r(blocks) -> np.ndarray:
     share of the work.  Each block's QR runs under :func:`one_blas_thread`."""
     R = None
     for B in blocks:
+        if R is not None:
+            # rebinding B lets a block made only for this call be freed before its QR
+            B = np.vstack((R, B))
         with one_blas_thread():
-            R = np.linalg.qr(B if R is None else np.vstack((R, B)), mode="r")
+            R = np.linalg.qr(B, mode="r")
     return R
 
 

@@ -148,25 +148,26 @@ def _tsqr_blocks(n: int, k: int) -> list[tuple[int, int]]:
 def _explicit_residual(base: PreparedBase, Xt: np.ndarray, P: np.ndarray):
     """``(P + C, R_e)``: U^T Xt = P + C re-orthogonalised, and the R factor
     of Xt's residual E = Xt - U (P + C) off span(U), from two passes over
-    row blocks, so no n x k matrix is formed.  The first sums the correction
-    C = U^T E0 for E0 = Xt - U P, from ``P`` = U^T Xt; it keeps E orthogonal
-    to U to working precision.  The second feeds E to
-    :func:`~embcompress.linalg.tsqr_r` one block at a time."""
+    row blocks, each held only by its reader, so no n x k matrix is formed.
+    The first sums the correction C = U^T E0 for E0 = Xt - U P, from ``P`` =
+    U^T Xt; it keeps E orthogonal to U to working precision.  The second
+    feeds E to :func:`~embcompress.linalg.tsqr_r` one block at a time."""
     n, k = Xt.shape
     blocks = _tsqr_blocks(n, k)
+    B = base.basis.B
+
+    def rows(W, i0, i1):
+        E = B[i0:i1] @ W
+        return np.subtract(Xt[i0:i1], E, out=E)
 
     def residual(Z):
-        """(B rows, E rows) of each block, for E = Xt - U Z = Xt - B W."""
-        B, W = base._lift_factors(Z)
-        for i0, i1 in blocks:
-            E = B[i0:i1] @ W
-            yield B[i0:i1], np.subtract(Xt[i0:i1], E, out=E)
+        """The row blocks of E = Xt - U Z = Xt - B W."""
+        W = base.basis.lift(Z)
+        return (rows(W, i0, i1) for i0, i1 in blocks)
 
-    T = 0.0  # B^T E0, summed in block order
-    for B, E0 in residual(P):
-        T = T + B.T @ E0
-    P = P + (T if base.svd is not None else base._from_cross(T))
-    return P, tsqr_r(E for _, E in residual(P))
+    # C = U^T E0, read from B^T E0 summed in block order
+    P = P + base.basis.coords(sum(B[i0:i1].T @ E0 for (i0, i1), E0 in zip(blocks, residual(P))))
+    return P, tsqr_r(residual(P))
 
 
 def _deltas(base: PreparedBase, c: _Candidate, lam: float):
@@ -181,16 +182,13 @@ def _deltas(base: PreparedBase, c: _Candidate, lam: float):
     # with orthonormal [U | Q_e], so W = QR only needs R_e and the QR of
     # that small matrix.  mu - 1 are the eigenvalues of R J R^T, plus 0 on
     # the complement of span(W) when n > rows of R.
-    # P = U^T Xt and G = Xt^T Xt come from the candidate.  On the Gram path
-    # (``c.L`` formed), R_e is the Cholesky factor of E^T E = G - P^T P (see
-    # ``_gram_residual_factor``) and no n x k matrix is touched; on the
-    # others, or when that factor is refused, R_e is the blocked tall-skinny
-    # QR factor of an explicit E, formed one row block at a time (see
-    # ``_explicit_residual``).
+    # P = U^T Xt and G = Xt^T Xt come from the candidate; R_e is the Cholesky
+    # factor of E^T E = G - P^T P (``_gram_residual_factor``) or, where that
+    # is refused, the blocked QR factor of an explicit E (``_explicit_residual``).
     s, Xt, P = base.s, c.Xt, c.P
     d, k = s.shape[0], Xt.shape[1]
     s2 = s * s
-    Re = None if c.L is None else _gram_residual_factor(c.G, P)
+    Re = _gram_residual_factor(c.G, P)
     if Re is None:
         P, Re = _explicit_residual(base, Xt, P)
     M = np.zeros((d + Re.shape[0], k + d))
@@ -227,27 +225,55 @@ def quality_report(X, Xt, lam: float | None = None) -> QualityReport:
 
 
 @dataclass(frozen=True)
+class _Basis:
+    """An orthonormal basis Q of span(B), for an n x m matrix B, held as B
+    and a small right factor and never formed: Q = B V diag(1/s) when ``s``
+    is set (a Gram-path X, or an R-factor candidate with the W_r and s_r of
+    its R factor's SVD), Q = B L^{-T} when ``L`` is set (a Gram-path
+    candidate, L the Cholesky factor of B^T B), and Q = B otherwise (an
+    SVD's U).  Only :meth:`coords` and :meth:`lift` read which form it is."""
+
+    B: np.ndarray
+    V: np.ndarray | None = None
+    s: np.ndarray | None = None
+    L: np.ndarray | None = None
+
+    def coords(self, C: np.ndarray) -> np.ndarray:
+        """Q^T Y from C = B^T Y."""
+        if self.L is not None:
+            return np.linalg.solve(self.L, C)
+        if self.s is not None:
+            return (self.V.T @ C) / self.s[:, None]
+        return C
+
+    def project(self, Y: np.ndarray) -> np.ndarray:
+        """Q^T Y."""
+        return self.coords(self.B.T @ Y)
+
+    def lift(self, Z: np.ndarray) -> np.ndarray:
+        """W with Q Z = B W, so that rows i0:i1 of Q Z are B[i0:i1] @ W."""
+        if self.L is not None:
+            return np.linalg.solve(self.L.T, Z)
+        if self.s is not None:
+            return self.V @ (Z / self.s[:, None])
+        return Z
+
+
+@dataclass(frozen=True)
 class _Candidate:
-    """A candidate validated against the base, with the three products that
-    every measure reads: G = Xt^T Xt, C = X^T Xt and P = U^T Xt for all of
-    X's left singular vectors U (on a Gram-path base P is derived from C).
-    Its orthonormal basis is held one of two ways: on the Gram path ``L`` is
-    the Cholesky factor of G and the basis is Xt L^{-T}, unformed; on the
-    R-factor and SVD paths ``Ut`` is Xt's retained left singular basis."""
+    """A candidate validated against the base: G = Xt^T Xt, C = X^T Xt and
+    P = U^T Xt for all of X's left singular vectors U, its orthonormal
+    ``basis`` Ut of ``rank`` columns, and CB = X^T B and PB = U^T B for that
+    basis's B: C and P themselves, unless B is an SVD-path candidate's Ut."""
 
     Xt: np.ndarray
     rank: int
     G: np.ndarray
     C: np.ndarray
     P: np.ndarray
-    L: np.ndarray | None = None
-    Ut: np.ndarray | None = None
-
-    def project(self, Y: np.ndarray) -> np.ndarray:
-        """Ut^T Y for Xt's orthonormal basis Ut: L^{-1} Xt^T Y on the Gram path."""
-        if self.L is None:
-            return self.Ut.T @ Y
-        return np.linalg.solve(self.L, self.Xt.T @ Y)
+    basis: _Basis
+    CB: np.ndarray
+    PB: np.ndarray
 
 
 # Smallest trace(S) / trace(G), for S = G - P^T P = E^T E, at which the
@@ -294,12 +320,12 @@ def _refused_at_full_rank(s: np.ndarray | None, n: int) -> bool:
     return s[0] ** 2 * (2.0 * (n + s.shape[0]) * _EPS) <= s[-1] ** 2
 
 
-def _r_factor_basis(Xt: np.ndarray) -> tuple[int, np.ndarray] | None:
+def _r_factor_basis(Xt: np.ndarray) -> tuple[int, _Basis] | None:
     """``(rank, Ut)`` for a tall Xt from the SVD R = A diag(s) W^T of its
     blocked tall-skinny QR factor: Xt = (Q A) diag(s) W^T, so Xt's retained
-    left singular vectors are Ut = Xt W_r diag(1/s_r), n x rank, with the
-    rank read from s as :meth:`ThinSVD.rank` reads it.  None when the
-    retained s_r spread beyond ``GRAM_MAX_COND``, where Ut formed this way
+    left singular vectors are Ut = Xt W_r diag(1/s_r), held unformed, with
+    the rank read from s as :meth:`ThinSVD.rank` reads it.  None when the
+    retained s_r spread beyond ``GRAM_MAX_COND``, where Ut read this way
     loses orthogonality, or when the small SVD fails."""
     n, k = Xt.shape
     R = tsqr_r(Xt[i0:i1] for i0, i1 in _tsqr_blocks(n, k))
@@ -310,21 +336,20 @@ def _r_factor_basis(Xt: np.ndarray) -> tuple[int, np.ndarray] | None:
     rank = numerical_rank(s, max(n, k))
     if rank == 0 or not s[rank - 1] * GRAM_MAX_COND >= s[0]:
         return None
-    return rank, Xt @ (Wt[:rank].T / s[:rank])
+    return rank, _Basis(Xt, V=Wt[:rank].T, s=s[:rank])
 
 
 class PreparedBase:
     """A base matrix X factored once, to score any number of candidates.
 
-    Holds X's singular values ``s``, right singular vectors ``V`` and
-    numerical ``rank``, taken one of two ways:
+    Holds X's singular values ``s``, right singular vectors ``V``, numerical
+    ``rank`` and left singular ``basis`` U (a :class:`_Basis`), taken one of
+    two ways:
 
     * Gram path, when X is no wider than tall and cond(X) is within
       ``GRAM_MAX_COND`` (see :func:`~embcompress.linalg.gram_eigh`): ``s``
       and V come from the symmetric eigensolve of A = X^T X, the rank is d,
-      and X's left singular basis U = X V diag(1/s) is never formed; U^T Y
-      is read as diag(1/s) V^T (X^T Y) and U Z as X (V diag(1/s) Z).
-      ``svd`` is None.
+      and U = X V diag(1/s) is never formed.  ``svd`` is None.
     * SVD path, for any other X (wider than tall, rank-deficient or ill
       conditioned): ``svd`` is X's thin SVD, whose U holds all of X's left
       singular vectors; the first ``rank`` of them are the retained basis.
@@ -337,38 +362,27 @@ class PreparedBase:
     between the Gram and the SVD path.
 
     Every candidate Xt (n x k) is validated once into one record (see
-    :class:`_Candidate`) holding G = Xt^T Xt, C = X^T Xt and P = U^T Xt,
-    which every measure reads: PIP loss needs only G and C.  On a Gram-path
+    :class:`_Candidate`) holding G = Xt^T Xt, C = X^T Xt, P = U^T Xt and
+    Xt's orthonormal basis Ut; PIP loss needs only G and C.  On a Gram-path
     base P = diag(1/s) V^T C, so a report takes one n x d x k product with
-    X; on an SVD-path base P is a second one, with the SVD's U.  A tall
-    candidate whose Cholesky factor L of G passes ``gram_cholesky``
-    (cond(L) within ``GRAM_MAX_COND``) takes
-    no SVD: Xt L^{-T} is an orthonormal basis of its span, so the overlap
-    is ||L^{-1} P_r^T||_F^2 / max(d, k), for P_r the first ``rank`` rows of
-    P, and the projected error ||X||_F^2 - ||L^{-1} C^T||_F^2.  A tall
-    candidate whose Cholesky fails (rank-deficient, as PCA --keep-v or a
-    zero or repeated column) takes the k x k R factor of a blocked
-    tall-skinny QR of Xt and the SVD R = A diag(s) W^T (see
-    :func:`_r_factor_basis`): when its retained singular values s_r lie
-    within ``GRAM_MAX_COND`` of the largest, its retained left singular
-    basis is Ut = Xt W_r diag(1/s_r), n x rank.  So does one whose L is
-    refused while numerically rank-deficient.  Any other candidate (wider
-    than tall, with a retained spectrum spread wider, or whose L is refused
-    at full numerical rank, as R's spread is then cond(L)) costs one SVD of
-    Xt and uses its retained singular vectors.
+    X; on an SVD-path base P is a second one, with the SVD's U.  The overlap
+    ||Ut^T U_r||_F^2 / max(d, k), for U_r the first ``rank`` columns of U,
+    and the projected error ||X||_F^2 - ||Ut^T X||_F^2 are read from P and
+    C whenever Ut is Xt times a small factor: Ut = Xt L^{-T} for a tall
+    candidate whose Cholesky factor L of G passes ``gram_cholesky``, else
+    Ut = Xt W_r diag(1/s_r) for a tall one whose L fails or is refused while
+    it is numerically rank-deficient (PCA --keep-v, a zero or repeated
+    column) and whose R factor's retained spectrum s_r passes the same bound
+    (see :func:`_r_factor_basis`).  Any other candidate (wider than tall, or
+    spread wider) costs one SVD of Xt, whose Ut is formed, and a product of
+    Ut with X and, on an SVD-path base, with U.
 
-    The spectral deltas (see :func:`_deltas`) add one small QR and one small
-    symmetric eigensolve to the R factor R_e of Xt's residual E = Xt - U P
-    off span(U).  A Gram-path candidate takes R_e from the Cholesky factor
-    of E^T E = G - P^T P, with no n x k pass, on any base, unless
-    :func:`_gram_residual_factor` refuses it (PCA and near-lossless
-    candidates); any other pair takes the blocked tall-skinny QR of an
-    explicit E, formed one row block at a time after one
-    re-orthogonalisation pass (see :func:`_explicit_residual`).
-
-    The norms ||X||_F^2 and ||X - Xt||_F^2 reduce in row blocks too, so
-    scoring a candidate forms no n x d or n x k matrix beyond X, Xt and an
-    R-factor candidate's n x rank basis: its temporaries are row blocks of
+    The spectral deltas (see :func:`_deltas`) take the R factor R_e of Xt's
+    residual E = Xt - U P off span(U) from the Cholesky factor of G - P^T P,
+    unless :func:`_gram_residual_factor` refuses it, and then from a blocked
+    tall-skinny QR of E (see :func:`_explicit_residual`).  The norms reduce
+    in row blocks too, so scoring forms no n x d or n x k matrix beyond X,
+    Xt and an SVD-path candidate's Ut: its temporaries are row blocks of
     about :data:`~embcompress.linalg._BLOCK_SCALARS` scalars (at least 2k
     rows for the QR) and d x k or k x k products.
     """
@@ -382,10 +396,12 @@ class PreparedBase:
             self.s, self.V = eig
             self.rank = d
             self.svd = None
+            self.basis = _Basis(X, V=self.V, s=self.s)
         else:
             self.svd = thin_svd(X)
             self.s, self.V = self.svd.s, self.svd.V
             self.rank = self.svd.rank()
+            self.basis = _Basis(self.svd.U)
             _warn_if_deficient(self.rank, d, "X")
 
     @cached_property
@@ -399,61 +415,40 @@ class PreparedBase:
         Davis-Kahan bound read it."""
         return sq_fro_norm(self.X.T @ self.X if self._gram is None else self._gram)
 
-    def _from_cross(self, C: np.ndarray) -> np.ndarray:
-        """U^T Y from C = X^T Y, on the Gram path."""
-        return (self.V.T @ C) / self.s[:, None]
-
-    def _project(self, Y: np.ndarray) -> np.ndarray:
-        """U^T Y for all of X's left singular vectors U."""
-        if self.svd is not None:
-            return self.svd.U.T @ Y
-        return self._from_cross(self.X.T @ Y)
-
-    def _lift_factors(self, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(B, W)`` with U Z = B W for all of X's left singular vectors U:
-        (X, V diag(1/s) Z) on the Gram path, (U, Z) on the SVD path, so that
-        rows i0:i1 of U Z are B[i0:i1] W."""
-        if self.svd is not None:
-            return self.svd.U, Z
-        return self.X, self.V @ (Z / self.s[:, None])
-
-    def _lift(self, Z: np.ndarray) -> np.ndarray:
-        """U Z for all of X's left singular vectors U."""
-        B, W = self._lift_factors(Z)
-        return B @ W
-
     def _candidate(self, Xt) -> _Candidate:
-        """Xt validated against X, with its products G, C and P, and on the
+        """Xt validated against X, with its products and its basis, on the
         Gram path when it qualifies."""
         Xt = as_matrix(Xt, "Xt")
         n, k = Xt.shape
         if self.X.shape[0] != n:
             raise ValueError(f"row count mismatch: {self.X.shape[0]} vs {n}")
+
+        def products(Y):
+            """(X^T Y, U^T Y), the second read from the first on a Gram-path base."""
+            XY = self.X.T @ Y
+            return XY, self.basis.coords(XY) if self.svd is None else self.basis.project(Y)
+
         G = Xt.T @ Xt
-        C = self.X.T @ Xt
-        P = self._from_cross(C) if self.svd is None else self.svd.U.T @ Xt
+        C, P = products(Xt)
         L, refused = gram_cholesky(G) if k <= n else (None, None)
         if L is not None and refused is None:
-            return _Candidate(Xt, k, G, C, P, L=L)
+            return _Candidate(Xt, k, G, C, P, _Basis(Xt, L=L), C, P)
         # a candidate refused at full rank skips the R factor that would be
         # refused too
-        retained = None
-        if k <= n and not _refused_at_full_rank(refused, n):
-            retained = _r_factor_basis(Xt)
-        if retained is None:
+        retained = k <= n and not _refused_at_full_rank(refused, n) and _r_factor_basis(Xt)
+        if retained:
+            (rank, basis), CB, PB = retained, C, P
+        else:
             ft = thin_svd(Xt)
-            retained = ft.rank(), ft.U[:, :ft.rank()]
-        rank, Ut = retained
+            rank = ft.rank()
+            basis = _Basis(ft.U[:, :rank])
+            CB, PB = products(basis.B)
         _warn_if_deficient(rank, k, "Xt")
-        return _Candidate(Xt, rank, G, C, P, Ut=Ut)
+        return _Candidate(Xt, rank, G, C, P, basis, CB, PB)
 
     def _bases_product(self, c: _Candidate) -> np.ndarray:
-        """U_r^T Ut for U_r the base's ``rank`` retained left singular
-        vectors, read from the first ``rank`` rows of U^T Ut: on the Gram
-        path, with Ut = Xt L^{-T} unformed, its transpose L^{-1} P_r^T."""
-        if c.L is not None:
-            return np.linalg.solve(c.L, c.P[:self.rank].T)
-        return self._project(c.Ut)[:self.rank]
+        """Ut^T U_r for U_r the base's ``rank`` retained left singular vectors."""
+        return c.basis.coords(c.PB[:self.rank].T)
 
     def _overlap(self, c: _Candidate) -> float:
         return sq_fro_norm(self._bases_product(c)) / max(self.X.shape[1], c.Xt.shape[1])
@@ -481,8 +476,7 @@ class PreparedBase:
         k = Xt.shape[1]
         lam = self.resolve_lambda(lam)
         delta1, delta2, delta, delta_max = _deltas(self, c, lam)
-        # Ut^T X, or its Gram-path equal L^{-1} Xt^T X
-        M = c.Ut.T @ X if c.L is None else np.linalg.solve(c.L, c.C.T)
+        M = c.basis.coords(c.CB.T)  # Ut^T X
         return QualityReport(
             eigenspace_overlap=self._overlap(c),
             pip_loss=_pip_from_blocks(self.sq_gram_norm, c.G, c.C),

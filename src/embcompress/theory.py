@@ -140,7 +140,7 @@ def closed_form_risk(X, ybar, sigma2: float) -> float:
     if sigma2 < 0:
         raise ValueError("sigma2 must be >= 0")
     base = _full_rank_base(X)
-    proj = base._project(ybar[:, None])
+    proj = base.basis.project(ybar[:, None])
     return (det_sum(ybar * ybar) - det_sum(proj * proj) + base.rank * sigma2) / X.shape[0]
 
 
@@ -171,10 +171,10 @@ def _full_rank_pair(X, Xt, model: LabelModel) -> tuple[PreparedBase, _Candidate]
 def _exact_gap(base: PreparedBase, c: _Candidate, model: LabelModel) -> float:
     n, d = base.X.shape
     k = c.Xt.shape[1]
-    M = base._bases_product(c)
+    M = base._bases_product(c)  # Ut^T U
     S = model.sqrt_factor()
-    if S is not None:  # ||Ut^T U S||_F = ||S U^T Ut||_F, S symmetric
-        M = M @ S if c.L is not None else S @ M
+    if S is not None:  # ||Ut^T U S||_F
+        M = M @ S
     return (model.trace(d) - sq_fro_norm(M)) / n - (d - k) * model.sigma2(n, d) / n
 
 
@@ -386,9 +386,9 @@ def simulate_regression_gap(
     block = _trial_block(n, trials)
     for j0 in range(0, trials, block):
         j1 = min(j0 + block, trials)
-        Ybar = base._lift(_label_coefficients(rng, S, j1 - j0, d, j0).T)
-        proj_x = base._project(Ybar)
-        proj_t = c.project(Ybar)
+        Ybar = base.basis.B @ base.basis.lift(_label_coefficients(rng, S, j1 - j0, d, j0).T)
+        proj_x = base.basis.project(Ybar)
+        proj_t = c.basis.project(Ybar)
         np.subtract(np.sum(proj_x * proj_x, axis=0), np.sum(proj_t * proj_t, axis=0),
                     out=gaps[j0:j1])
     gaps += (k - d) * model.sigma2(n, d)
@@ -548,7 +548,8 @@ def simulate_lipschitz_gap(
     X, Xt = base.X, c.Xt
     n, d = X.shape
     gd = gd or GdConfig()
-    Ybar = base._lift(_label_coefficients(rng.substream(0), model.sqrt_factor(), trials, d).T)
+    Z = _label_coefficients(rng.substream(0), model.sqrt_factor(), trials, d).T
+    Ybar = base.basis.B @ base.basis.lift(Z)
     Y = Ybar + math.sqrt(model.sigma2(n, d)) * rng.substream(1).normal_block(trials, n).T
 
     # sigma_max of Xt is the root of the largest eigenvalue of the G = Xt^T Xt it holds

@@ -337,6 +337,19 @@ class TestClipThreshold:
         with pytest.raises(ValueError, match="all-zero"):
             find_clip_threshold(np.zeros((3, 3)), 2)
 
+    @pytest.mark.parametrize("bits", [0, 40])
+    def test_bits_checked_before_the_sort(self, bits, monkeypatch):
+        from embcompress import compress as compress_mod
+
+        def no_sort(values, runs):
+            raise AssertionError("sorted before bits were checked")
+
+        monkeypatch.setattr(compress_mod, "_sort_scalars", no_sort)
+        X = RNG.normal(size=(20, 5))
+        for call in (quantization_objective, find_clip_threshold, compress_uniform):
+            with pytest.raises(ValueError, match=r"bits must be in \[1, 31\]"):
+                call(X, bits)
+
     @pytest.mark.parametrize("bits", [1, 2, 4])
     def test_golden_close_to_grid_sweep(self, bits):
         X = gen_student_t_matrix(100, 100, df=5.0, scale=1.0, seed=9)

@@ -17,7 +17,7 @@ from embcompress.measures import (
     reconstruction_error,
 )
 from embcompress.selection import MeasureSpec, select_best
-from embcompress.theory import LabelModel, lipschitz_gap_bound
+from embcompress.theory import LabelModel, exact_expected_gap, lipschitz_gap_bound
 
 RNG = np.random.default_rng(314)
 
@@ -451,6 +451,40 @@ def svd_basis(M):
     return U[:, s > s[0] * max(M.shape) * _EPS]
 
 
+def assert_matches_dense(X, Xt, lam, rep, delta_rtol=0.0):
+    """The report, and for a pair of full column rank the exact gap under an
+    explicit covariance, against plain numpy on dense matrices; the deltas
+    to 1e-7 plus ``delta_rtol`` relative.  The labels U S g of the gap depend
+    on the signs of the base's left singular vectors U, so the dense U takes
+    the signs of the one the base holds."""
+    U, Ut = svd_basis(X), svd_basis(Xt)
+    lift = basis_ops(PreparedBase(X))[1]
+    U = U * np.sign(np.sum(U * lift(np.eye(X.shape[1]))[:, :U.shape[1]], axis=0))
+    B = Ut.T @ U
+    overlap = float(np.sum(B * B)) / max(X.shape[1], Xt.shape[1])
+    assert abs(rep.eigenspace_overlap - overlap) <= 1e-10
+    assert rep.pip_loss == pytest.approx(dense_pip(X, Xt), rel=1e-9, abs=1e-7)
+    P = np.linalg.lstsq(Xt, X, rcond=None)[0]
+    proj = float(np.sum((Xt @ P - X) ** 2))
+    assert rep.projected_reconstruction_error == pytest.approx(
+        proj, abs=1e-9 * float(np.sum(X * X))
+    )
+    mus = dense_pencil_eigs(X, Xt, lam)
+    for got, want in ((rep.delta1, 1.0 - float(mus[0])), (rep.delta2, float(mus[-1]) - 1.0)):
+        assert abs(got - want) <= 1e-7 + delta_rtol * abs(want)
+    assert (rep.rank_x, rep.rank_xt) == (U.shape[1], Ut.shape[1])
+    (n, d), k = X.shape, Xt.shape[1]
+    if (U.shape[1], Ut.shape[1]) == (d, k):
+        A = np.random.default_rng(d).normal(size=(d, d))
+        cov = A @ A.T / d + np.eye(d)
+        vals, vecs = np.linalg.eigh(cov)
+        M = B @ ((vecs * np.sqrt(vals)) @ vecs.T)  # Ut^T U S, S S = cov
+        tr = float(np.trace(cov))
+        want = (tr - float(np.sum(M * M))) / n - (d - k) * 0.1**2 * tr / n**2
+        got = exact_expected_gap(X, Xt, LabelModel(covariance=cov, noise_ratio=0.1))
+        assert abs(got - want) <= 1e-10 * tr / n
+
+
 def _oracle_pairs():
     from embcompress.compress import compress_pca, compress_uniform, decompress
     from embcompress.theory import gen_scaled_matrix, stochastic_quantize_full_range
@@ -481,19 +515,7 @@ class TestPreparedBaseOracles:
 
     def test_report_matches_dense_oracles(self, case):
         _, X, Xt, lam = case
-        rep = PreparedBase(X).report(Xt, lam)
-        assert rep.pip_loss == pytest.approx(dense_pip(X, Xt), rel=1e-9, abs=1e-7)
-        P = np.linalg.lstsq(Xt, X, rcond=None)[0]
-        proj = float(np.sum((Xt @ P - X) ** 2))
-        assert rep.projected_reconstruction_error == pytest.approx(
-            proj, abs=1e-9 * float(np.sum(X * X))
-        )
-        mus = dense_pencil_eigs(X, Xt, lam)
-        assert abs(rep.delta1 - (1.0 - float(mus[0]))) <= 1e-7
-        assert abs(rep.delta2 - (float(mus[-1]) - 1.0)) <= 1e-7
-        assert (rep.rank_x, rep.rank_xt) == (
-            svd_basis(X).shape[1], svd_basis(Xt).shape[1]
-        )
+        assert_matches_dense(X, Xt, lam, PreparedBase(X).report(Xt, lam))
 
     def test_wrappers_share_the_path(self, case):
         _, X, Xt, lam = case
@@ -587,6 +609,8 @@ def _fallback_pairs():
     # factor's bound
     S = gen_scaled_matrix(150, 6, 1e-6, seed=3)
     yield "scaled-cond-1e6", stochastic_quantize_full_range(S, 4, seed=4), S
+    # the same kind of candidate against S itself, an SVD-path base
+    yield "svd-base", S, gen_scaled_matrix(150, 6, 1e-6, seed=5)
     W = RNG.normal(size=(30, 5))
     yield "k>n", W, RNG.normal(size=(30, 40))
 
@@ -613,16 +637,18 @@ def test_fallback_takes_the_svd_and_its_values(case, candidate_svds, monkeypatch
         assert measures._r_factor_basis(Xt) is None
     ft = thin_svd(Xt)
     Ut = ft.U[:, : ft.rank()]
-    # U_r^T Ut, for U_r the base's retained left singular vectors
-    M = basis_ops(prepared)[0](Ut)[:prepared.rank]
+    # Ut^T U_r, for U_r the base's retained left singular vectors
+    M = basis_ops(prepared)[0](Ut)[:prepared.rank].T
     assert rep.eigenspace_overlap == sq_fro_norm(M) / max(X.shape[1], Xt.shape[1])
     assert rep.projected_reconstruction_error == max(
-        sq_fro_norm(X) - sq_fro_norm(Ut.T @ X), 0.0
+        sq_fro_norm(X) - sq_fro_norm((X.T @ Ut).T), 0.0
     )
     assert rep.pip_loss == math.sqrt(max(
         sq_fro_norm(X.T @ X) + sq_fro_norm(Xt.T @ Xt) - 2.0 * sq_fro_norm(X.T @ Xt), 0.0
     ))
     assert rep.rank_xt == ft.rank()
+    # delta2 reaches 1.3e5 (k>n): above 1e-7 absolute, the deltas meet 1e-9 relative
+    assert_matches_dense(X, Xt, 1e-3, rep, delta_rtol=1e-9)
 
 
 def _r_factor_pairs():
@@ -639,6 +665,9 @@ def _r_factor_pairs():
     yield "duplicated-columns", T, D[:, [0, 1, 2, 3, 4, 5, 6, 7, 2, 5, 8, 9]]
     yield "pca-keep-v-3000x20", T, decompress(compress_pca(T, 5, keep_v=True))
     yield "rank-4-of-5", *_rank_deficient_passing_cholesky()
+    # rank 7 in 8 columns: an SVD-path base
+    D = np.hstack([X[:, :7], X[:, :1]])
+    yield "svd-base", D, decompress(compress_pca(D, 3, keep_v=True))
 
 
 def _rank_deficient_passing_cholesky():
@@ -675,6 +704,7 @@ def _report_and_warnings(prepared, Xt, lam):
     return rep, [(w.category, str(w.message), w.filename) for w in seen]
 
 
+@pytest.mark.filterwarnings("ignore:X is numerically:embcompress.measures.RankDeficiencyWarning")
 @pytest.mark.parametrize("block", [None, 1])
 @pytest.mark.parametrize("case", list(_r_factor_pairs()), ids=lambda c: c[0])
 def test_r_factor_candidate_matches_the_svd_path(case, block, candidate_svds, monkeypatch):
@@ -698,6 +728,9 @@ def test_r_factor_candidate_matches_the_svd_path(case, block, candidate_svds, mo
                  "delta1", "delta2", "delta", "delta_max"):
         g, w = getattr(got, name), getattr(want, name)
         assert abs(g - w) <= 1e-12 * abs(w), name
+    # delta2 reaches 1.9e6 (duplicated-columns), where the dense pencil keeps
+    # about 9 digits: above 1e-7 absolute, the deltas meet 1e-9 relative
+    assert_matches_dense(X, Xt, 1e-3, got, delta_rtol=1e-9)
 
 
 def basis_ops(prepared):
@@ -866,18 +899,28 @@ def _record_candidates():
 def test_candidate_record_holds_its_products(candidate_svds, monkeypatch):
     # every candidate, on every path and against every kind of base, carries
     # G = Xt^T Xt, C = X^T Xt and P = U^T Xt for all of X's left singular
-    # vectors, bit for bit as the plain products give them
+    # vectors, and X^T B and U^T B for its basis's B, bit for bit as the
+    # plain products give them
     for base_name, prepared in _record_bases(monkeypatch):
         X, project = prepared.X, basis_ops(prepared)[0]
         for path, Xt in _record_candidates():
             del candidate_svds[:]
             c = prepared._candidate(Xt)
-            assert (c.L is not None, len(candidate_svds)) == {
-                "cholesky": (True, 0), "r-factor": (False, 0), "svd": (False, 1)}[path]
+            form = ("cholesky" if c.basis.L is not None else
+                    "r-factor" if c.basis.s is not None else "svd")
+            assert (form, len(candidate_svds)) == (path, int(path == "svd"))
+            # the basis's own products: C and P themselves when its B is Xt
+            B = c.basis.B
+            assert (B is c.Xt, c.CB is c.C, c.PB is c.P) == ((path != "svd",) * 3)
             for name, got, want in (("G", c.G, Xt.T @ Xt), ("C", c.C, X.T @ Xt),
-                                    ("P", c.P, project(Xt))):
+                                    ("P", c.P, project(Xt)), ("CB", c.CB, X.T @ B),
+                                    ("PB", c.PB, project(B))):
                 assert got.shape == want.shape and got.tobytes() == want.tobytes(), (
                     base_name, path, name)
+            # lift and project read the same orthonormal Q of rank columns
+            Q = B @ c.basis.lift(np.eye(c.rank))
+            assert np.abs(Q.T @ Q - np.eye(c.rank)).max() <= 1e-12, (base_name, path)
+            assert np.abs(c.basis.project(Q) - np.eye(c.rank)).max() <= 1e-12, (base_name, path)
 
 
 def _bounded_memory_pairs():
@@ -895,9 +938,9 @@ def _bounded_memory_pairs():
 @pytest.mark.parametrize("case", list(_bounded_memory_pairs()), ids=lambda c: c[0])
 def test_report_allocates_under_half_of_x(case):
     # beyond what is live when it starts, a report allocates row blocks of
-    # 2^16 scalars (0.04 X here), k x k and d x k products and, for the
-    # rank-deficient candidate, its n x 4 basis (0.25 X): under 0.5 X in all.
-    # A whole-matrix residual E, its lift or an SVD of Xt would each take X.
+    # 2^16 scalars (0.04 X here) and k x k and d x k products: under 0.5 X
+    # in all.  A whole-matrix residual E, its lift or an SVD of Xt would each
+    # take X.
     _, X, Xt = case
     base = PreparedBase(X)
     base.report(Xt)  # caches ||X||_F^2 and ||X^T X||_F^2
@@ -908,6 +951,28 @@ def test_report_allocates_under_half_of_x(case):
     finally:
         tracemalloc.stop()
     assert peak < 0.5 * X.nbytes, peak / X.nbytes
+
+
+@pytest.mark.filterwarnings("ignore::embcompress.measures.RankDeficiencyWarning")
+def test_r_factor_candidate_forms_no_n_by_rank_basis():
+    # the R-factor basis Ut = Xt W_r diag(1/s_r) stays unformed: beyond what
+    # is live when they start, neither the overlap nor the report allocates
+    # an n x rank array (2 MB here)
+    from embcompress.compress import compress_pca, decompress
+    from embcompress.theory import gen_student_t_matrix
+
+    X = gen_student_t_matrix(10_000, 100, df=5.0, scale=1.0, seed=0)
+    Xt = decompress(compress_pca(X, 25, keep_v=True))
+    base = PreparedBase(X)
+    assert base.report(Xt).rank_xt == 25  # also caches ||X||_F^2 and ||X^T X||_F^2
+    for score in (base.overlap, base.report):
+        tracemalloc.start()  # traces only what is allocated from here on
+        try:
+            score(Xt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < X.shape[0] * 25 * 8, (score.__name__, peak)
 
 
 def _power_law(n, d, cond, seed):

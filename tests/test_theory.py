@@ -628,7 +628,8 @@ def _theorem2_fixture(seed):
     n, d, trials = 1000, 10, 200
     rng = CounterRng(seed)
     X = gen_uniform_matrix(n, d, seed)
-    Ybar = PreparedBase(X)._lift(rng.substream(0).normal_block(trials, d).T)
+    basis = PreparedBase(X).basis
+    Ybar = basis.B @ basis.lift(rng.substream(0).normal_block(trials, d).T)
     sigma = math.sqrt(LabelModel(noise_ratio=0.1).sigma2(n, d))
     return X, Ybar + sigma * rng.substream(1).normal_block(trials, n).T
 
