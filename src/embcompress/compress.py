@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bitpack
-from .linalg import LinalgError, _run_row_blocks, as_matrix, fro_norm, max_abs
+from .linalg import LinalgError, _row_blocks, _run_row_blocks, as_matrix, fro_norm, max_abs
 from .measures import PreparedBase, RankDeficiencyWarning
 from .rng import CounterRng
 
@@ -555,7 +555,10 @@ def compress_pca(X, k: int, keep_v: bool = False) -> CompressedEmbedding:
     :class:`~embcompress.measures.PreparedBase` of X: the symmetric eigensolve
     of X^T X when X is no wider than tall and cond(X) <= ``linalg.GRAM_MAX_COND``,
     and X's thin SVD otherwise, which must then have numerical rank k or more.
-    Each kept column's sign follows the factorization that ran.
+    Each kept column's sign follows the factorization that ran.  On the Gram
+    path X V_k is formed one row block of about 64k scalars at a time into
+    the n x k output: one whole-matrix product let multithreaded OpenBLAS
+    keep buffers about the size of X resident.
     """
     X = as_matrix(X)
     n, d = X.shape
@@ -567,7 +570,12 @@ def compress_pca(X, k: int, keep_v: bool = False) -> CompressedEmbedding:
     if k > base.rank:
         raise LinalgError(f"requested k={k} exceeds the numerical rank {base.rank}")
     V = base.V[:, :k]
-    reduced = X @ V if base.svd is None else base.svd.U[:, :k] * base.s[:k]
+    if base.svd is None:
+        reduced = np.empty((n, k))
+        for i0, i1 in _row_blocks(n, d):
+            np.matmul(X[i0:i1], V, out=reduced[i0:i1])
+    else:
+        reduced = base.svd.U[:, :k] * base.s[:k]
     return CompressedEmbedding(
         method=METHOD_PCA,
         n=n,
@@ -620,14 +628,25 @@ def compressor(method: str = METHOD_UNIFORM, bits: int = 4,
     return build
 
 
+def _decode_rows(C: CompressedEmbedding, i0: int, i1: int, out: np.ndarray) -> None:
+    """Rows ``i0:i1`` of a uniform or k-means candidate, decoded into ``out``."""
+    codes = bitpack.unpack_codes(C.codes[i0:i1], C.d_orig, C.bits)
+    out[...] = C.grid.values_for(codes) if C.method == METHOD_UNIFORM else C.codebook[codes]
+
+
 def decompress(C: CompressedEmbedding) -> np.ndarray:
-    """Dense reconstruction of a compressed embedding."""
-    if C.method == METHOD_UNIFORM:
-        codes = bitpack.unpack_codes(C.codes, C.d_orig, C.bits)
-        return C.grid.values_for(codes)
-    if C.method == METHOD_KMEANS:
-        codes = bitpack.unpack_codes(C.codes, C.d_orig, C.bits)
-        return C.codebook[codes]
+    """Dense reconstruction of a compressed embedding.
+
+    Codes are unpacked and mapped to their values one row block of about
+    64k scalars at a time, straight into the n x d_orig output, so the
+    peak is that output and one block.  PCA returns the reduced matrix, or
+    ``reduced @ V_k^T`` with ``keep_v``.
+    """
+    if C.method in (METHOD_UNIFORM, METHOD_KMEANS):
+        out = np.empty((C.n, C.d_orig))
+        for i0, i1 in _row_blocks(C.n, C.d_orig):
+            _decode_rows(C, i0, i1, out[i0:i1])
+        return out
     if C.basis_v is not None:
         return C.reduced @ C.basis_v.T
     return C.reduced.copy()

@@ -1,15 +1,23 @@
+import copy
 import dataclasses
+import functools
 import hashlib
 import itertools
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import embcompress
+from embcompress.bitpack import pack_codes, unpack_codes
 from embcompress.compress import (
     CompressedEmbedding,
     QuantizationGrid,
@@ -25,6 +33,7 @@ from embcompress.compress import (
     quantize_codes,
 )
 from embcompress.linalg import LinalgError, fro_norm, thin_svd
+from embcompress.measures import PreparedBase, RankDeficiencyWarning
 from embcompress.rng import CounterRng
 from embcompress.storage import compression_rate
 from embcompress.theory import (
@@ -797,6 +806,138 @@ class TestPcaCompression:
             assert fro_norm(decompress(C) - X) <= 1e-10 * fro_norm(X)
             with pytest.raises(LinalgError, match=r"k=3 exceeds the numerical rank 2"):
                 compress_pca(X, 3)
+
+
+def whole_decode(C):
+    """The whole-array decode of a uniform or k-means container."""
+    codes = unpack_codes(C.codes, C.d_orig, C.bits)
+    return C.grid.values_for(codes) if C.method == "uniform" else C.codebook[codes]
+
+
+@functools.lru_cache(maxsize=None)
+def quantized(n, d, method, bits, rounding):
+    X = gen_student_t_matrix(n, d, 5, 1, seed=n + d)
+    if method == "kmeans":
+        return compress_kmeans(X, bits)
+    return compress_uniform(X, bits, rounding=rounding, seed=3)
+
+
+class TestBlockedDecode:
+    """:func:`decompress` unpacks and maps one :func:`_row_blocks` block at a
+    time into its output; every value is the whole-array decode's."""
+
+    # at d = 30 a block is 2184 rows: n one row below and one row above it;
+    # rows of 7 codes end in padding bits at every width but 8 and 16
+    SHAPES = [(1, 30), (100, 30), (2183, 30), (2185, 30), (40, 1), (50, 7)]
+    KINDS = [("uniform", b, r) for b in (1, 2, 3, 4, 8, 16, 31)
+             for r in ("deterministic", "stochastic")] + [("kmeans", b, None) for b in (1, 3, 8)]
+
+    @pytest.mark.parametrize("block", [None, 1, 7 * 30 + 11])
+    @pytest.mark.parametrize("method,bits,rounding", KINDS)
+    def test_matches_the_whole_array_decode(self, method, bits, rounding, block, monkeypatch):
+        from embcompress import linalg
+
+        if block is not None:
+            monkeypatch.setattr(linalg, "_BLOCK_SCALARS", block)
+        for n, d in self.SHAPES:
+            C = quantized(n, d, method, bits, rounding)
+            out = decompress(C)
+            assert out.dtype == np.float64 and out.shape == (n, d)
+            assert out.tobytes() == whole_decode(C).tobytes(), (n, d)
+
+    def test_malformed_codes_keep_their_errors(self):
+        C = quantized(50, 7, "uniform", 3, "deterministic")
+        with pytest.raises(ValueError, match=r"codes shape \(50, 2\) != expected \(50, 3\)"):
+            dataclasses.replace(C, codes=C.codes[:, :2])
+        # codes set past the container's own check reach unpack_codes' checks
+        bad = copy.copy(C)
+        object.__setattr__(bad, "codes", C.codes[:, :2])
+        with pytest.raises(ValueError, match="packed row is 2 bytes, expected 3 for 7 3-bit codes"):
+            decompress(bad)
+        # a flat array is read one row block at a time: the shape in the text
+        # is the first block's, (50,) here, where the whole-array decode read (150,)
+        object.__setattr__(bad, "codes", C.codes.ravel())
+        with pytest.raises(ValueError, match=r"packed codes must be 2-D, got shape \("):
+            decompress(bad)
+
+    @pytest.mark.parametrize("method,bits", [("uniform", 4), ("uniform", 8), ("kmeans", 3)])
+    def test_peak_is_about_its_output(self, method, bits):
+        # the whole-array decode held an n x d uint32 code array beside a
+        # float temporary: 1.50x its output
+        rng = np.random.default_rng(0)
+        codes = pack_codes(rng.integers(0, 1 << bits, size=(10_000, 300)), bits)
+        if method == "uniform":
+            fields = dict(grid=QuantizationGrid(bits, 2.0))
+        else:
+            fields = dict(codebook=np.sort(rng.normal(size=1 << bits)))
+        C = CompressedEmbedding(method=method, n=10_000, d_orig=300, bits=bits, codes=codes,
+                                **fields)
+        tracemalloc.start()
+        try:
+            out = decompress(C)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * out.nbytes, peak / out.nbytes
+
+
+class TestBlockedProjection:
+    """On the Gram path :func:`compress_pca` forms X V_k one
+    :func:`_row_blocks` block at a time."""
+
+    @pytest.fixture(scope="class", params=[300, 100])
+    def base(self, request):
+        # several blocks: 218 rows each at d = 300, 655 at d = 100
+        X = gen_student_t_matrix(1500, request.param, 5, 1, seed=request.param)
+        B = PreparedBase(X)
+        assert B.svd is None
+        return X, B
+
+    @pytest.mark.parametrize("k", [1, 2, 25, 75, "d"])
+    def test_matches_the_whole_product(self, base, k):
+        X, B = base
+        k = X.shape[1] if k == "d" else k
+        C = compress_pca(X, k)
+        whole = X @ B.V[:, :k]
+        assert np.max(np.abs(C.reduced - whole)) <= 1e-14 * np.max(np.abs(whole))
+        assert compress_pca(X, k).reduced.tobytes() == C.reduced.tobytes()
+
+    def test_svd_path_keeps_its_bytes(self):
+        X = RNG.normal(size=(40, 60))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RankDeficiencyWarning)  # rank 40 of 60 columns
+            B = PreparedBase(X)
+        assert B.svd is not None
+        for k in (1, 25, 40):
+            expected = B.svd.U[:, :k] * B.s[:k]
+            assert compress_pca(X, k).reduced.tobytes() == expected.tobytes()
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
+    def test_projection_keeps_no_copy_of_x_resident(self):
+        # one whole-matrix X @ V_75 at two OpenBLAS threads left about 22 MB
+        # resident past its 5.7 MB output, and the call grew the peak RSS
+        # of a process that had already factored X by about 29 MB.  The
+        # child reads VmHWM, the peak of its own memory map: its ru_maxrss
+        # starts at the peak of the process that started it
+        script = (
+            "from embcompress.compress import compress_pca\n"
+            "from embcompress.measures import PreparedBase\n"
+            "from embcompress.theory import gen_student_t_matrix\n"
+            "def peak_kb():\n"
+            "    with open('/proc/self/status') as fh:\n"
+            "        return next(int(ln.split()[1]) for ln in fh if ln.startswith('VmHWM:'))\n"
+            "X = gen_student_t_matrix(10000, 300, 5, 1, seed=0)\n"
+            "PreparedBase(X)\n"
+            "before = peak_kb()\n"
+            "compress_pca(X, 75)\n"
+            "print(1024 * (peak_kb() - before), X.nbytes)\n"
+        )
+        src = str(Path(embcompress.__file__).resolve().parents[1])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="2", PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             text=True, check=True, timeout=300)
+        grown, nbytes = map(int, out.stdout.split())
+        assert grown < nbytes / 2, grown / 2**20
 
 
 def container_fields(C):

@@ -485,8 +485,9 @@ class TestBoundedMemory:
 
     def test_full_range_quantizer_is_about_its_output(self):
         X = gen_uniform_matrix(10_000, 100, seed=3)
+        # decoding the whole code array at once peaked at 1.56x
         Xt, peak = _traced_peak(lambda: stochastic_quantize_full_range(X, 4, 5))
-        assert peak <= 3 * Xt.nbytes, peak / Xt.nbytes
+        assert peak <= 1.4 * Xt.nbytes, peak / Xt.nbytes
 
     def test_clipping_curve_holds_one_candidate_and_one_difference(self):
         # whole-matrix quantization at each grid point peaked at 5.6x X
