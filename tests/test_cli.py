@@ -918,6 +918,23 @@ def test_reconstruct_rejects_token_count_mismatch(tmp_path, capsys):
     assert "vocabulary has 2 tokens but the matrix has 3 rows" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tokens, reduced, message", [
+    (("a b", "c"), [[1.0], [2.0]], "token 0 'a b' holds a space"),
+    (None, [[1.0], [math.nan]], "row 1 holds a non-finite value"),
+], ids=["space-in-token", "nan"])
+def test_reconstruct_refuses_text_it_cannot_read_back(tmp_path, capsys, tokens, reduced,
+                                                      message):
+    from embcompress.compress import CompressedEmbedding
+    from embcompress.storage import write_compressed
+
+    C = CompressedEmbedding(method="pca", n=2, d_orig=1, k=1, reduced=np.array(reduced))
+    blob = tmp_path / "c.eqc"
+    write_compressed(C, None if tokens is None else Vocabulary(tokens), blob)
+    out = tmp_path / "out.txt"
+    assert run(["reconstruct", str(blob), str(out)]) == 2
+    assert not out.exists()
+    assert message in capsys.readouterr().err
+
 def test_clipping_curve_cli(tmp_path):
     cfg = tmp_path / "cc.json"
     cfg.write_text(json.dumps({

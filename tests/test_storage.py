@@ -1,9 +1,11 @@
+import errno
 import hashlib
 import json
 import math
 import os
 import signal
 import struct
+import time
 import tracemalloc
 import warnings
 import zlib
@@ -412,6 +414,16 @@ class TestTextWriterGolden:
         assert X2.tobytes() == X.tobytes()
         assert v2 == v
 
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_forked_write_keeps_the_bytes(self, tmp_path, monkeypatch, workers):
+        monkeypatch.setattr(storage, "TEXT_BLOCK_ROWS", 100)
+        _writer_workers(monkeypatch, workers)
+        X, v = _golden_embedding()
+        p = tmp_path / "emb.txt"
+        write_text_embedding(X, v, p)
+        assert file_digest(p) == self.DIGEST
+        _assert_no_child_left()
+
     @pytest.mark.parametrize("threads", [1, 2, 3, 4])
     def test_reads_back_at_every_thread_count(self, tmp_path, monkeypatch, threads):
         monkeypatch.setattr(storage, "_MIN_FORK_BYTES", 1)
@@ -423,6 +435,73 @@ class TestTextWriterGolden:
         assert X2.tobytes() == X.tobytes() and X2.shape == X.shape and v2 == v
         assert taken == ([True] if threads > 1 else [])
         _assert_no_child_left()
+
+
+# Characters that end a line for str.splitlines
+_LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+class TestTextWriterRefuses:
+    """Text that the reader cannot read back is refused before the file is
+    opened, so an existing file keeps its bytes."""
+
+    def _refused(self, tmp_path, X, tokens, match):
+        p = tmp_path / "emb.txt"
+        p.write_bytes(b"old")
+        with pytest.raises(ValueError, match=match):
+            write_text_embedding(X, Vocabulary(tuple(tokens)), p)
+        assert p.read_bytes() == b"old"
+        with pytest.raises(ValueError, match=match):
+            write_text_embedding(X, Vocabulary(tuple(tokens)), tmp_path / "new.txt")
+        assert not (tmp_path / "new.txt").exists()
+
+    def test_token_with_a_space(self, tmp_path):
+        # unchecked, this is the line "a b 1 1", read back as "non-numeric field 'b'"
+        self._refused(tmp_path, np.ones((2, 2)), ("a b", "c"), r"^token 0 'a b' holds a space")
+
+    @pytest.mark.parametrize("char", list(_LINE_BREAKS) + ["\ud800"])
+    @pytest.mark.parametrize("where", ["inside", "end"])
+    def test_token_with_a_line_break_or_lone_surrogate(self, tmp_path, char, where):
+        token = "b" + char + ("c" if where == "inside" else "")
+        self._refused(tmp_path, np.ones((3, 2)), ("a", token, "d"), r"^token 1 ")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_names_the_first_row(self, tmp_path, bad):
+        X = np.ones((600, 3))
+        X[517, 2] = X[599, 0] = bad
+        self._refused(tmp_path, X, [f"t{i}" for i in range(600)], r"^row 517 holds a non-finite")
+
+    @pytest.mark.parametrize("shape", [(0, 3), (2, 0)])
+    def test_empty_matrix(self, tmp_path, shape):
+        self._refused(tmp_path, np.ones(shape), [f"t{i}" for i in range(shape[0])],
+                      "needs a row and a column")
+
+    def test_tokens_the_reader_keeps_are_written(self, tmp_path):
+        tokens = ("x\ty", "\x1f", "\t", "\xa0", "\ufeffa", "\U0001d11e", "nan")
+        X = np.arange(14.0).reshape(7, 2)
+        p = tmp_path / "emb.txt"
+        write_text_embedding(X, Vocabulary(tokens), p)
+        X2, v2 = read_text_embedding(p)
+        assert X2.tobytes() == X.tobytes() and v2.tokens == tokens
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), n=st.integers(1, 6), d=st.integers(1, 4))
+    def test_valid_text_round_trips_bit_for_bit(self, tmp_path, data, n, d):
+        """Read as "glove", the form written: under "auto" a d = 1 file
+        whose first token and value are positive integers reads as a header
+        (see test_format_override)."""
+        token = st.text(st.characters(blacklist_categories=("Cs",),
+                                      blacklist_characters=" " + _LINE_BREAKS),
+                        min_size=1, max_size=4)
+        tokens = data.draw(st.lists(token, min_size=n, max_size=n, unique=True))
+        values = data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                    min_size=n * d, max_size=n * d))
+        X = np.array(values).reshape(n, d)
+        p = tmp_path / "emb.txt"
+        write_text_embedding(X, Vocabulary(tuple(tokens)), p)
+        X2, v2 = read_text_embedding(p, fmt="glove")
+        assert X2.tobytes() == X.tobytes() and v2.tokens == tuple(tokens)
 
 
 def _spy_forked(monkeypatch):
@@ -440,22 +519,24 @@ def _spy_forked(monkeypatch):
     return taken
 
 
+@pytest.fixture
+def deadline():
+    """Fail, not hang, when a read or a write waits for a child forever."""
+
+    def expire(signum, frame):
+        raise TimeoutError("waited 60 s for a child")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, old)
+
+
+@pytest.mark.usefixtures("deadline")
 class TestForkedReader:
     """``read_text_embedding(threads=)``: the split, the fallback to one
     range, and the reaping of every child."""
-
-    @pytest.fixture(autouse=True)
-    def deadline(self):
-        """Fail, not hang, when a read waits for a child forever."""
-
-        def expire(signum, frame):
-            raise TimeoutError("a read waited 60 s")
-
-        old = signal.signal(signal.SIGALRM, expire)
-        signal.alarm(60)
-        yield
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, old)
 
     @pytest.mark.parametrize("threads", [1, 2, 3, 7])
     def test_ranges_start_after_a_newline(self, tmp_path, monkeypatch, threads):
@@ -552,6 +633,163 @@ class TestForkedReader:
         assert taken == [True]
         assert Y.tobytes() == X.tobytes() and Y.shape == X.shape and w == v
         assert peak < 1.7 * X.nbytes
+        _assert_no_child_left()
+
+
+def _sequential_text(X, tokens):
+    """The reference for the writer: one ``%.17g`` format per row, in one
+    process."""
+    row_format = "%s" + " %.17g" * X.shape[1] + "\n"
+    return "".join(
+        row_format % (token, *row) for token, row in zip(tokens, X.tolist())
+    ).encode("utf-8")
+
+
+def _spy_forks(monkeypatch):
+    """A list that gains an entry for each child started."""
+    started = []
+    real = storage._fork
+
+    def spy(work):
+        started.append(work)
+        return real(work)
+
+    monkeypatch.setattr(storage, "_fork", spy)
+    return started
+
+
+def _writer_workers(monkeypatch, workers):
+    """Make the writer use ``workers`` workers on any matrix of that many
+    blocks."""
+    monkeypatch.setattr(storage, "_MIN_FORK_BYTES", 1)
+    monkeypatch.setattr(storage, "_usable_cores", lambda: workers)
+
+
+# values whose text needs every digit, or an exponent, or a sign of zero
+_EDGE_VALUES = [-0.0, 5e-324, -2.2250738585072009e-308, 1e308, -1e308,
+                1.7976931348623157e308, 0.1 + 0.2, 1 / 3, -2.5e-5, 123456789.12345679,
+                0.0, 1.0, -7.774860418132129]
+
+
+def _edge_embedding(n, d):
+    values = np.array(_EDGE_VALUES * (n * d // len(_EDGE_VALUES) + 1))[:n * d]
+    tokens = [("naïve", "日本", "\U0001d11e", "x\ty", "ok")[i % 5] + str(i) for i in range(n)]
+    return values.reshape(n, d), Vocabulary(tuple(tokens))
+
+
+@pytest.mark.usefixtures("deadline")
+class TestForkedWriter:
+    """``write_text_embedding`` with forked block writers: the bytes of the
+    sequential text, the fallback when a child fails, and the reaping of
+    every child."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 3, 4, 5, 11, 12])
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_bytes_match_the_sequential_text(self, tmp_path, monkeypatch, workers, n, d):
+        # blocks of 4 rows: below a block, exactly one, one row past, and
+        # 2.75 and 3 blocks
+        monkeypatch.setattr(storage, "TEXT_BLOCK_ROWS", 4)
+        _writer_workers(monkeypatch, workers)
+        started = _spy_forks(monkeypatch)
+        X, v = _edge_embedding(n, d)
+        p = tmp_path / "emb.txt"
+        write_text_embedding(X, v, p)
+        assert p.read_bytes() == _sequential_text(X, v.tokens)
+        assert len(started) == min(workers, -(-n // 4)) - 1
+        _assert_no_child_left()
+
+    def test_worker_count_follows_cores_and_size(self, tmp_path, monkeypatch):
+        """At the real floor: about 1 MB of text and one block per worker."""
+        monkeypatch.setattr(storage, "_usable_cores", lambda: 4)
+        started = _spy_forks(monkeypatch)
+        for (n, d), want in [((256, 100), 0), ((1024, 100), 0), ((1100, 100), 1),
+                             ((4096, 100), 3), ((100_000, 1), 0), ((2, 50_000), 0),
+                             ((600, 1000), 2)]:
+            write_text_embedding(np.full((n, d), 0.25), vocab(n), tmp_path / "emb.txt")
+            assert len(started) == want, (n, d)
+            started.clear()
+        monkeypatch.setattr(storage, "_CAN_FORK", False)
+        write_text_embedding(np.full((4096, 100), 0.25), vocab(4096), tmp_path / "emb.txt")
+        assert started == []
+
+    @pytest.fixture
+    def base(self, monkeypatch):
+        """A 2304 x 40 matrix of nine blocks, written by three workers."""
+        _writer_workers(monkeypatch, 3)
+        X = RNG.normal(size=(2304, 40))
+        return X, vocab(2304), _sequential_text(X, vocab(2304).tokens)
+
+    @pytest.mark.parametrize("fault", ["raise", "exit", "exit-mid-frame", "exit-after-first-frame",
+                                       "exit-after-last-frame"])
+    def test_worker_fault_falls_back(self, tmp_path, base, monkeypatch, fault):
+        X, v, want = base
+        real = storage._send_blocks
+
+        def faulty(X, tokens, row_format, starts, w):
+            if fault == "raise":
+                raise RuntimeError("injected")
+            if fault == "exit-mid-frame":
+                os.write(w, struct.pack("=Q", 200_000) + b"w1 0.5")
+            if fault == "exit-after-first-frame":
+                real(X, tokens, row_format, starts[:1], w)
+            if fault == "exit-after-last-frame":
+                real(X, tokens, row_format, starts, w)
+            os._exit(1)
+
+        monkeypatch.setattr(storage, "_send_blocks", faulty)
+        started = _spy_forks(monkeypatch)
+        p = tmp_path / "emb.txt"
+        write_text_embedding(X, v, p)
+        assert len(started) == 2
+        assert p.read_bytes() == want
+        _assert_no_child_left()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_write_error_reaps_every_child(self, base, monkeypatch):
+        X, v, _ = base
+        started = _spy_forks(monkeypatch)
+        with pytest.raises(OSError) as info:
+            write_text_embedding(X, v, "/dev/full")
+        assert info.value.errno == errno.ENOSPC
+        assert len(started) == 2
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("children", ["working", "hung"])
+    def test_interrupt_kills_and_reaps_every_child(self, tmp_path, base, monkeypatch, children):
+        X, v, _ = base
+        parent, real = os.getpid(), storage._format_block
+
+        def interrupted(*args):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            return real(*args)
+
+        monkeypatch.setattr(storage, "_format_block", interrupted)
+        if children == "hung":  # only a kill ends them before the deadline
+            monkeypatch.setattr(storage, "_send_blocks", lambda *args: time.sleep(600))
+        started = _spy_forks(monkeypatch)
+        with pytest.raises(KeyboardInterrupt):
+            write_text_embedding(X, v, tmp_path / "emb.txt")
+        assert len(started) == 2
+        _assert_no_child_left()
+
+    def test_traced_peak_is_one_block_of_text(self, tmp_path, monkeypatch):
+        """This process holds one block's text and the floats of one row at
+        a time, whatever the worker count; with a block's floats made by one
+        ``tolist`` the peak reads 2.6 blocks."""
+        X = RNG.standard_t(5, size=(2560, 100))
+        v = vocab(2560)
+        block = len(_sequential_text(X[:storage.TEXT_BLOCK_ROWS], v.tokens))
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(storage, "_usable_cores", lambda: workers)
+            tracemalloc.start()
+            try:
+                write_text_embedding(X, v, tmp_path / "emb.txt")
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2.2 * block, (workers, peak / block)
         _assert_no_child_left()
 
 
