@@ -18,7 +18,6 @@ from .compress import (
 from .linalg import (
     LinalgError,
     ThinSVD,
-    least_squares_solve,
     numerical_rank,
     thin_svd,
 )
@@ -47,11 +46,9 @@ from .theory import (
     GdConfig,
     LabelModel,
     clipping_curve,
-    closed_form_risk,
     davis_kahan_sample_bound,
     exact_expected_gap,
     expected_gap_upper_bound,
-    fit_linear_model,
     gen_scaled_matrix,
     gen_uniform_matrix,
     lipschitz_gap_bound,

@@ -37,15 +37,6 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def as_vector(a, name: str = "vector") -> np.ndarray:
-    v = np.asarray(a, dtype=np.float64).ravel()
-    if v.size < 1:
-        raise ValueError(f"{name} must be non-empty")
-    if not np.all(np.isfinite(v)):
-        raise ValueError(f"{name} contains NaN or Inf entries")
-    return v
-
-
 def det_sum(a) -> float:
     """Sum of all entries in fixed row-major order.
 
@@ -146,10 +137,6 @@ class ThinSVD:
     s: np.ndarray
     V: np.ndarray
 
-    @property
-    def r(self) -> int:
-        return int(self.s.shape[0])
-
     def rank(self) -> int:
         """Numerical rank of the factored matrix."""
         return numerical_rank(self.s, max(self.U.shape[0], self.V.shape[0]))
@@ -162,7 +149,7 @@ def thin_svd(M) -> ThinSVD:
     converge, scipy's QR-iteration driver (gesvd), slower but more robust,
     runs instead.  Raises :class:`LinalgError` only when both fail.
 
-    Each call factors its input afresh.  Outside this module only
+    Each call factors its input afresh.  Only
     :class:`~embcompress.measures.PreparedBase` calls it, for a base or a
     candidate that fails the Gram path; code that needs a matrix's factors
     more than once holds that PreparedBase instead of calling again.
@@ -344,21 +331,3 @@ def numerical_rank(s, m: int) -> int:
     tol = s[0] * m * _EPS
     return int(np.count_nonzero(s > tol))
 
-
-def least_squares_solve(M, y) -> np.ndarray:
-    """Minimizer of ``||M w - y||`` via the SVD pseudo-inverse.
-
-    Requires numerically full column rank; fails otherwise, reporting the
-    deficient rank.
-    """
-    M = as_matrix(M, "M")
-    y = as_vector(y, "y")
-    if y.size != M.shape[0]:
-        raise ValueError(f"y has length {y.size}, expected {M.shape[0]}")
-    f = thin_svd(M)
-    r = numerical_rank(f.s, max(M.shape))
-    if r < M.shape[1]:
-        raise LinalgError(
-            f"rank-deficient least-squares matrix: numerical rank {r} < {M.shape[1]} columns"
-        )
-    return f.V @ ((f.U.T @ y) / f.s)

@@ -482,7 +482,9 @@ def write_text_embedding(X, vocab: Vocabulary, path) -> None:
     ``ValueError`` before the file is opened, naming the first token index
     or row at fault: a matrix without rows or columns, a token that holds a
     space, a character that ``str.splitlines`` breaks on or a lone surrogate
-    (which UTF-8 cannot encode), and a value that is not finite.
+    (which UTF-8 cannot encode), a value that is not finite, and a row 0
+    whose line would read as an "n d" header (one column of positive
+    integers, or two under a token of whitespace other than spaces).
 
     Rows are formatted in blocks of :data:`TEXT_BLOCK_ROWS` with one
     ``%.17g`` format per row.  On Linux a matrix of at least two blocks and
@@ -517,6 +519,10 @@ def _check_text_form(X, tokens):
     if not (np.isfinite(X.min()) and np.isfinite(X.max())):  # no n x d temporary
         i = int(np.flatnonzero(~np.isfinite(X).all(axis=1))[0])
         raise ValueError(f"row {i} holds a non-finite value, which the text form cannot hold")
+    if _parse_header(first := ("%s" + " %.17g" * X.shape[1]) % (tokens[0], *X[0].tolist())):
+        raise ValueError(
+            f"row 0 would be written as {first!r}, which the reader takes for an 'n d' header"
+        )
 
 
 def _unwritable(text):

@@ -1,10 +1,9 @@
 """Fixed-design regression theory and the synthetic experiments validating it.
 
-Covers the closed-form risk of the optimal linear regressor, the exact
-expected risk gap between a compressed and an uncompressed design matrix, the
-Lipschitz-loss upper bound on that gap, the quantization overlap bound with
-its per-sample perturbation form, plus the matrix generators and Monte-Carlo
-harnesses used to check all of the above.
+Covers the exact expected risk gap between a compressed and an uncompressed
+design matrix, the Lipschitz-loss upper bound on that gap, the quantization
+overlap bound with its per-sample perturbation form, plus the matrix
+generators and Monte-Carlo harnesses used to check all of the above.
 """
 
 from __future__ import annotations
@@ -24,9 +23,7 @@ from .linalg import (
     _run_row_blocks,
     _usable_cores,
     as_matrix,
-    as_vector,
     det_sum,
-    least_squares_solve,
     max_abs,
     sq_fro_diff,
     sq_fro_norm,
@@ -127,21 +124,6 @@ def _full_rank_base(X) -> PreparedBase:
         base = PreparedBase(X)
     _check_full_rank(base.rank, base.X.shape[1], "X")
     return base
-
-
-def closed_form_risk(X, ybar, sigma2: float) -> float:
-    """Expected loss of the optimal linear regressor on a full-rank design:
-    (1/n)(||ybar||^2 - ||U^T ybar||^2 + d sigma^2), d the number of retained
-    singular vectors."""
-    X = as_matrix(X, "X")
-    ybar = as_vector(ybar, "ybar")
-    if ybar.size != X.shape[0]:
-        raise ValueError(f"ybar has length {ybar.size}, expected {X.shape[0]}")
-    if sigma2 < 0:
-        raise ValueError("sigma2 must be >= 0")
-    base = _full_rank_base(X)
-    proj = base.basis.project(ybar[:, None])
-    return (det_sum(ybar * ybar) - det_sum(proj * proj) + base.rank * sigma2) / X.shape[0]
 
 
 def exact_expected_gap(X, Xt, model: LabelModel) -> float:
@@ -507,22 +489,6 @@ def _fit_logistic_gd(X: np.ndarray, Y: np.ndarray, gd: GdConfig, smax: float) ->
             stacklevel=2,
         )
     return W
-
-
-def fit_linear_model(X, y, loss: str = "squared", gd: GdConfig | None = None) -> np.ndarray:
-    """Minimize the empirical loss of a linear model.
-
-    Squared loss reduces to the least-squares solve; logistic loss (labels
-    are logits) runs full-batch gradient descent per :class:`GdConfig`.
-    """
-    X = as_matrix(X, "X")
-    y = as_vector(y, "y")
-    if loss == "squared":
-        return least_squares_solve(X, y)
-    if loss != "logistic":
-        raise ValueError(f"unknown loss {loss!r}")
-    base = _full_rank_base(X)
-    return _fit_logistic_gd(X, y, gd or GdConfig(), float(base.s[0]))[:, 0]
 
 
 def simulate_lipschitz_gap(

@@ -921,7 +921,8 @@ def test_reconstruct_rejects_token_count_mismatch(tmp_path, capsys):
 @pytest.mark.parametrize("tokens, reduced, message", [
     (("a b", "c"), [[1.0], [2.0]], "token 0 'a b' holds a space"),
     (None, [[1.0], [math.nan]], "row 1 holds a non-finite value"),
-], ids=["space-in-token", "nan"])
+    (("1", "b"), [[1.0], [5.0]], "row 0 would be written as '1 1', which the reader takes"),
+], ids=["space-in-token", "nan", "header-line"])
 def test_reconstruct_refuses_text_it_cannot_read_back(tmp_path, capsys, tokens, reduced,
                                                       message):
     from embcompress.compress import CompressedEmbedding
@@ -934,6 +935,20 @@ def test_reconstruct_refuses_text_it_cannot_read_back(tmp_path, capsys, tokens, 
     assert run(["reconstruct", str(blob), str(out)]) == 2
     assert not out.exists()
     assert message in capsys.readouterr().err
+
+
+def test_reconstruct_refuses_a_one_column_base_that_would_lose_a_row(tmp_path, capsys):
+    # a base read with --format glove: unchecked, the default read of the
+    # output took "1 1" for a header and returned the one row "b"
+    base = tmp_path / "one.txt"
+    base.write_text("1 1\nb 5\n")
+    blob, out = tmp_path / "one.eqc", tmp_path / "one-out.txt"
+    assert run(["--format", "glove", "compress", "--method", "pca", "--dim", "1",
+                str(base), str(blob)]) == 0
+    assert run(["reconstruct", str(blob), str(out)]) == 2
+    assert not out.exists()
+    assert "error: row 0 would be written as '1 1'" in capsys.readouterr().err
+
 
 def test_clipping_curve_cli(tmp_path):
     cfg = tmp_path / "cc.json"

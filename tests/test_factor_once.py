@@ -12,7 +12,9 @@ to ``np.linalg.svd``, so a test can count the SVDs taken of X itself.
 :class:`~embcompress.measures.PreparedBase` that took them.
 """
 
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,6 +47,19 @@ def calls(monkeypatch):
     monkeypatch.setattr(measures, "thin_svd", counted_svd)
     monkeypatch.setattr(measures, "gram_eigh", counted_gram)
     return counts
+
+
+def test_only_prepared_base_calls_thin_svd():
+    """What ``calls`` counts is every factorization: no other library code
+    calls ``thin_svd``."""
+    callers = set()
+    for path in sorted(Path(linalg.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and "thin_svd" in (
+                        getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                    callers.add((path.stem, getattr(top, "name", None)))
+    assert callers == {("measures", "PreparedBase")}
 
 
 @pytest.fixture()

@@ -9,7 +9,6 @@ from embcompress.linalg import (
     LinalgError,
     det_sum,
     fro_norm,
-    least_squares_solve,
     numerical_rank,
     thin_svd,
 )
@@ -122,35 +121,6 @@ class TestNumericalRank:
 
     def test_zero_spectrum(self):
         assert numerical_rank([0.0, 0.0], 7) == 0
-
-
-class TestLeastSquares:
-    def test_identity(self):
-        np.testing.assert_allclose(
-            least_squares_solve(np.eye(2), [3.0, 4.0]), [3.0, 4.0], atol=1e-14
-        )
-
-    def test_mean(self):
-        w = least_squares_solve(np.ones((2, 1)), [0.0, 2.0])
-        np.testing.assert_allclose(w, [1.0], atol=1e-14)
-
-    def test_recovers_planted_solution(self):
-        M = RNG.normal(size=(10, 3))
-        w0 = RNG.normal(size=3)
-        w = least_squares_solve(M, M @ w0)
-        np.testing.assert_allclose(w, w0, atol=1e-8)
-
-    def test_residual_orthogonal_to_columns(self):
-        M = RNG.normal(size=(30, 4))
-        y = RNG.normal(size=30)
-        w = least_squares_solve(M, y)
-        resid = M @ w - y
-        assert np.linalg.norm(M.T @ resid) <= 1e-8 * fro_norm(M) * np.linalg.norm(y)
-
-    def test_rank_deficient_rejected(self):
-        M = np.ones((5, 2))  # duplicated column direction
-        with pytest.raises(LinalgError, match="rank"):
-            least_squares_solve(M, np.arange(5.0))
 
 
 @pytest.mark.parametrize("block", [None, 1, 47 * 20 + 5])
